@@ -7,14 +7,12 @@ plain dataclass reports that the command-line layer serializes to CSV.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SemiflowResult, StepperConfig, energy_gradient,
-                       gradient_residual, run_semiflow)
+from .dynamics import (SemiflowResult, StepperConfig, _run_batch, energy_gradient,
+                       gradient_residual)
 from .fields import Field
 from .operators import ModeOperators
 from .spaces import h01_dual_norm, mellin_norm
@@ -31,18 +29,7 @@ __all__ = [
     "smooth_random_field",
     "absorbing_set_experiment",
     "linearization_spectrum",
-    "thread_count",
 ]
-
-
-def thread_count() -> int:
-    """Worker count for ensemble experiments (CONEKIT_THREADS, default 1)."""
-    raw = os.environ.get("CONEKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CONEKIT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 # ------------------------------------------------------------------- tip fits
@@ -278,23 +265,14 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
     The entry level is level_margin times the largest final Dirichlet norm
     over all runs; each run's entry time is the first record from which the
     norm stays below that level, and kappa is the largest post-entry sup per
-    starting radius.  Runs are independent and can execute on CONEKIT_THREADS
-    workers without changing results.
+    starting radius.  All runs advance together through one batched step
+    kernel; each is bitwise equal to its own run_semiflow.
     """
     jobs = [(radius, base_seed + i) for radius in radii for i in range(seeds_per_radius)]
-
-    def one_run(job):
-        radius, seed = job
-        u0 = smooth_random_field(ops, np.random.default_rng(seed),
-                                 dual_radius=radius, mode_decay=mode_decay)
-        return run_semiflow(ops, u0, cfg, collect_snapshots=True)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_run, jobs))
-    else:
-        results = [one_run(job) for job in jobs]
+    initials = [smooth_random_field(ops, np.random.default_rng(seed),
+                                    dual_radius=radius, mode_decay=mode_decay)
+                for radius, seed in jobs]
+    results = _run_batch(ops, initials, cfg, collect_snapshots=True)
 
     # align records across runs (equilibrium stops can shorten a run)
     n_rec = min(len(r.records) for r in results)

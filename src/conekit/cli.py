@@ -6,10 +6,12 @@ Every subcommand reads one INI configuration, creates a fresh directory
 * ``manifest.ini`` — the full configuration echo (defaults included) plus a
   [meta] block; feeding it back through --config reproduces the run,
 * one or more CSV files with the command's results (17 significant digits),
-* ``status`` — a single line, ``ok`` or ``error: <reason>``.
+* ``status`` — a single line, ``ok`` or ``error: <type>: <reason>``, written
+  whatever ended the run.
 
 Exit codes: 0 success, 2 configuration/validation error (the offending key is
-named), 3 numerical abort (partial outputs are flushed first).
+named), 3 numerical abort (partial outputs are flushed first), 4 any other
+failure (an internal error; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import csv
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,9 @@ from .indicial import (asymptotic_space, bilaplacian_indicial_roots,
                        minimal_domain_check)
 from .operators import SolverError
 from .spaces import h01_dual_norm, h1_seminorm, l2_norm, lp_norm, mean, mellin_norm, poincare_constant
+
+#: Exceptions that end a run as a numerical abort (exit code 3).
+NUMERICAL_ABORTS = (StabilityError, SolverError, ValueError, ArithmeticError)
 
 COMMANDS = ("indicial", "spectrum", "norms", "simulate", "attractor",
             "fit-asymptotics", "ls-probe")
@@ -317,11 +323,17 @@ def main(argv=None) -> int:
         manifest_text(cfg, args.command, time.strftime("%Y-%m-%dT%H:%M:%S")))
     try:
         _RUNNERS[args.command](cfg, outdir)
-    except (StabilityError, SolverError, ValueError, ArithmeticError) as exc:
-        (outdir / "status").write_text(f"error: {exc}\n")
+    except BaseException as exc:
+        # every run directory ends with a status, whatever stopped the run
+        (outdir / "status").write_text(f"error: {type(exc).__name__}: {exc}\n")
+        if not isinstance(exc, Exception):
+            raise
+        numerical = isinstance(exc, NUMERICAL_ABORTS)
+        if not numerical:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         print(f"run directory: {outdir}")
-        return 3
+        return 3 if numerical else 4
     (outdir / "status").write_text("ok\n")
     print(f"run directory: {outdir}")
     return 0

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import Field, channel_weights, values_to_coeffs
+from .fields import Field, channel_weights, coeffs_to_values, values_to_coeffs
 from .operators import ModeOperators, SolverError
 from .spaces import h1_seminorm, mean, mellin_norm, poincare_constant
 
@@ -124,21 +124,27 @@ class SemiflowResult:
     snapshots: list  # (step, coeffs copy) pairs when collected
 
 
-def _quartic_well(u: Field, vals: np.ndarray) -> float:
-    """int (u^4/4 - u^2/2) dmu from precomputed grid values."""
-    sq = vals * vals
-    dens = 0.25 * sq * sq - 0.5 * sq
-    return float(u.mesh.integrate_radial(dens.mean(axis=1)))
+def _energies(mesh, stack: np.ndarray, vals: np.ndarray,
+              linear_only: bool) -> tuple[list[float], list[float]]:
+    """Free energy and Dirichlet seminorm of each member of a coefficient stack.
+
+    ``stack`` is (B, K+1, 2, M) and ``vals`` its grid values (B, M, N).  The
+    densities are formed for the whole stack, but every reduction is taken
+    per member: a batched sum would change the summation order and with it
+    the last bits of each member's energy.
+    """
+    h1 = [h1_seminorm(Field(mesh, coeffs)) for coeffs in stack]
+    if linear_only:
+        pot = [-0.5 * mesh.integrate_radial(row) for row in (vals ** 2).mean(axis=-1)]
+    else:
+        sq = vals * vals
+        pot = [mesh.integrate_radial(row) for row in (0.25 * sq * sq - 0.5 * sq).mean(axis=-1)]
+    return [0.5 * g ** 2 + p for g, p in zip(h1, pot)], h1
 
 
 def energy(u: Field, linear_only: bool = False) -> float:
     """Free energy of a field; quadratic part only when ``linear_only``."""
-    grad2 = h1_seminorm(u) ** 2
-    if linear_only:
-        vals = u.grid_values()
-        l2sq = float(u.mesh.integrate_radial((vals ** 2).mean(axis=1)))
-        return 0.5 * grad2 - 0.5 * l2sq
-    return 0.5 * grad2 + _quartic_well(u, u.grid_values())
+    return _energies(u.mesh, u.coeffs[None], u.grid_values()[None], linear_only)[0][0]
 
 
 def energy_gradient(u: Field, ops: ModeOperators) -> Field:
@@ -176,30 +182,33 @@ def _projected_rate_norm(ops: ModeOperators, du_coeffs: np.ndarray, dt: float) -
     return h01_dual_norm(Field(ops.mesh, rate), ops)
 
 
-def _advance(ops: ModeOperators, u: Field, vals: np.ndarray, cfg: StepperConfig,
-             mean0: float) -> Field:
-    """One implicit solve, with exact mean restoration.
+def _advance(ops: ModeOperators, stack: np.ndarray, vals: np.ndarray, cfg: StepperConfig,
+             mean0: list) -> np.ndarray:
+    """One implicit solve for a (B, K+1, 2, M) stack, with exact mean restoration.
 
-    The solve itself verifies its residual against an independent flux-form
-    application of the operator and raises SolverError on failure.
+    ``vals`` are the stack's grid values and ``mean0`` the conserved mean of
+    each member.  The solve verifies every member's residual against an
+    independent flux-form application of the operator and raises
+    SolverError on failure.
     """
     dt, s = cfg.dt, cfg.stabilization
     if cfg.linear_only:
-        nl = -(1.0 + s) * u.coeffs
+        nl = -(1.0 + s) * stack
     else:
-        nl = values_to_coeffs(vals * vals * vals, u.max_mode) - (1.0 + s) * u.coeffs
-    rhs = Field(u.mesh, u.coeffs + dt * ops.apply_laplacian_coeffs(nl))
-    unew = ops.solve_ch_system(rhs, dt, s)
+        nl = values_to_coeffs(vals * vals * vals, ops.max_mode) - (1.0 + s) * stack
+    unew = ops.solve_ch_system(stack + dt * ops.apply_laplacian_coeffs(nl), dt, s)
     if cfg.conserve_mean:
-        unew.coeffs[0, 0, :] += mean0 - (ops.volumes @ unew.coeffs[0, 0]) / ops.mesh.area
+        area = ops.mesh.area
+        for c, m0 in zip(unew, mean0):
+            c[0, 0, :] += m0 - (ops.volumes @ c[0, 0]) / area
     return unew
 
 
 def step_imex(ops: ModeOperators, state: SemiflowState, cfg: StepperConfig) -> SemiflowState:
     """Advance one step (no energy bookkeeping; see run_semiflow for the guarded loop)."""
     ops._check_field(state.u)
-    unew = _advance(ops, state.u, state.u.grid_values(), cfg, state.mean0)
-    return SemiflowState(u=unew, step=state.step + 1, mean0=state.mean0)
+    unew = _advance(ops, state.u.coeffs[None], state.u.grid_values()[None], cfg, [state.mean0])
+    return SemiflowState(u=Field(ops.mesh, unew[0]), step=state.step + 1, mean0=state.mean0)
 
 
 def detect_equilibrium(ops: ModeOperators, u_prev: Field, u_next: Field, dt: float,
@@ -224,7 +233,8 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
     ``snapshot_stride`` steps and at the final step; ``on_record`` receives
     each DiagnosticsRecord as it is produced, so partial output survives an
     abort.  Raises StabilityError when the energy rises beyond the per-step
-    tolerance (the records produced so far remain delivered).
+    tolerance or stops being finite (the records produced so far remain
+    delivered).
 
     Equilibrium is declared once the dual norm of the discrete time
     derivative drops below eq_tol.  Because that norm requires one solve per
@@ -232,78 +242,129 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
     (dual norm <= C_P * L2 norm); the exact dual norm is evaluated at record
     steps and whenever the screen certifies the threshold is reachable, so a
     detected equilibrium always carries its exact residual.
-    """
-    state = initial if isinstance(initial, SemiflowState) else SemiflowState(u=initial.copy())
-    ops._check_field(state.u)
-    u = state.u
-    vals = u.grid_values()
-    e_now = (0.5 * h1_seminorm(u) ** 2
-             + (-0.5 * float(u.mesh.integrate_radial((vals ** 2).mean(axis=1)))
-                if cfg.linear_only else _quartic_well(u, vals)))
-    records: list[DiagnosticsRecord] = []
-    snapshots: list = []
 
-    def emit(step: int, residual: float):
+    This is the one-member case of the ensemble step kernel (_run_batch).
+    """
+    deliver = None if on_record is None else (lambda _member, rec: on_record(rec))
+    return _run_batch(ops, [initial], cfg, deliver, collect_snapshots)[0]
+
+
+def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
+               on_record: Optional[Callable] = None,
+               collect_snapshots: bool = False) -> list[SemiflowResult]:
+    """Run several trajectories through one step kernel; one result per member.
+
+    Each entry of ``initials`` is a Field (fresh run) or a SemiflowState
+    (resume), as for run_semiflow.  The active members form the leading axis
+    of one coefficient stack, so a step costs one cube transform pair, one
+    Laplacian and one stacked implicit solve whatever the member count.
+    Everything that decides or records a trajectory -- energy guard,
+    Poincare screen, exact residual, equilibrium stop, mean restoration,
+    records and snapshots -- is evaluated per member, on that member's slice
+    and in the expression a lone run uses, so every member is bitwise equal
+    to its own run_semiflow.  A member leaves the stack when it reaches
+    equilibrium or t_max.  ``on_record(member, record)`` receives every
+    record as it is produced; an energy violation in any member raises
+    StabilityError after that member's record is delivered.
+    """
+    states = [s if isinstance(s, SemiflowState) else SemiflowState(u=s) for s in initials]
+    for st in states:
+        ops._check_field(st.u)
+    mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
+    n_steps_max = int(math.floor(cfg.t_max / dt + 1e-9))
+    steps = [st.step for st in states]
+    mean0 = [st.mean0 for st in states]
+    records: list[list[DiagnosticsRecord]] = [[] for _ in states]
+    snapshots: list[list] = [[] for _ in states]
+    residual = [math.inf] * len(states)
+    equilibrium = [False] * len(states)
+    results: list[Optional[SemiflowResult]] = [None] * len(states)
+
+    stack = np.stack([st.u.coeffs for st in states])
+    vals = coeffs_to_values(stack)
+    e_now, h1_now = _energies(mesh, stack, vals, cfg.linear_only)
+
+    def emit(member: int, coeffs, vals_m, step: int, e: float, h1: float, res: float):
+        u = Field(mesh, coeffs)
         rec = DiagnosticsRecord(
-            step=step, t=step * cfg.dt, mass=float(u.mesh.integrate_radial(u.coeffs[0, 0])),
-            energy=e_now, h1_seminorm=h1_seminorm(u), ut_h01dual=residual,
+            step=step, t=step * dt, mass=mesh.integrate_radial(coeffs[0, 0]),
+            energy=e, h1_seminorm=h1, ut_h01dual=res,
             mellin_s0=mellin_norm(u, cfg.mellin_order_pair[0], cfg.mellin_gamma),
             mellin_s1=mellin_norm(u, cfg.mellin_order_pair[1], cfg.mellin_gamma),
-            max_abs_u=float(np.abs(vals).max()))
-        records.append(rec)
+            max_abs_u=float(np.abs(vals_m).max()))
+        records[member].append(rec)
         if on_record is not None:
-            on_record(rec)
+            on_record(member, rec)
         if collect_snapshots:
-            snapshots.append((step, u.coeffs.copy()))
+            snapshots[member].append((step, coeffs.copy()))
 
-    if state.step == 0:
-        rate0 = ops.apply_laplacian(energy_gradient(u, ops)).coeffs if not cfg.linear_only \
-            else ops.apply_laplacian_coeffs(-ops.apply_laplacian_coeffs(u.coeffs) - u.coeffs)
-        if isinstance(rate0, Field):
-            rate0 = rate0.coeffs
-        emit(0, _projected_rate_norm(ops, rate0 * cfg.dt, cfg.dt))
+    for b, st in enumerate(states):
+        if st.step == 0:
+            u = Field(mesh, stack[b])
+            if cfg.linear_only:
+                rate0 = ops.apply_laplacian_coeffs(-ops.apply_laplacian_coeffs(u.coeffs) - u.coeffs)
+            else:
+                rate0 = ops.apply_laplacian(energy_gradient(u, ops)).coeffs
+            emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b],
+                 _projected_rate_norm(ops, rate0 * dt, dt))
 
-    equilibrium = False
-    residual = math.inf
-    n_steps_max = int(math.floor(cfg.t_max / cfg.dt + 1e-9))
-    step = state.step
+    active = list(range(len(states)))    # member index of each stack row
     poincare = None
-    while step < n_steps_max:
-        unew = _advance(ops, u, vals, cfg, state.mean0)
-        step += 1
-        vals_new = unew.grid_values()
-        e_new = (0.5 * h1_seminorm(unew) ** 2
-                 + (-0.5 * float(unew.mesh.integrate_radial((vals_new ** 2).mean(axis=1)))
-                    if cfg.linear_only else _quartic_well(unew, vals_new)))
-        du_coeffs = unew.coeffs - u.coeffs
-        u, vals = unew, vals_new
-        is_record = step % cfg.snapshot_stride == 0 or step == n_steps_max
-        energy_rose = e_new > e_now + ENERGY_INCREASE_TOL * (1.0 + abs(e_now))
-        # The dual norm costs one tridiagonal solve per mode, so per step we
-        # first test the Poincare bound C_P * ||du/dt||_L2 <= eq_tol, which
-        # certifies the dual residual is below threshold before paying for it.
-        maybe_eq = False
-        if cfg.eq_tol > 0.0:
-            if poincare is None:
-                poincare = poincare_constant(ops)
-            maybe_eq = poincare * _weighted_l2(du_coeffs, u.mesh) / cfg.dt <= cfg.eq_tol
-        if is_record or maybe_eq or energy_rose:
-            residual = _projected_rate_norm(ops, du_coeffs, cfg.dt)
-            equilibrium = cfg.eq_tol > 0.0 and residual <= cfg.eq_tol
-        if energy_rose:
-            delta = e_new - e_now
-            e_now = e_new
-            emit(step, residual)
-            raise StabilityError(
-                f"energy rose by {delta:.3e} in one step at t = {step * cfg.dt:g}; "
-                "reduce dt or raise the stabilization parameter")
-        e_now = e_new
-        if is_record or equilibrium:
-            emit(step, residual)
-        if equilibrium:
-            break
+    while True:
+        done = [row for row, b in enumerate(active)
+                if equilibrium[b] or steps[b] >= n_steps_max]
+        for row in done:
+            b = active[row]
+            results[b] = SemiflowResult(
+                records=records[b],
+                state=SemiflowState(u=Field(mesh, stack[row]), step=steps[b], mean0=mean0[b]),
+                equilibrium_reached=equilibrium[b], final_residual=residual[b],
+                snapshots=snapshots[b])
+        if done:
+            keep = [row for row in range(len(active)) if row not in done]
+            if not keep:
+                break
+            stack, vals = stack[keep], vals[keep]
+            e_now = [e_now[row] for row in keep]
+            active = [active[row] for row in keep]
 
-    return SemiflowResult(records=records,
-                          state=SemiflowState(u=u, step=step, mean0=state.mean0),
-                          equilibrium_reached=equilibrium,
-                          final_residual=residual, snapshots=snapshots)
+        prev = stack
+        stack = _advance(ops, prev, vals, cfg, [mean0[b] for b in active])
+        vals = coeffs_to_values(stack)
+        e_new, h1_new = _energies(mesh, stack, vals, cfg.linear_only)
+        for row, b in enumerate(active):
+            steps[b] += 1
+            step = steps[b]
+            is_record = step % cfg.snapshot_stride == 0 or step == n_steps_max
+            # written so that a NaN energy counts as a rise
+            energy_rose = not (e_new[row] <= e_now[row]
+                               + ENERGY_INCREASE_TOL * (1.0 + abs(e_now[row])))
+            # The dual norm costs one tridiagonal solve per mode, so per step we
+            # first test the Poincare bound C_P * ||du/dt||_L2 <= eq_tol, which
+            # certifies the dual residual is below threshold before paying for it.
+            du = None
+            maybe_eq = False
+            if eq_tol > 0.0:
+                if poincare is None:
+                    poincare = poincare_constant(ops)
+                du = stack[row] - prev[row]
+                maybe_eq = poincare * _weighted_l2(du, mesh) / dt <= eq_tol
+            if not math.isfinite(e_new[row]):
+                residual[b] = math.nan  # a non-finite step has no dual residual
+            elif is_record or maybe_eq or energy_rose:
+                if du is None:
+                    du = stack[row] - prev[row]
+                residual[b] = _projected_rate_norm(ops, du, dt)
+                equilibrium[b] = eq_tol > 0.0 and residual[b] <= eq_tol
+            if is_record or equilibrium[b] or energy_rose:
+                emit(b, stack[row], vals[row], step, e_new[row], h1_new[row], residual[b])
+            if energy_rose:
+                change = e_new[row] - e_now[row]
+                what = (f"rose by {change:.3e}" if math.isfinite(change)
+                        else f"went from {e_now[row]:g} to {e_new[row]:g}")
+                raise StabilityError(
+                    f"energy {what} in one step at t = {step * dt:g}; "
+                    "reduce dt or raise the stabilization parameter")
+        e_now = e_new
+
+    return results

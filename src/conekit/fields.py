@@ -91,26 +91,32 @@ class Field:
 
 
 def coeffs_to_values(coeffs: np.ndarray) -> np.ndarray:
-    """Evaluate coefficient data (K+1, 2, M) on the theta quadrature grid -> (M, N)."""
-    kmax = coeffs.shape[0] - 1
-    m = coeffs.shape[2]
+    """Evaluate coefficient data (..., K+1, 2, M) on the theta quadrature grid -> (..., M, N).
+
+    Leading axes are a batch of fields; each is transformed exactly as it
+    would be on its own.
+    """
+    kmax = coeffs.shape[-3] - 1
+    m = coeffs.shape[-1]
     n = n_theta_nodes(kmax)
-    spec = np.zeros((m, n // 2 + 1), dtype=complex)
-    spec[:, 0] = n * coeffs[0, 0, :]
+    spec = np.zeros(coeffs.shape[:-3] + (m, n // 2 + 1), dtype=complex)
+    spec[..., 0] = n * coeffs[..., 0, 0, :]
     if kmax >= 1:
-        spec[:, 1:kmax + 1] = (n / 2.0) * (coeffs[1:, 0, :] - 1j * coeffs[1:, 1, :]).T
-    return np.fft.irfft(spec, n=n, axis=1)
+        spec[..., 1:kmax + 1] = np.swapaxes(
+            (n / 2.0) * (coeffs[..., 1:, 0, :] - 1j * coeffs[..., 1:, 1, :]), -1, -2)
+    return np.fft.irfft(spec, n=n, axis=-1)
 
 
 def values_to_coeffs(values: np.ndarray, max_mode: int) -> np.ndarray:
-    """Project grid values (M, N) onto modes <= max_mode -> (K+1, 2, M)."""
-    m, n = values.shape
-    spec = np.fft.rfft(values, axis=1)
-    out = np.zeros((max_mode + 1, 2, m))
-    out[0, 0, :] = spec[:, 0].real / n
+    """Project grid values (..., M, N) onto modes <= max_mode -> (..., K+1, 2, M)."""
+    m, n = values.shape[-2:]
+    spec = np.fft.rfft(values, axis=-1)
+    out = np.zeros(values.shape[:-2] + (max_mode + 1, 2, m))
+    out[..., 0, 0, :] = spec[..., 0].real / n
     if max_mode >= 1:
-        out[1:, 0, :] = (2.0 / n) * spec[:, 1:max_mode + 1].real.T
-        out[1:, 1, :] = (-2.0 / n) * spec[:, 1:max_mode + 1].imag.T
+        modes = np.swapaxes(spec[..., 1:max_mode + 1], -1, -2)
+        out[..., 1:, 0, :] = (2.0 / n) * modes.real
+        out[..., 1:, 1, :] = (-2.0 / n) * modes.imag
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -228,11 +229,42 @@ class RadialMesh:
         return float(self.volumes @ values)
 
     def same_as(self, other: "RadialMesh") -> bool:
+        """Whether both meshes discretize the same surface on the same cells.
+
+        Faces depend only on L, M and q, so the profile and the volumes are
+        compared too: cones of different slope share their faces.
+        """
         return self is other or (
             self.cells == other.cells
-            and self.profile.kind == other.profile.kind
+            and self.profile == other.profile
             and np.array_equal(self.faces, other.faces)
+            and np.array_equal(self.volumes, other.volumes)
         )
+
+    @cached_property
+    def transmissibilities(self) -> np.ndarray:
+        """Face transmissibilities 2*pi*f(face) / (center distance), cells+1 entries.
+
+        Both end entries are zero (no flux through the tip or the outer end).
+        This is the one definition of the discrete Dirichlet form: the mode
+        Laplacians and the H^1 seminorm both read it.
+        """
+        m = self.cells
+        trans = np.zeros(m + 1)
+        trans[1:m] = 2.0 * np.pi * self.f_faces[1:m] / np.diff(self.centers)
+        trans.flags.writeable = False
+        return trans
+
+    def angular_factor(self, max_mode: int) -> np.ndarray:
+        """vol_i * k^2 / f(s_i)^2 for modes k <= max_mode, shape (K+1, 1, M); cached."""
+        cache = self.__dict__.setdefault("_angular_factors", {})
+        factor = cache.get(max_mode)
+        if factor is None:
+            ksq = (np.arange(max_mode + 1, dtype=float) ** 2)[:, None, None]
+            factor = self.volumes * ksq / self.f_centers ** 2
+            factor.flags.writeable = False
+            cache[max_mode] = factor
+        return factor
 
 
 def _graded_widths(cells: int, grading: float, length: float) -> np.ndarray:

@@ -108,20 +108,19 @@ class ModeOperators:
             raise ValueError("max_mode must be >= 0")
         self.mesh = mesh
         self.max_mode = int(max_mode)
-        m = mesh.cells
-        # interior face transmissibilities; entries 0 and M are the zero-flux ends
-        trans = np.zeros(m + 1)
-        trans[1:m] = 2.0 * np.pi * mesh.f_faces[1:m] / np.diff(mesh.centers)
-        self.trans = trans
+        self.trans = mesh.transmissibilities
         self.volumes = mesh.volumes
         self.sqrt_volumes = np.sqrt(mesh.volumes)
         self.inv_f_sq = 1.0 / mesh.f_centers ** 2
-        self._ksq = (np.arange(self.max_mode + 1, dtype=float) ** 2)[:, None, None]
+        ksq = (np.arange(self.max_mode + 1, dtype=float) ** 2)[:, None, None]
+        self._angular_coeff = ksq * self.inv_f_sq       # (k / f)^2, shape (K+1, 1, M)
         self._neglap_chol: Dict[int, object] = {}
         self._eigensystems: Dict[int, ModeEigensystem] = {}
         self._ch_factor: Dict[Tuple[float, float], object] = {}
         self._stacked_bands = None
-        self._stacked_weight = None
+        # weights of the verification norms: channel- and volume-weighted,
+        # in the symmetrized coordinates the solver works in
+        self._sym_weight = channel_weights(self.max_mode)[:, :, None] * mesh.volumes ** 2
 
     # ------------------------------------------------------------------ bands
 
@@ -143,11 +142,15 @@ class ModeOperators:
                              f"operator truncation {self.max_mode}")
 
     def apply_laplacian_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """L_k applied to coefficient data (..., K+1, 2, M); leading axes are a batch."""
         m = coeffs.shape[-1]
         flux = np.zeros(coeffs.shape[:-1] + (m + 1,))
-        flux[..., 1:m] = self.trans[1:m] * np.diff(coeffs, axis=-1)
-        div = np.diff(flux, axis=-1) / self.volumes
-        return div - self._ksq * self.inv_f_sq * coeffs
+        inner = flux[..., 1:m]
+        np.subtract(coeffs[..., 1:], coeffs[..., :-1], out=inner)
+        inner *= self.trans[1:m]
+        div = np.subtract(flux[..., 1:], flux[..., :-1])
+        div /= self.volumes
+        return div - self._angular_coeff * coeffs
 
     def apply_laplacian(self, u: Field) -> Field:
         """Laplace-Beltrami operator applied mode by mode."""
@@ -274,15 +277,6 @@ class ModeOperators:
             self._stacked_bands = (diag, sub)
         return self._stacked_bands
 
-    def _stacked_channel_weights(self) -> np.ndarray:
-        """(n, 2) channel-and-volume quadrature weights in stacked layout."""
-        if self._stacked_weight is None:
-            m = self.mesh.cells
-            w = channel_weights(self.max_mode)          # (K+1, 2)
-            self._stacked_weight = np.repeat(w, m, axis=0) * np.tile(
-                self.volumes, self.max_mode + 1)[:, None]
-        return self._stacked_weight
-
     def ch_factorization(self, dt: float, stabilization: float):
         """Cached tridiagonal LU pair factoring the implicit step matrix.
 
@@ -327,48 +321,80 @@ class ModeOperators:
         y[2:] += d2[:, None] * x[:-2]
         return y
 
-    def solve_ch_system(self, rhs: Field, dt: float, stabilization: float) -> Field:
+    def _unpack(self, cols: np.ndarray) -> np.ndarray:
+        """Stacked (n, 2B) columns in symmetrized coordinates -> (B, K+1, 2, M) coefficients."""
+        nb = cols.shape[1] // 2
+        return (cols.T.reshape(nb, 2, self.max_mode + 1, self.mesh.cells).transpose(0, 2, 1, 3)
+                / self.sqrt_volumes)
+
+    def _sym_norms(self, stack: np.ndarray) -> np.ndarray:
+        """Verification norm of each member of a (B, K+1, 2, M) stack."""
+        return np.sqrt(np.einsum("bkci,kci->b", stack * stack, self._sym_weight))
+
+    def solve_ch_system(self, rhs, dt: float, stabilization: float):
         """Solve (I + dt*Lap^2 - S*dt*Lap) u = rhs over all angular modes at once.
 
-        The banded solution is verified against an independent flux-form
-        application of the operator; the tolerance is 1e-10 * ||rhs|| plus
-        the machine-precision evaluation floor eps * || |A| |x| + |rhs| ||
-        (volume- and channel-weighted norms throughout).
+        ``rhs`` is a Field, or a stack of B coefficient arrays with shape
+        (B, K+1, 2, M); the solution comes back in the same form.  Members of
+        a stack are extra right-hand-side columns of the one cached
+        factorization, and each is solved exactly as it would be alone.
+
+        The banded solution of every member is verified against an
+        independent flux-form application of the operator; the tolerance is
+        1e-10 * ||rhs|| plus the machine-precision evaluation floor
+        eps * || |A| |x| + |rhs| || (volume- and channel-weighted norms
+        throughout).  The floor is only evaluated when the plain test fails.
+        Non-finite residuals always fail.
         """
-        self._check_field(rhs)
+        single = isinstance(rhs, Field)
+        if single:
+            self._check_field(rhs)
+            stack = rhs.coeffs[None]
+        else:
+            stack = np.asarray(rhs, dtype=float)
+            if stack.shape[1:] != (self.max_mode + 1, 2, self.mesh.cells):
+                raise ValueError(f"coefficient stack shape {stack.shape} does not match "
+                                 f"(B, {self.max_mode + 1}, 2, {self.mesh.cells})")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if stabilization < 0.0:
             raise ValueError("stabilization must be >= 0")
         factors, abs_penta = self.ch_factorization(dt, stabilization)
         m = self.mesh.cells
+        nb = stack.shape[0]
         n = (self.max_mode + 1) * m
-        packed = (rhs.coeffs * self.sqrt_volumes).transpose(1, 0, 2).reshape(2, n).T
-        mid, info1 = zgttrs(*factors[0], packed.astype(complex))
+        # members' cos/sin columns in symmetrized coordinates, written straight
+        # into the complex array the sweeps take
+        packed = np.zeros((2 * nb, n), dtype=complex)
+        np.multiply(stack.transpose(0, 2, 1, 3), self.sqrt_volumes,
+                    out=packed.real.reshape(nb, 2, self.max_mode + 1, m))
+        mid, info1 = zgttrs(*factors[0], packed.T)
         sol, info2 = zgttrs(*factors[1], mid)
         if info1 != 0 or info2 != 0:
             raise SolverError("tridiagonal solve failed")
         sol = sol.real
-        coeffs = sol.T.reshape(2, self.max_mode + 1, m).transpose(1, 0, 2) / self.sqrt_volumes
-        out = Field(self.mesh, coeffs)
+        coeffs = self._unpack(sol)
 
-        # independent verification through the flux-form operator
-        lap1 = self.apply_laplacian_coeffs(coeffs)
-        resid = (coeffs + dt * self.apply_laplacian_coeffs(lap1)
-                 - stabilization * dt * lap1 - rhs.coeffs)
-        w = self._stacked_channel_weights()
-        resid_packed = (resid * self.sqrt_volumes).transpose(1, 0, 2).reshape(2, n).T
-        rhs_norm = math.sqrt(float(np.sum(w * packed.real ** 2)))
-        resid_norm = math.sqrt(float(np.sum(w * resid_packed ** 2)))
-        floor_vec = self._abs_penta_apply(abs_penta, np.abs(sol)) + np.abs(packed.real)
-        floor = math.sqrt(float(np.sum(w * floor_vec ** 2)))
-        tol = SOLVE_RESIDUAL_TOL * rhs_norm + RESIDUAL_NOISE_FACTOR * _EPS * floor
-        if resid_norm > tol:
-            raise SolverError(
-                f"implicit step residual {resid_norm:.3e} exceeded tolerance {tol:.3e} "
-                f"(1e-10*||rhs|| = {SOLVE_RESIDUAL_TOL * rhs_norm:.3e}, "
-                f"evaluation floor = {RESIDUAL_NOISE_FACTOR * _EPS * floor:.3e})")
-        return out
+        # independent verification through the flux-form operator, on a
+        # C-ordered copy, where the Laplacians run fastest
+        x = np.ascontiguousarray(coeffs)
+        lap1 = self.apply_laplacian_coeffs(x)
+        resid = x + dt * self.apply_laplacian_coeffs(lap1) - stabilization * dt * lap1 - stack
+        plain = SOLVE_RESIDUAL_TOL * self._sym_norms(stack)
+        resid_norm = self._sym_norms(resid)
+        # the floor term is >= 0, so it can only rescue a member that fails the plain test
+        if not np.all(resid_norm <= plain):
+            floor = RESIDUAL_NOISE_FACTOR * _EPS * self._sym_norms(self._unpack(
+                self._abs_penta_apply(abs_penta, np.abs(sol)) + np.abs(packed.real.T)))
+            failed = np.flatnonzero(~(resid_norm <= plain + floor))
+            if failed.size:
+                b = failed[0]
+                raise SolverError(
+                    f"implicit step residual {resid_norm[b]:.3e} exceeded tolerance "
+                    f"{plain[b] + floor[b]:.3e} (1e-10*||rhs|| = {plain[b]:.3e}, "
+                    f"evaluation floor = {floor[b]:.3e})"
+                    + (f" for member {b} of {nb}" if nb > 1 else ""))
+        return Field(self.mesh, coeffs[0]) if single else coeffs
 
     # ------------------------------------------------------------ eigensystems
 

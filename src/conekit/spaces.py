@@ -56,17 +56,14 @@ def l2_norm(u: Field) -> float:
 def h1_seminorm(u: Field) -> float:
     """Dirichlet seminorm sqrt(int |grad u|^2 dmu), evaluated in flux form.
 
-    Uses the same face transmissibilities as the discrete Laplacian, so
-    h1_seminorm(u)^2 equals <-Lap u, u> exactly (up to roundoff).
+    Uses the mesh's face transmissibilities, the same ones as the discrete
+    Laplacian, so h1_seminorm(u)^2 equals <-Lap u, u> exactly (up to roundoff).
     """
     mesh = u.mesh
-    m = mesh.cells
-    trans = 2.0 * math.pi * mesh.f_faces[1:m] / np.diff(mesh.centers)
     w = channel_weights(u.max_mode)
     diffs = np.diff(u.coeffs, axis=-1)
-    radial = np.einsum("kci,kc->", trans * diffs ** 2, w)
-    ksq = (np.arange(u.max_mode + 1, dtype=float) ** 2)[:, None, None]
-    ang = np.einsum("kci,kc->", mesh.volumes * ksq / mesh.f_centers ** 2 * u.coeffs ** 2, w)
+    radial = np.einsum("kci,kc->", mesh.transmissibilities[1:-1] * diffs ** 2, w)
+    ang = np.einsum("kci,kc->", mesh.angular_factor(u.max_mode) * u.coeffs ** 2, w)
     return math.sqrt(radial + ang)
 
 

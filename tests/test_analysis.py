@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import conekit.analysis
 from conekit.analysis import (absorbing_set_experiment, fit_lojasiewicz,
                               fit_tip_asymptotics, linearization_spectrum,
-                              lojasiewicz_probe, smooth_random_field,
-                              thread_count, tip_probe)
+                              lojasiewicz_probe, smooth_random_field, tip_probe)
 from conekit.dynamics import StepperConfig, run_semiflow
 from conekit.fields import Field, constant_field, field_from_modes
 from conekit.geometry import build_mesh, build_profile
@@ -147,18 +147,6 @@ def test_smooth_random_field_is_seed_deterministic(small_sphere_ops):
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
-def test_thread_count_env_contract(monkeypatch):
-    monkeypatch.delenv("CONEKIT_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("CONEKIT_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("CONEKIT_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("CONEKIT_THREADS", "abc")
-    with pytest.raises(ValueError, match="CONEKIT_THREADS"):
-        thread_count()
-
-
 # ------------------------------------------------------------ linearization
 
 
@@ -214,12 +202,20 @@ def test_absorbing_experiment_is_deterministic(small_sphere_ops, monkeypatch):
     kwargs = dict(radii=(0.5, 1.0), seeds_per_radius=2, base_seed=7)
     first = absorbing_set_experiment(ops, cfg, **kwargs)
     second = absorbing_set_experiment(ops, cfg, **kwargs)
-    monkeypatch.setenv("CONEKIT_THREADS", "2")
-    threaded = absorbing_set_experiment(ops, cfg, **kwargs)
-    for report in (second, threaded):
+    # the same ensemble with every member run on its own through run_semiflow
+    monkeypatch.setattr(
+        conekit.analysis, "_run_batch",
+        lambda ops, initials, cfg, collect_snapshots: [
+            run_semiflow(ops, u, cfg, collect_snapshots=collect_snapshots) for u in initials])
+    serial = absorbing_set_experiment(ops, cfg, **kwargs)
+    for report in (second, serial):
         assert report.level == first.level
         assert report.kappa == first.kappa
         assert report.entry_times == first.entry_times
+        assert report.post_sups == first.post_sups
+        assert report.tip_norm_sup == first.tip_norm_sup
+        assert report.tip_norm_sup_lap == first.tip_norm_sup_lap
+        assert np.array_equal(report.diam_times, first.diam_times)
         for r in first.radii:
             assert np.array_equal(report.diameters[r], first.diameters[r])
 

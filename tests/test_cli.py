@@ -5,7 +5,10 @@ import re
 
 import pytest
 
+import conekit.analysis
+import conekit.cli
 from conekit.cli import main
+from conekit.dynamics import run_semiflow
 
 SPHERE_SMALL = "[geometry]\nkind = sphere\nM = 48\nK = 2\nq = 1.0\n"
 
@@ -46,6 +49,11 @@ def run_cli(tmp_path, command, ini_text, *extra):
     after = set(root.iterdir()) if root.exists() else set()
     new = sorted(after - before)
     return rc, (new[-1] if new else None)
+
+
+def serial_runs(ops, initials, cfg, collect_snapshots=False):
+    """Stand-in for the batched ensemble driver: one run_semiflow per member."""
+    return [run_semiflow(ops, u, cfg, collect_snapshots=collect_snapshots) for u in initials]
 
 
 def read_csv(path):
@@ -239,9 +247,32 @@ def test_csv_cells_carry_full_precision(tmp_path):
     assert long_cells > 0  # full mantissas actually appear
 
 
-def test_attractor_outputs_are_thread_invariant(tmp_path, monkeypatch):
-    _, first = run_cli(tmp_path, "attractor", SMOKE_CONFIGS["attractor"])
-    monkeypatch.setenv("CONEKIT_THREADS", "2")
-    _, second = run_cli(tmp_path, "attractor", SMOKE_CONFIGS["attractor"])
+def test_attractor_outputs_match_serial_runs(tmp_path, monkeypatch):
+    ini = SMOKE_CONFIGS["attractor"].replace("seeds_per_radius = 1", "seeds_per_radius = 2")
+    _, batched = run_cli(tmp_path, "attractor", ini)
+    monkeypatch.setattr(conekit.analysis, "_run_batch", serial_runs)
+    _, serial = run_cli(tmp_path, "attractor", ini)
     for name in EXPECTED_FILES["attractor"]:
-        assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (batched / name).read_bytes() == (serial / name).read_bytes()
+
+
+def test_unexpected_exception_writes_status_and_exits_4(tmp_path, monkeypatch, capsys):
+    def broken(cfg, outdir):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(conekit.cli._RUNNERS, "indicial", broken)
+    rc, rundir = run_cli(tmp_path, "indicial", SMOKE_CONFIGS["indicial"])
+    assert rc == 4
+    assert (rundir / "status").read_text() == "error: RuntimeError: boom\n"
+    assert "Traceback" in capsys.readouterr().err
+
+
+def test_interrupt_writes_status_and_propagates(tmp_path, monkeypatch):
+    def interrupted(cfg, outdir):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(conekit.cli._RUNNERS, "indicial", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(tmp_path, "indicial", SMOKE_CONFIGS["indicial"])
+    (rundir,) = (tmp_path / "runs").iterdir()
+    assert (rundir / "status").read_text() == "error: KeyboardInterrupt: \n"

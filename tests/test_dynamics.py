@@ -10,6 +10,8 @@ from conekit.dynamics import (ENERGY_INCREASE_TOL, DiagnosticsRecord,
                               detect_equilibrium, energy, energy_gradient,
                               gradient_residual, run_semiflow, step_imex)
 from conekit.fields import Field, channel_weights, constant_field, field_from_modes
+from conekit.geometry import build_mesh, build_profile
+from conekit.operators import ModeOperators
 from conekit.spaces import h1_seminorm, l2_norm
 
 
@@ -289,6 +291,19 @@ def test_oversized_step_aborts_with_stability_error(small_sphere_ops):
     # the offending record is emitted before the abort
     assert len(seen) >= 2
     assert seen[-1].energy > seen[-2].energy
+
+
+def test_non_finite_energy_trips_the_guard(monkeypatch):
+    # a solver that let NaN through must not yield a run that ends normally
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
+    monkeypatch.setattr(ops, "solve_ch_system", lambda rhs, dt, s: rhs * math.nan)
+    u0 = field_from_modes(ops.mesh, 2, lambda s: 0.1 * np.cos(s), mode=0)
+    cfg = StepperConfig(dt=1e-3, t_max=0.01, eq_tol=0.0, snapshot_stride=100)
+    seen = []
+    with pytest.raises(StabilityError, match="reduce dt or raise"):
+        run_semiflow(ops, u0, cfg, on_record=seen.append)
+    assert [rec.step for rec in seen] == [0, 1]
+    assert math.isnan(seen[-1].energy)
 
 
 def test_stepper_config_validation():

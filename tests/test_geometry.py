@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conekit import boundary_spectrum, build_mesh, build_profile
+from conekit import ModeOperators, boundary_spectrum, build_mesh, build_profile
 from conekit.geometry import exact_number
 
 
@@ -177,3 +177,25 @@ def test_circle_spectrum_matches_float_oracle():
         expect = -(entry.mode / float(c)) ** 2
         assert float(entry.eigenvalue) == pytest.approx(expect, rel=1e-15)
         assert entry.multiplicity == (1 if entry.mode == 0 else 2)
+
+
+def test_same_as_compares_geometry_not_only_faces():
+    half = build_mesh(build_profile("cone_capped", c="1/2", length=2.0), 64, 1.0)
+    full = build_mesh(build_profile("cone_capped", c=1, length=2.0), 64, 1.0)
+    assert np.array_equal(half.faces, full.faces)
+    assert half.area != pytest.approx(full.area, rel=0.1)
+    assert not half.same_as(full) and not full.same_as(half)
+    again = build_mesh(build_profile("cone_capped", c="1/2", length=2.0), 64, 1.0)
+    assert half.same_as(again) and half.same_as(half)
+    assert not half.same_as(build_mesh(build_profile("cone_capped", c="1/2", length=2.0),
+                                       64, 0.9))
+
+
+def test_transmissibilities_are_zero_flux_at_both_ends():
+    mesh = build_mesh(build_profile("cone_capped", c="1/2", length=2.0), 32, 0.8)
+    t = mesh.transmissibilities
+    assert t.shape == (33,) and t[0] == 0.0 and t[-1] == 0.0
+    assert np.all(t[1:-1] > 0.0)
+    assert mesh.transmissibilities is t  # defined once per mesh
+    assert ModeOperators(mesh, 2).trans is t
+    assert not t.flags.writeable

@@ -132,6 +132,18 @@ def test_field_compatibility_is_enforced(sphere_ops, rng):
         sphere_ops.apply_laplacian(random_field(sphere_ops.mesh, 2, rng))
 
 
+def test_field_from_another_cone_is_rejected(rng):
+    # cones of different slope share their faces but not their volumes
+    half = build_mesh(build_profile("cone_capped", c="1/2", length=2.0), 64, 1.0)
+    full = build_mesh(build_profile("cone_capped", c=1, length=2.0), 64, 1.0)
+    assert np.array_equal(half.faces, full.faces)
+    ops = ModeOperators(half, 2)
+    with pytest.raises(ValueError, match="mesh"):
+        ops.apply_laplacian(random_field(full, 2, rng))
+    with pytest.raises(ValueError, match="mesh"):
+        ops.solve_ch_system(random_field(full, 2, rng), 1e-3, 2.0)
+
+
 # ------------------------------------------------------------ Gauss defect
 
 
@@ -356,6 +368,37 @@ def test_ch_solve_validates_parameters(sphere_ops):
         sphere_ops.solve_ch_system(rhs, 0.0, 2.0)
     with pytest.raises(ValueError, match="stabilization"):
         sphere_ops.solve_ch_system(rhs, 1e-3, -1.0)
+
+
+def test_ch_solve_rejects_non_finite_rhs(small_sphere_ops, rng):
+    rhs = random_field(small_sphere_ops.mesh, small_sphere_ops.max_mode, rng)
+    rhs.coeffs[3, 0, 10] = math.nan
+    with pytest.raises(SolverError, match="residual"):
+        small_sphere_ops.solve_ch_system(rhs, 1e-3, 2.0)
+    rhs.coeffs[3, 0, 10] = math.inf
+    with pytest.raises(SolverError, match="residual"):
+        small_sphere_ops.solve_ch_system(rhs, 1e-3, 2.0)
+    stack = np.stack([np.zeros_like(rhs.coeffs), rhs.coeffs])
+    with pytest.raises(SolverError, match="member 1 of 2"):
+        small_sphere_ops.solve_ch_system(stack, 1e-3, 2.0)
+
+
+def test_ch_solve_stack_members_equal_lone_solves(rng):
+    for ops in (ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 40, 1.0), 3),
+                ModeOperators(build_mesh(build_profile("cone_capped", c="1/2", length=2.0),
+                                         64, 0.8), 2)):
+        rhs = [random_field(ops.mesh, ops.max_mode, rng) for _ in range(3)]
+        stacked = ops.solve_ch_system(np.stack([r.coeffs for r in rhs]), 1e-3, 2.0)
+        assert stacked.shape == (3, ops.max_mode + 1, 2, ops.mesh.cells)
+        for member, r in zip(stacked, rhs):
+            assert np.array_equal(member, ops.solve_ch_system(r, 1e-3, 2.0).coeffs)
+
+
+def test_ch_solve_stack_rejects_bad_shape(small_sphere_ops):
+    with pytest.raises(ValueError, match="stack shape"):
+        small_sphere_ops.solve_ch_system(np.zeros((2, 3, 2, 96)), 1e-3, 2.0)
+    with pytest.raises(ValueError, match="stack shape"):
+        small_sphere_ops.solve_ch_system(np.zeros((9, 2, 96)), 1e-3, 2.0)
 
 
 def test_ch_solve_on_default_resolution_graded_cone(rng):
