@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SemiflowResult, StepperConfig, _run_batch, energy_gradient,
+from .dynamics import (SemiflowResult, StepperConfig, _run_sliced, energy_gradient,
                        gradient_residual)
 from .fields import Field
 from .operators import ModeOperators
@@ -265,14 +265,15 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
     The entry level is level_margin times the largest final Dirichlet norm
     over all runs; each run's entry time is the first record from which the
     norm stays below that level, and kappa is the largest post-entry sup per
-    starting radius.  All runs advance together through one batched step
-    kernel; each is bitwise equal to its own run_semiflow.
+    starting radius.  The runs advance through the batched step kernel in
+    slices, one per usable CPU, forked from this process; each is bitwise
+    equal to its own run_semiflow.
     """
     jobs = [(radius, base_seed + i) for radius in radii for i in range(seeds_per_radius)]
     initials = [smooth_random_field(ops, np.random.default_rng(seed),
                                     dual_radius=radius, mode_decay=mode_decay)
                 for radius, seed in jobs]
-    results = _run_batch(ops, initials, cfg, collect_snapshots=True)
+    results = _run_sliced(ops, initials, cfg, collect_snapshots=True)
 
     # align records across runs (equilibrium stops can shorten a run)
     n_rec = min(len(r.records) for r in results)

@@ -79,13 +79,14 @@ def _make_run_dir(root: str, command: str) -> Path:
 def _write_snapshot(path: Path, step: int, t: float, coeffs: np.ndarray):
     kmax = coeffs.shape[0] - 1
     m = coeffs.shape[2]
+    # one %-format per row: the same text as format(v, ".17g") per value
+    row = " ".join(["%.17g"] * m) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# t = {format(t, '.17g')}\n")
         fh.write(f"# modes = {kmax}\n")
         fh.write(f"# cells = {m}\n")
-        for k in range(kmax + 1):
-            for c in (0, 1):
-                fh.write(" ".join(format(v, ".17g") for v in coeffs[k, c]) + "\n")
+        for values in coeffs.reshape(-1, m):
+            fh.write(row % tuple(values.tolist()))
 
 
 def _initial_field(cfg: RunConfig, ops) -> Field:

@@ -19,6 +19,8 @@ would otherwise produce.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -310,6 +312,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
 
     active = list(range(len(states)))    # member index of each stack row
     poincare = None
+    lockstep = 0    # steps the batch has taken together; orders the aborts of slices
     while True:
         done = [row for row, b in enumerate(active)
                 if equilibrium[b] or steps[b] >= n_steps_max]
@@ -329,7 +332,11 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
             active = [active[row] for row in keep]
 
         prev = stack
-        stack = _advance(ops, prev, vals, cfg, [mean0[b] for b in active])
+        try:
+            stack = _advance(ops, prev, vals, cfg, [mean0[b] for b in active])
+        except SolverError as exc:
+            exc.lockstep = lockstep
+            raise
         vals = coeffs_to_values(stack)
         e_new, h1_new = _energies(mesh, stack, vals, cfg.linear_only)
         for row, b in enumerate(active):
@@ -362,9 +369,109 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 change = e_new[row] - e_now[row]
                 what = (f"rose by {change:.3e}" if math.isfinite(change)
                         else f"went from {e_now[row]:g} to {e_new[row]:g}")
-                raise StabilityError(
+                err = StabilityError(
                     f"energy {what} in one step at t = {step * dt:g}; "
                     "reduce dt or raise the stabilization parameter")
+                err.lockstep = lockstep
+                raise err
         e_now = e_new
+        lockstep += 1
 
     return results
+
+
+def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
+                collect_snapshots: bool = False) -> list[SemiflowResult]:
+    """_run_batch over contiguous slices of the members, one per usable CPU.
+
+    The calling process runs the first slice itself.  Every other slice runs
+    in a child forked from it, which inherits ``ops`` with its cached
+    factorizations, so nothing is pickled on the way in; the child sends back
+    plain data per member and the results are rebuilt on this process's
+    mesh, in member order.  Members are independent rows of the kernel, so
+    each member is bitwise its one-process result.
+
+    When slices fail, the error raised is the one the one-process batch
+    raises: the earliest lockstep first (errors raised before the first step
+    rank first, and a failed solve ranks before an energy rise in the same
+    step), then the lowest member; so a failed slice still waits for the
+    others.  A child that ends without sending its slice raises RuntimeError.
+    Any exception here, interrupts included, terminates and reaps the
+    children.  With one usable CPU, one member, or no "fork" start method
+    this is a plain _run_batch call and starts no process.
+    """
+    import multiprocessing  # only ensembles fork; single runs need not load it
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_slices = min(cpus, len(initials))
+    if n_slices < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots)
+    bounds = [len(initials) * i // n_slices for i in range(n_slices + 1)]
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_slice_worker, daemon=True,
+                               args=(writer, ops, initials[lo:hi], cfg, collect_snapshots))
+            proc.start()
+            children.append((proc, reader))
+            writer.close()  # so that a dead child reads as EOF, not as a hang
+        try:
+            outcomes = [(True, _run_batch(ops, initials[:bounds[1]], cfg,
+                                          collect_snapshots=collect_snapshots))]
+        except Exception as exc:  # ranked against the children's aborts below
+            outcomes = [(False, exc)]
+        for proc, reader in children:
+            try:
+                ok, value = reader.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"ensemble worker {proc.pid} ended without sending "
+                                   f"its slice (exit code {proc.exitcode})") from None
+            outcomes.append((ok, [_plain_to_result(ops.mesh, p) for p in value] if ok else value))
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, reader in children:
+            proc.join()
+            reader.close()
+    aborts = [(getattr(exc, "lockstep", -1), not isinstance(exc, SolverError), i, exc)
+              for i, (ok, exc) in enumerate(outcomes) if not ok]
+    if aborts:
+        raise min(aborts, key=lambda a: a[:3])[3]
+    return [res for _, results in outcomes for res in results]
+
+
+def _slice_worker(writer, ops: ModeOperators, initials: list, cfg: StepperConfig,
+                  collect_snapshots: bool):
+    """Forked child of _run_sliced: run one slice, send it back, end with os._exit.
+
+    Results travel as plain data, never as a Field: a mesh holds its
+    profile's closure, which does not pickle.  os._exit keeps the parent's
+    atexit handlers and stdio buffers from running a second time here.
+    """
+    try:
+        try:
+            message = (True, [(r.records, r.state.u.coeffs, r.state.step, r.state.mean0,
+                               r.equilibrium_reached, r.final_residual, r.snapshots)
+                              for r in _run_batch(ops, initials, cfg,
+                                                  collect_snapshots=collect_snapshots)])
+        except Exception as exc:
+            message = (False, exc)
+        try:
+            writer.send(message)
+        except (pickle.PicklingError, TypeError, AttributeError):  # an unpicklable error
+            writer.send((False, RuntimeError(f"ensemble worker failed: {message[1]!r}")))
+    finally:
+        os._exit(0)
+
+
+def _plain_to_result(mesh, plain: tuple) -> SemiflowResult:
+    records, coeffs, step, mean0, equilibrium, residual, snapshots = plain
+    return SemiflowResult(records=records,
+                          state=SemiflowState(u=Field(mesh, coeffs), step=step, mean0=mean0),
+                          equilibrium_reached=equilibrium, final_residual=residual,
+                          snapshots=snapshots)

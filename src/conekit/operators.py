@@ -116,6 +116,7 @@ class ModeOperators:
         self._angular_coeff = ksq * self.inv_f_sq       # (k / f)^2, shape (K+1, 1, M)
         self._neglap_chol: Dict[int, object] = {}
         self._eigensystems: Dict[int, ModeEigensystem] = {}
+        self._smallest_eigenvalues: Dict[Tuple[int, float, int], float] = {}
         self._ch_factor: Dict[Tuple[float, float], object] = {}
         self._stacked_bands = None
         # weights of the verification norms: channel- and volume-weighted,
@@ -141,16 +142,23 @@ class ModeOperators:
             raise ValueError(f"field truncation {u.max_mode} does not match "
                              f"operator truncation {self.max_mode}")
 
-    def apply_laplacian_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """L_k applied to coefficient data (..., K+1, 2, M); leading axes are a batch."""
-        m = coeffs.shape[-1]
-        flux = np.zeros(coeffs.shape[:-1] + (m + 1,))
+    def _flux_divergence(self, radial: np.ndarray) -> np.ndarray:
+        """Radial flux-form part of L_k for profiles (..., M); zero flux at both ends."""
+        m = radial.shape[-1]
+        flux = np.zeros(radial.shape[:-1] + (m + 1,))
         inner = flux[..., 1:m]
-        np.subtract(coeffs[..., 1:], coeffs[..., :-1], out=inner)
+        np.subtract(radial[..., 1:], radial[..., :-1], out=inner)
         inner *= self.trans[1:m]
         div = np.subtract(flux[..., 1:], flux[..., :-1])
         div /= self.volumes
-        return div - self._angular_coeff * coeffs
+        return div
+
+    def apply_laplacian_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """L_k applied to coefficient data (..., K+1, 2, M); leading axes are a batch."""
+        if coeffs.ndim < 3 or coeffs.shape[-3] != self.max_mode + 1:
+            raise ValueError(f"coefficient shape {coeffs.shape} does not have "
+                             f"{self.max_mode + 1} angular modes on axis -3")
+        return self._flux_divergence(coeffs) - self._angular_coeff * coeffs
 
     def apply_laplacian(self, u: Field) -> Field:
         """Laplace-Beltrami operator applied mode by mode."""
@@ -166,8 +174,8 @@ class ModeOperators:
     def gauss_defect(self, u: Field) -> float:
         """|integral of Lap(u) dmu|: exact-zero up to roundoff by construction."""
         self._check_field(u)
-        lap0 = self.apply_laplacian_coeffs(u.coeffs[:1])[0, 0]
-        return abs(float(self.volumes @ lap0))
+        # mode 0 has no angular term, so its Laplacian is the flux divergence
+        return abs(float(self.volumes @ self._flux_divergence(u.coeffs[0, 0])))
 
     # ----------------------------------------------------------------- solves
 
@@ -420,8 +428,12 @@ class ModeOperators:
         Uses the cached factorizations, so accuracy is set by the solve
         residual rather than by the spread of the spectrum (which is enormous
         on tip-graded meshes).  For mode 0 the constant nullspace is projected
-        out and the first nonzero eigenvalue is returned.
+        out and the first nonzero eigenvalue is returned.  Results are cached
+        per (mode, tol, max_iter).
         """
+        key = (mode, tol, max_iter)
+        if key in self._smallest_eigenvalues:
+            return self._smallest_eigenvalues[key]
         m = self.mesh.cells
         rng = np.random.default_rng(12345 + mode)
         v = rng.standard_normal(m)
@@ -437,7 +449,8 @@ class ModeOperators:
             if abs(lam - lam_prev) <= tol * abs(lam):
                 break
             lam_prev = lam
-        return float(lam)
+        lam = self._smallest_eigenvalues[key] = float(lam)
+        return lam
 
     # ------------------------------------------------------- fractional powers
 

@@ -1,9 +1,11 @@
 """Measurement tools: tip fits, decay-exponent probes, ensembles, spectra."""
 
+import os
+
 import numpy as np
 import pytest
 
-import conekit.analysis
+import conekit.dynamics
 from conekit.analysis import (absorbing_set_experiment, fit_lojasiewicz,
                               fit_tip_asymptotics, linearization_spectrum,
                               lojasiewicz_probe, smooth_random_field, tip_probe)
@@ -200,13 +202,17 @@ def test_absorbing_experiment_is_deterministic(small_sphere_ops, monkeypatch):
     ops = small_sphere_ops
     cfg = StepperConfig(dt=1e-3, t_max=0.2, eq_tol=0.0, snapshot_stride=20)
     kwargs = dict(radii=(0.5, 1.0), seeds_per_radius=2, base_seed=7)
+    # three slices of the four members, two of them in forked children
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     first = absorbing_set_experiment(ops, cfg, **kwargs)
     second = absorbing_set_experiment(ops, cfg, **kwargs)
-    # the same ensemble with every member run on its own through run_semiflow
+    # the same ensemble with every member run on its own, in this process
+    batch = conekit.dynamics._run_batch
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(
-        conekit.analysis, "_run_batch",
+        conekit.dynamics, "_run_batch",
         lambda ops, initials, cfg, collect_snapshots: [
-            run_semiflow(ops, u, cfg, collect_snapshots=collect_snapshots) for u in initials])
+            batch(ops, [u], cfg, collect_snapshots=collect_snapshots)[0] for u in initials])
     serial = absorbing_set_experiment(ops, cfg, **kwargs)
     for report in (second, serial):
         assert report.level == first.level

@@ -1,13 +1,25 @@
-"""Ensemble step kernel: every batch member is bitwise its own run_semiflow."""
+"""Ensemble step kernel and its forked slices.
+
+Every batch member is bitwise its own run_semiflow, and every member run in
+a forked slice is bitwise its one-process batch result.
+"""
+
+import contextlib
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
+import conekit.dynamics
 from conekit.analysis import smooth_random_field
-from conekit.dynamics import StepperConfig, _run_batch, run_semiflow
+from conekit.dynamics import (SemiflowState, StabilityError, StepperConfig, _run_batch,
+                              _run_sliced, run_semiflow)
 from conekit.fields import constant_field
 from conekit.geometry import build_mesh, build_profile
-from conekit.operators import ModeOperators
+from conekit.operators import ModeOperators, SolverError
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -58,7 +70,8 @@ def ensembles(draw):
     for _ in range(draw(st.integers(1, 5))):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
         amplitude = draw(st.one_of(st.just(1e-6), st.floats(1e-3, 0.5)))  # 1e-6 stops at once
-        u = smooth_random_field(ops, rng, sup_amplitude=amplitude)
+        u = smooth_random_field(ops, rng, sup_amplitude=amplitude) \
+            + constant_field(ops.mesh, ops.max_mode, draw(st.sampled_from((0.0, 0.25, -0.4))))
         resume_at = draw(st.integers(0, n_steps))
         if resume_at:
             head = StepperConfig(dt=DT, t_max=resume_at * DT, eq_tol=0.0)
@@ -86,3 +99,151 @@ def test_members_leave_the_batch_at_their_own_stop(small_sphere_ops):
     batch = check_batch(ops, [moving, at_rest, resumed], cfg)
     assert batch[1].equilibrium_reached and batch[1].state.step == 1
     assert batch[0].state.step > 1 and batch[2].state.step > 20
+
+
+# ------------------------------------------------------------ forked slices
+
+
+def usable_cpus(mp, count):
+    """Make the runner see ``count`` usable CPUs, whatever this machine has."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail instead of hanging when the block takes longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_sliced(ops, initials, cfg, cpus):
+    with pytest.MonkeyPatch.context() as mp, deadline(120):
+        usable_cpus(mp, cpus)
+        sliced = _run_sliced(ops, initials, cfg, collect_snapshots=True)
+    assert multiprocessing.active_children() == []
+    whole = _run_batch(ops, initials, cfg, collect_snapshots=True)
+    assert len(sliced) == len(whole)
+    for got, want in zip(sliced, whole):
+        assert got.state.u.mesh is ops.mesh
+        assert_same_run(got, want)
+    return sliced
+
+
+@settings(max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(ensembles(), st.integers(2, 5))
+def test_sliced_members_equal_the_one_process_batch(case, cpus):
+    check_sliced(*case, cpus)
+
+
+@settings(max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(ensembles(), st.integers(1, 3))
+def test_sliced_runs_conserve_mass_and_never_raise_energy(case, cpus):
+    ops, initials, cfg = case
+    for initial, result in zip(initials, check_sliced(ops, initials, cfg, cpus)):
+        u0 = initial.u if isinstance(initial, SemiflowState) else initial
+        mass0 = ops.mesh.integrate_radial(u0.coeffs[0, 0])
+        masses = [rec.mass for rec in result.records]
+        masses.append(ops.mesh.integrate_radial(result.state.u.coeffs[0, 0]))
+        assert max(abs(m - mass0) for m in masses) <= 1e-12
+        energies = [rec.energy for rec in result.records]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+
+def test_one_usable_cpu_starts_no_process(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=5 * DT, eq_tol=0.0, snapshot_stride=2)
+    rng = np.random.default_rng(11)
+    members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(3)]
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    check_sliced(ops, members, cfg, 1)
+    check_sliced(ops, members[:1], cfg, 4)        # one member: one slice
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    check_sliced(ops, members, cfg, 4)            # no fork start method
+
+
+def failing_members(ops):
+    """Members that pass, abort at lockstep 2 or 0 with an energy rise, or fail the solve."""
+    def field(amplitude, seed=1):
+        return smooth_random_field(ops, np.random.default_rng(seed), sup_amplitude=amplitude)
+    with np.errstate(all="ignore"):
+        overflowing = SemiflowState(u=field(1e200), step=3)  # resumed: no initial record
+    return {"ok": field(0.5, 2), "ok2": field(0.3, 3), "rise_late": field(8.0),
+            "rise": field(9.0), "rise2": field(10.0, 4), "solve": overflowing}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("layout, cpus, expected", [
+    (("ok", "ok2", "ok", "solve"), 2, SolverError),            # only a child slice fails
+    (("rise_late", "ok", "ok2", "rise"), 2, StabilityError),   # the child fails earlier
+    (("rise", "ok", "ok2", "solve"), 2, SolverError),          # a solve fails before a rise
+    (("ok", "rise", "ok2", "rise2", "ok"), 3, StabilityError),  # lowest member of one step
+])
+def test_failing_slice_raises_the_one_process_error(layout, cpus, expected):
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
+    cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=0.0,
+                        snapshot_stride=5)
+    members = failing_members(ops)
+    initials = [members[name] for name in layout]
+    with pytest.raises(expected) as whole:
+        _run_batch(ops, initials, cfg)
+    with pytest.MonkeyPatch.context() as mp, deadline(120), pytest.raises(expected) as sliced:
+        usable_cpus(mp, cpus)
+        _run_sliced(ops, initials, cfg)
+    assert multiprocessing.active_children() == []
+    if expected is StabilityError:
+        assert str(sliced.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("fates", [("dies", "sleeps"), ("runs", "dies")])
+def test_dead_child_raises_and_the_others_are_reaped(small_sphere_ops, monkeypatch, fates):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=3 * DT, eq_tol=0.0)
+    rng = np.random.default_rng(5)
+    members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(3)]
+    real = conekit.dynamics._run_batch
+
+    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False):
+        fate = dict(zip((id(m) for m in members[1:]), fates)).get(id(initials[0]))
+        if fate == "dies":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if fate == "sleeps":
+            time.sleep(60)
+        return real(ops, initials, cfg, on_record, collect_snapshots)
+
+    monkeypatch.setattr(conekit.dynamics, "_run_batch", fragile)
+    usable_cpus(monkeypatch, 3)
+    with deadline(30), pytest.raises(RuntimeError, match="ended without sending its slice"):
+        _run_sliced(ops, members, cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_in_the_parent_reaps_the_children(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=3 * DT, eq_tol=0.0)
+    rng = np.random.default_rng(6)
+    members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(2)]
+    parent = os.getpid()
+
+    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(conekit.dynamics, "_run_batch", slow_child)
+    usable_cpus(monkeypatch, 2)
+    with deadline(30), pytest.raises(KeyboardInterrupt):
+        _run_sliced(ops, members, cfg)
+    assert multiprocessing.active_children() == []

@@ -1,14 +1,15 @@
 """Command-line layer: run directories, artifacts, exit codes, reproducibility."""
 
 import csv
+import os
 import re
 
+import numpy as np
 import pytest
 
-import conekit.analysis
 import conekit.cli
+import conekit.dynamics
 from conekit.cli import main
-from conekit.dynamics import run_semiflow
 
 SPHERE_SMALL = "[geometry]\nkind = sphere\nM = 48\nK = 2\nq = 1.0\n"
 
@@ -51,9 +52,11 @@ def run_cli(tmp_path, command, ini_text, *extra):
     return rc, (new[-1] if new else None)
 
 
-def serial_runs(ops, initials, cfg, collect_snapshots=False):
-    """Stand-in for the batched ensemble driver: one run_semiflow per member."""
-    return [run_semiflow(ops, u, cfg, collect_snapshots=collect_snapshots) for u in initials]
+def serial_runs(batch):
+    """Stand-in for the batched step kernel: each member on its own, as run_semiflow runs it."""
+    def run(ops, initials, cfg, collect_snapshots=False):
+        return [batch(ops, [u], cfg, collect_snapshots=collect_snapshots)[0] for u in initials]
+    return run
 
 
 def read_csv(path):
@@ -247,10 +250,25 @@ def test_csv_cells_carry_full_precision(tmp_path):
     assert long_cells > 0  # full mantissas actually appear
 
 
+def test_snapshot_text_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(0)
+    coeffs = rng.standard_normal((3, 2, 7)) * 10.0 ** rng.integers(-300, 290, (3, 2, 7))
+    coeffs[0, 0, :4] = [-0.0, 5e-324, 1e-300, 2.2250738585072014e-308]
+    coeffs[1, 1, :3] = [np.inf, -np.inf, np.nan]
+    path = tmp_path / "snap.txt"
+    conekit.cli._write_snapshot(path, 3, 0.125, coeffs)
+    lines = ["# t = 0.125", "# modes = 2", "# cells = 7"]
+    lines += [" ".join(format(v, ".17g") for v in row) for row in coeffs.reshape(-1, 7)]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_attractor_outputs_match_serial_runs(tmp_path, monkeypatch):
     ini = SMOKE_CONFIGS["attractor"].replace("seeds_per_radius = 1", "seeds_per_radius = 2")
+    # two slices of the four members, one of them in a forked child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _, batched = run_cli(tmp_path, "attractor", ini)
-    monkeypatch.setattr(conekit.analysis, "_run_batch", serial_runs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(conekit.dynamics, "_run_batch", serial_runs(conekit.dynamics._run_batch))
     _, serial = run_cli(tmp_path, "attractor", ini)
     for name in EXPECTED_FILES["attractor"]:
         assert (batched / name).read_bytes() == (serial / name).read_bytes()

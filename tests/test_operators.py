@@ -170,6 +170,20 @@ def test_gauss_defect_constant_exact_zero(sphere_ops):
                                                   sphere_ops.max_mode, 1.0)) == 0.0
 
 
+def test_gauss_defect_reads_mode_zero_of_the_full_laplacian(sphere_ops, graded_cone_ops, rng):
+    for ops in (sphere_ops, graded_cone_ops):
+        u = random_field(ops.mesh, ops.max_mode, rng)
+        lap0 = ops.apply_laplacian_coeffs(u.coeffs)[0, 0]
+        assert ops.gauss_defect(u) == abs(float(ops.volumes @ lap0))
+
+
+def test_laplacian_rejects_a_wrong_mode_count(sphere_ops, rng):
+    c = random_field(sphere_ops.mesh, sphere_ops.max_mode, rng).coeffs
+    for bad in (c[:1], c[None, :-1], c[0]):
+        with pytest.raises(ValueError, match="angular modes"):
+            sphere_ops.apply_laplacian_coeffs(bad)
+
+
 # -------------------------------------------------------- Helmholtz solves
 
 
@@ -462,6 +476,21 @@ def test_smallest_eigenvalue_matches_full_decomposition(sphere_ops):
         sys = sphere_ops.eigendecompose_mode(k)
         dense = sys.eigenvalues[1] if k == 0 else sys.eigenvalues[0]
         assert sphere_ops.smallest_eigenvalue(k) == pytest.approx(dense, rel=1e-8)
+
+
+def test_smallest_eigenvalue_is_cached_per_key(monkeypatch):
+    mesh = build_mesh(build_profile("sphere", radius=1.0), 48, 1.0)
+    ops = ModeOperators(mesh, 2)
+    solves = []
+    solve = ops.solve_neglap
+    monkeypatch.setattr(ops, "solve_neglap",
+                        lambda mode, rhs: solves.append(mode) or solve(mode, rhs))
+    first = ops.smallest_eigenvalue(1)
+    assert solves and first == ModeOperators(mesh, 2).smallest_eigenvalue(1)
+    solves.clear()
+    assert ops.smallest_eigenvalue(1) is first and solves == []
+    ops.smallest_eigenvalue(1, tol=1e-8)       # another key is computed afresh
+    assert solves
 
 
 # -------------------------------------------------------- fractional powers
