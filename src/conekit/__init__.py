@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .geometry import (BoundarySpectrum, RadialMesh, SurfaceProfile,
                        boundary_spectrum, build_mesh, build_profile)
-from .fields import CutoffFunction, Field, constant_field, field_from_modes, integrate
+from .fields import CutoffFunction, Field, constant_field, field_from_modes
 from .operators import ModeEigensystem, ModeOperators, SolverError
 from .spaces import (h01_dual_norm, h1_seminorm, l2_norm, lp_norm, mean,
                      mellin_norm, mellin_refinement_study, poincare_constant)
@@ -24,9 +24,8 @@ from .indicial import (AsymptoticSpace, GammaWindow, IndicialRoot, Surd,
                        laplacian_gamma_window, laplacian_indicial_roots,
                        minimal_domain_check)
 from .dynamics import (DiagnosticsRecord, SemiflowResult, SemiflowState,
-                       StabilityError, StepperConfig, detect_equilibrium,
-                       energy, energy_gradient, gradient_residual, run_semiflow,
-                       step_imex)
+                       StabilityError, StepperConfig, energy, energy_gradient,
+                       gradient_residual, run_semiflow)
 from .analysis import (AbsorbingReport, LinearizationSpectrum, LojasiewiczProbe,
                        TipFit, absorbing_set_experiment, fit_tip_asymptotics,
                        linearization_spectrum, lojasiewicz_probe,

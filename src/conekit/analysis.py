@@ -116,7 +116,7 @@ def tip_probe(ops: ModeOperators, mode: int, source_center_frac: float = 0.75,
         g = g - (mesh.volumes @ g) / mesh.area
         sol = ops.solve_neglap(0, g)
     else:
-        sol = ops.solve_helmholtz(mode, 0.0, 1.0, g)
+        sol = ops.solve_neglap_pivoted(mode, g)
     coeffs = np.zeros((max(mode, 1) + 1, 2, mesh.cells))
     coeffs[mode, 0] = sol
     fit = fit_tip_asymptotics(Field(mesh, coeffs), mode, window=window)

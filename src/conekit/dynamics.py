@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import Field, channel_weights, coeffs_to_values, values_to_coeffs
 from .operators import ModeOperators, SolverError
-from .spaces import h1_seminorm, mean, mellin_norm, poincare_constant
+from .spaces import h01_dual_norm, h1_seminorm, mean, mellin_norm, poincare_constant
 
 __all__ = [
     "StepperConfig",
@@ -39,9 +39,7 @@ __all__ = [
     "energy",
     "energy_gradient",
     "gradient_residual",
-    "step_imex",
     "run_semiflow",
-    "detect_equilibrium",
 ]
 
 #: Per-step energy increase beyond 1e-9 * (1 + |E|) aborts the run.
@@ -63,7 +61,6 @@ class StepperConfig:
     snapshot_stride: int = 100
     linear_only: bool = False
     conserve_mean: bool = True
-    mellin_order_pair: tuple[int, int] = (0, 1)
     mellin_gamma: float = -0.75
 
     def __post_init__(self):
@@ -165,10 +162,7 @@ def energy_gradient(u: Field, ops: ModeOperators) -> Field:
 
 def gradient_residual(u: Field, ops: ModeOperators) -> float:
     """Dual-space length of the energy gradient (mean removed first)."""
-    from .spaces import h01_dual_norm
-    g = energy_gradient(u, ops)
-    g.coeffs[0, 0, :] -= u.mesh.integrate_radial(g.coeffs[0, 0]) / u.mesh.area
-    return h01_dual_norm(g, ops)
+    return _mean_free_dual_norm(ops, energy_gradient(u, ops).coeffs)
 
 
 def _weighted_l2(coeffs: np.ndarray, mesh) -> float:
@@ -176,12 +170,10 @@ def _weighted_l2(coeffs: np.ndarray, mesh) -> float:
     return math.sqrt(float(np.einsum("kci,i,kc->", coeffs ** 2, mesh.volumes, w)))
 
 
-def _projected_rate_norm(ops: ModeOperators, du_coeffs: np.ndarray, dt: float) -> float:
-    """Dual norm of the mean-projected step difference divided by dt."""
-    from .spaces import h01_dual_norm
-    rate = du_coeffs / dt
-    rate[0, 0, :] -= (ops.volumes @ rate[0, 0]) / ops.mesh.area
-    return h01_dual_norm(Field(ops.mesh, rate), ops)
+def _mean_free_dual_norm(ops: ModeOperators, coeffs: np.ndarray) -> float:
+    """h01_dual_norm after removing the mean in place, so mean roundoff cannot trip its check."""
+    coeffs[0, 0, :] -= (ops.volumes @ coeffs[0, 0]) / ops.mesh.area
+    return h01_dual_norm(Field(ops.mesh, coeffs), ops)
 
 
 def _advance(ops: ModeOperators, stack: np.ndarray, vals: np.ndarray, cfg: StepperConfig,
@@ -204,24 +196,6 @@ def _advance(ops: ModeOperators, stack: np.ndarray, vals: np.ndarray, cfg: Stepp
         for c, m0 in zip(unew, mean0):
             c[0, 0, :] += m0 - (ops.volumes @ c[0, 0]) / area
     return unew
-
-
-def step_imex(ops: ModeOperators, state: SemiflowState, cfg: StepperConfig) -> SemiflowState:
-    """Advance one step (no energy bookkeeping; see run_semiflow for the guarded loop)."""
-    ops._check_field(state.u)
-    unew = _advance(ops, state.u.coeffs[None], state.u.grid_values()[None], cfg, [state.mean0])
-    return SemiflowState(u=Field(ops.mesh, unew[0]), step=state.step + 1, mean0=state.mean0)
-
-
-def detect_equilibrium(ops: ModeOperators, u_prev: Field, u_next: Field, dt: float,
-                       eq_tol: float) -> tuple[bool, float]:
-    """Equilibrium test on the dual norm of the discrete time derivative.
-
-    The difference quotient is mean-projected before taking the dual norm, so
-    solver roundoff in the conserved mean cannot trip the precondition.
-    """
-    residual = _projected_rate_norm(ops, u_next.coeffs - u_prev.coeffs, dt)
-    return residual <= eq_tol, residual
 
 
 def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
@@ -251,6 +225,16 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
     return _run_batch(ops, [initial], cfg, deliver, collect_snapshots)[0]
 
 
+def _initial_states(ops: ModeOperators, initials: list) -> list[SemiflowState]:
+    """The members as SemiflowStates; a foreign or non-finite one raises ValueError."""
+    states = [s if isinstance(s, SemiflowState) else SemiflowState(u=s) for s in initials]
+    for b, st in enumerate(states):
+        ops._check_field(st.u)
+        if not (np.isfinite(st.u.coeffs).all() and math.isfinite(st.mean0)):
+            raise ValueError(f"member {b} has a non-finite state at step {st.step}")
+    return states
+
+
 def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                on_record: Optional[Callable] = None,
                collect_snapshots: bool = False) -> list[SemiflowResult]:
@@ -269,9 +253,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     record as it is produced; an energy violation in any member raises
     StabilityError after that member's record is delivered.
     """
-    states = [s if isinstance(s, SemiflowState) else SemiflowState(u=s) for s in initials]
-    for st in states:
-        ops._check_field(st.u)
+    states = _initial_states(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
     n_steps_max = int(math.floor(cfg.t_max / dt + 1e-9))
     steps = [st.step for st in states]
@@ -291,8 +273,8 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
         rec = DiagnosticsRecord(
             step=step, t=step * dt, mass=mesh.integrate_radial(coeffs[0, 0]),
             energy=e, h1_seminorm=h1, ut_h01dual=res,
-            mellin_s0=mellin_norm(u, cfg.mellin_order_pair[0], cfg.mellin_gamma),
-            mellin_s1=mellin_norm(u, cfg.mellin_order_pair[1], cfg.mellin_gamma),
+            mellin_s0=mellin_norm(u, 0, cfg.mellin_gamma),
+            mellin_s1=mellin_norm(u, 1, cfg.mellin_gamma),
             max_abs_u=float(np.abs(vals_m).max()))
         records[member].append(rec)
         if on_record is not None:
@@ -307,8 +289,11 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 rate0 = ops.apply_laplacian_coeffs(-ops.apply_laplacian_coeffs(u.coeffs) - u.coeffs)
             else:
                 rate0 = ops.apply_laplacian(energy_gradient(u, ops)).coeffs
-            emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b],
-                 _projected_rate_norm(ops, rate0 * dt, dt))
+            # the round trip through dt keeps the bits of the step-0 ut_h01dual;
+            # an overflowed rate has no dual residual, as for a step below
+            res0 = (_mean_free_dual_norm(ops, rate0 * dt / dt) if np.isfinite(rate0).all()
+                    else math.nan)
+            emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b], res0)
 
     active = list(range(len(states)))    # member index of each stack row
     poincare = None
@@ -361,7 +346,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
             elif is_record or maybe_eq or energy_rose:
                 if du is None:
                     du = stack[row] - prev[row]
-                residual[b] = _projected_rate_norm(ops, du, dt)
+                residual[b] = _mean_free_dual_norm(ops, du / dt)
                 equilibrium[b] = eq_tol > 0.0 and residual[b] <= eq_tol
             if is_record or equilibrium[b] or energy_rose:
                 emit(b, stack[row], vals[row], step, e_new[row], h1_new[row], residual[b])
@@ -398,9 +383,12 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     others.  A child that ends without sending its slice raises RuntimeError.
     Any exception here, interrupts included, terminates and reaps the
     children.  With one usable CPU, one member, or no "fork" start method
-    this is a plain _run_batch call and starts no process.
+    this is a plain _run_batch call and starts no process.  Members are checked
+    before any slice starts, so a bad one raises the one-process batch's error.
     """
     import multiprocessing  # only ensembles fork; single runs need not load it
+
+    _initial_states(ops, initials)    # the slices convert their members again
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_slices = min(cpus, len(initials))

@@ -21,9 +21,7 @@ __all__ = [
     "CutoffFunction",
     "constant_field",
     "field_from_modes",
-    "integrate",
     "n_theta_nodes",
-    "random_band_limited",
 ]
 
 
@@ -150,25 +148,6 @@ def field_from_modes(mesh: RadialMesh, max_mode: int, radial, mode: int = 0,
         raise ValueError(f"mode {mode} exceeds truncation {max_mode}")
     c[mode, 0 if part == "cos" else 1, :] = prof
     return Field(mesh, c)
-
-
-def integrate(u: Field) -> float:
-    """Total integral of u against the area measure (only mode 0 contributes)."""
-    return u.mesh.integrate_radial(u.coeffs[0, 0])
-
-
-def random_band_limited(mesh: RadialMesh, max_mode: int, rng: np.random.Generator,
-                        mode_decay: float = 2.0, amplitude: float = 1.0) -> Field:
-    """Gaussian random coefficients with power-law decay in the angular mode.
-
-    No radial smoothing is applied; see analysis.smooth_random_field for
-    initial data suited to the evolution.
-    """
-    c = rng.standard_normal((max_mode + 1, 2, mesh.cells))
-    c[0, 1, :] = 0.0
-    scale = (1.0 + np.arange(max_mode + 1)) ** (-float(mode_decay))
-    c *= scale[:, None, None]
-    return Field(mesh, amplitude * c)
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,24 @@ def test_failing_slice_raises_the_one_process_error(layout, cpus, expected):
         assert str(sliced.value) == str(whole.value)
 
 
+@pytest.mark.parametrize("step", [0, 2])
+def test_non_finite_member_of_a_child_slice_raises_the_one_process_error(step):
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
+    cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=0.0, snapshot_stride=5)
+    members = failing_members(ops)
+    bad = members["ok"].copy()
+    bad.coeffs[0, 0, 5] = np.nan
+    initials = [members["ok"], members["ok2"], SemiflowState(bad, step=step, mean0=0.0)]
+    with pytest.raises(ValueError) as whole:
+        _run_batch(ops, initials, cfg)
+    with pytest.MonkeyPatch.context() as mp, deadline(120), pytest.raises(ValueError) as sliced:
+        usable_cpus(mp, 2)                     # slices: member 0 | members 1 and 2
+        _run_sliced(ops, initials, cfg)
+    assert multiprocessing.active_children() == []
+    assert str(sliced.value) == str(whole.value) \
+        == f"member 2 has a non-finite state at step {step}"
+
+
 @pytest.mark.parametrize("fates", [("dies", "sleeps"), ("runs", "dies")])
 def test_dead_child_raises_and_the_others_are_reaped(small_sphere_ops, monkeypatch, fates):
     ops = small_sphere_ops

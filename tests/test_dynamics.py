@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from conekit.analysis import smooth_random_field
 from conekit.dynamics import (ENERGY_INCREASE_TOL, DiagnosticsRecord,
                               SemiflowState, StabilityError, StepperConfig,
-                              detect_equilibrium, energy, energy_gradient,
-                              gradient_residual, run_semiflow, step_imex)
+                              energy, energy_gradient, gradient_residual,
+                              run_semiflow)
 from conekit.fields import Field, channel_weights, constant_field, field_from_modes
 from conekit.geometry import build_mesh, build_profile
-from conekit.operators import ModeOperators
+from conekit.operators import ModeOperators, SolverError
 from conekit.spaces import h1_seminorm, l2_norm
 
 
@@ -116,10 +117,9 @@ def test_energy_gradient_matches_centered_differences(small_sphere_ops, rng):
 
 def test_constant_state_is_a_fixed_point(small_sphere_ops):
     m = 0.3
-    cfg = StepperConfig(dt=1e-3)
-    state = SemiflowState(constant_field(small_sphere_ops.mesh,
-                                         small_sphere_ops.max_mode, m))
-    new = step_imex(small_sphere_ops, state, cfg)
+    cfg = StepperConfig(dt=1e-3, t_max=1e-3, eq_tol=0.0)
+    u0 = constant_field(small_sphere_ops.mesh, small_sphere_ops.max_mode, m)
+    new = run_semiflow(small_sphere_ops, u0, cfg).state
     assert new.step == 1
     assert np.allclose(new.u.coeffs[0, 0], m, atol=1e-13)
 
@@ -127,9 +127,9 @@ def test_constant_state_is_a_fixed_point(small_sphere_ops):
 def test_linear_only_step_is_exact_rational_amplification(small_sphere_ops):
     ops = small_sphere_ops
     dt, s = 1e-3, 2.0
-    cfg = StepperConfig(dt=dt, stabilization=s, linear_only=True)
+    cfg = StepperConfig(dt=dt, stabilization=s, t_max=dt, eq_tol=0.0, linear_only=True)
     mu, u0 = eigenmode_field(ops, 1, 0, amplitude=1e-3)
-    new = step_imex(ops, SemiflowState(u0), cfg)
+    new = run_semiflow(ops, u0, cfg).state
     amp = (1.0 + dt * (1.0 + s) * mu) / (1.0 + dt * mu ** 2 + s * dt * mu)
     assert np.allclose(new.u.coeffs, amp * u0.coeffs,
                        atol=1e-12 * np.abs(u0.coeffs).max())
@@ -142,8 +142,8 @@ def test_linear_only_step_consistent_with_exponential(small_sphere_ops):
     rate = mu - mu ** 2
     errs, dts = [], (1e-2, 5e-3, 2.5e-3)
     for dt in dts:
-        cfg = StepperConfig(dt=dt, stabilization=2.0, linear_only=True)
-        new = step_imex(ops, SemiflowState(u0), cfg)
+        cfg = StepperConfig(dt=dt, stabilization=2.0, t_max=dt, eq_tol=0.0, linear_only=True)
+        new = run_semiflow(ops, u0, cfg).state
         exact = math.exp(rate * dt) * u0.coeffs
         errs.append(np.abs(new.u.coeffs - exact).max())
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -154,31 +154,15 @@ def test_mass_is_conserved_across_steps(small_sphere_ops, rng):
     ops = small_sphere_ops
     u0 = random_field(ops.mesh, ops.max_mode, rng, 0.2) \
         + constant_field(ops.mesh, ops.max_mode, 0.1)
-    cfg = StepperConfig(dt=1e-3)
-    state = SemiflowState(u0)
+    cfg = StepperConfig(dt=1e-3, t_max=200 * 1e-3, eq_tol=0.0)
     mass0 = float(ops.mesh.integrate_radial(u0.coeffs[0, 0]))
-    for _ in range(200):
-        state = step_imex(ops, state, cfg)
+    state = run_semiflow(ops, u0, cfg).state
+    assert state.step == 200
     mass = float(ops.mesh.integrate_radial(state.u.coeffs[0, 0]))
     assert abs(mass - mass0) <= 1e-13 * (1.0 + abs(mass0))
 
 
 # ------------------------------------------------------------- equilibrium
-
-
-def test_detect_equilibrium_on_identical_states(small_sphere_ops, rng):
-    u = random_field(small_sphere_ops.mesh, small_sphere_ops.max_mode, rng)
-    flag, residual = detect_equilibrium(small_sphere_ops, u, u, 1e-3, 1e-8)
-    assert flag is True
-    assert residual == 0.0
-
-
-def test_detect_equilibrium_constant_pair(small_sphere_ops):
-    u = constant_field(small_sphere_ops.mesh, small_sphere_ops.max_mode, 0.5)
-    v = constant_field(small_sphere_ops.mesh, small_sphere_ops.max_mode, 0.5)
-    flag, residual = detect_equilibrium(small_sphere_ops, u, v, 1e-3, 1e-8)
-    assert flag is True
-    assert residual <= 1e-10
 
 
 def test_residual_decays_geometrically_in_linear_flow(small_sphere_ops):
@@ -304,6 +288,38 @@ def test_non_finite_energy_trips_the_guard(monkeypatch):
         run_semiflow(ops, u0, cfg, on_record=seen.append)
     assert [rec.step for rec in seen] == [0, 1]
     assert math.isnan(seen[-1].energy)
+
+
+def test_non_finite_state_is_rejected_before_any_record(small_sphere_ops, rng):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=1e-3, t_max=5e-3, eq_tol=0.0)
+    good = random_field(ops.mesh, ops.max_mode, rng, 0.1)
+    for value in (math.nan, math.inf):
+        bad = good.copy()
+        bad.coeffs[1, 0, 3] = value
+        for initial in (bad, SemiflowState(bad, step=3, mean0=0.0),
+                        SemiflowState(good, step=3, mean0=value)):
+            seen = []
+            step = getattr(initial, "step", 0)
+            with pytest.raises(ValueError, match=f"member 0 has a non-finite state at step {step}"):
+                run_semiflow(ops, initial, cfg, on_record=seen.append)
+            assert seen == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_fresh_state_fails_like_the_resumed_one():
+    # a finite field whose cube overflows: no dual residual at step 0, then a failed solve
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
+    with np.errstate(all="ignore"):
+        big = smooth_random_field(ops, np.random.default_rng(1), sup_amplitude=1e200)
+    assert np.isfinite(big.coeffs).all()
+    cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=0.0, snapshot_stride=5)
+    seen = []
+    with pytest.raises(SolverError, match="residual nan"):
+        run_semiflow(ops, big, cfg, on_record=seen.append)
+    assert [rec.step for rec in seen] == [0] and math.isnan(seen[0].ut_h01dual)
+    with pytest.raises(SolverError, match="residual nan"):
+        run_semiflow(ops, SemiflowState(big, step=3), cfg)
 
 
 def test_stepper_config_validation():

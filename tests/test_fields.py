@@ -10,12 +10,11 @@ from conekit.fields import (
     coeffs_to_values,
     constant_field,
     field_from_modes,
-    integrate,
     n_theta_nodes,
-    random_band_limited,
     values_to_coeffs,
 )
 from conekit.geometry import build_mesh, build_profile
+from conekit.spaces import mean
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -106,26 +105,16 @@ def test_constant_field_and_single_mode_builders(sphere_mesh):
 def test_integrate_is_linear_and_mode_zero_only(sphere_mesh, rng):
     u = random_field(sphere_mesh, 4, rng)
     v = random_field(sphere_mesh, 4, rng)
-    lhs = integrate(2.0 * u + (-3.0) * v)
-    rhs = 2.0 * integrate(u) - 3.0 * integrate(v)
+    lhs = mean(2.0 * u + (-3.0) * v)
+    rhs = 2.0 * mean(u) - 3.0 * mean(v)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
     pure = field_from_modes(sphere_mesh, 4, lambda s: 1.0 + 0.0 * s, mode=1)
-    assert integrate(pure) == pytest.approx(0.0, abs=1e-14)
+    assert mean(pure) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_max_abs_matches_dense_evaluation(sphere_mesh, rng):
     u = random_field(sphere_mesh, 5, rng)
     assert u.max_abs() == pytest.approx(np.abs(u.grid_values()).max(), rel=0)
-
-
-def test_random_band_limited_shape_and_decay(sphere_mesh):
-    rng1 = np.random.default_rng(7)
-    u = random_band_limited(sphere_mesh, 8, rng1, mode_decay=2.0, amplitude=0.5)
-    assert u.max_mode == 8
-    assert np.all(u.coeffs[0, 1] == 0.0)
-    rng2 = np.random.default_rng(7)
-    v = random_band_limited(sphere_mesh, 8, rng2, mode_decay=2.0, amplitude=0.5)
-    assert np.array_equal(u.coeffs, v.coeffs)  # seed-determined
 
 
 def test_cutoff_function_shape():

@@ -1,4 +1,4 @@
-"""Flux-form mode operators: applies, solves, eigensystems, fractional powers."""
+"""Flux-form mode operators: applies, solves, eigensystems."""
 
 import math
 
@@ -31,6 +31,12 @@ def vol_norm(ops, x):
     return math.sqrt(vol_dot(ops, x, x))
 
 
+def mode_laplacian(ops, mode, radial):
+    """L_k of one radial profile, through the field Laplacian."""
+    u = field_from_modes(ops.mesh, ops.max_mode, radial, mode=mode)
+    return ops.apply_laplacian(u).coeffs[mode, 0]
+
+
 # -------------------------------------------------------------- assembly
 
 
@@ -38,7 +44,7 @@ def test_constants_are_annihilated_exactly(sphere_ops, graded_cone_ops):
     for ops in (sphere_ops, graded_cone_ops):
         one = constant_field(ops.mesh, ops.max_mode, 1.0)
         assert np.all(ops.apply_laplacian(one).coeffs == 0.0)
-        assert np.all(ops.apply_bilaplacian(one).coeffs == 0.0)
+        assert np.all(ops.apply_laplacian(ops.apply_laplacian(one)).coeffs == 0.0)
 
 
 def test_vol_weighted_self_adjointness_uniform(sphere_ops, cone_ops, rng):
@@ -46,8 +52,8 @@ def test_vol_weighted_self_adjointness_uniform(sphere_ops, cone_ops, rng):
         for k in (0, 1, ops.max_mode):
             u = rng.standard_normal(ops.mesh.cells)
             v = rng.standard_normal(ops.mesh.cells)
-            lu = ops.apply_mode_laplacian(k, u)
-            lv = ops.apply_mode_laplacian(k, v)
+            lu = mode_laplacian(ops, k, u)
+            lv = mode_laplacian(ops, k, v)
             defect = abs(vol_dot(ops, lu, v) - vol_dot(ops, u, lv))
             assert defect <= 1e-12 * vol_norm(ops, u) * vol_norm(ops, v) \
                 + 1e-13 * (vol_norm(ops, lu) * vol_norm(ops, v)
@@ -61,8 +67,8 @@ def test_vol_weighted_self_adjointness_graded(graded_cone_ops, rng):
     for k in (0, 1, ops.max_mode):
         u = rng.standard_normal(ops.mesh.cells)
         v = rng.standard_normal(ops.mesh.cells)
-        lu = ops.apply_mode_laplacian(k, u)
-        lv = ops.apply_mode_laplacian(k, v)
+        lu = mode_laplacian(ops, k, u)
+        lv = mode_laplacian(ops, k, v)
         scale = (vol_norm(ops, lu) * vol_norm(ops, v)
                  + vol_norm(ops, u) * vol_norm(ops, lv))
         assert abs(vol_dot(ops, lu, v) - vol_dot(ops, u, lv)) <= 1e-13 * scale
@@ -72,7 +78,7 @@ def test_negative_semidefiniteness(sphere_ops, graded_cone_ops, rng):
     for ops in (sphere_ops, graded_cone_ops):
         for k in range(ops.max_mode + 1):
             u = rng.standard_normal(ops.mesh.cells)
-            lu = ops.apply_mode_laplacian(k, u)
+            lu = mode_laplacian(ops, k, u)
             quad = vol_dot(ops, lu, u)
             assert quad <= 1e-12 * vol_norm(ops, u) ** 2 \
                 + 1e-13 * vol_norm(ops, lu) * vol_norm(ops, u)
@@ -86,7 +92,7 @@ def test_zonal_harmonic_reproduced_at_second_order():
         mesh = build_mesh(build_profile("sphere", radius=1.0), m, 1.0)
         ops = ModeOperators(mesh, 0)
         u = np.cos(mesh.centers)
-        resid = ops.apply_mode_laplacian(0, u) + 2.0 * u
+        resid = mode_laplacian(ops, 0, u) + 2.0 * u
         errs.append(np.max(np.abs(resid)))
     rate = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
     assert -2.2 <= rate <= -1.8
@@ -97,7 +103,7 @@ def test_slope_one_cone_mode_one_exact_harmonic():
     # the flux-form discretization annihilates it cell-exactly
     mesh = build_mesh(build_profile("cone_capped", c=1, length=3.0), 96, 1.0)
     ops = ModeOperators(mesh, 1)
-    resid = ops.apply_mode_laplacian(1, mesh.centers.copy())
+    resid = mode_laplacian(ops, 1, mesh.centers.copy())
     collar = mesh.centers < 0.95
     assert np.max(np.abs(resid[collar])) <= 1e-9
     assert np.max(np.abs(resid)) > 1e-3     # the blend region is not harmonic
@@ -107,10 +113,10 @@ def test_eigenfunction_reproduced_by_applies(sphere_ops):
     sys = sphere_ops.eigendecompose_mode(1)
     idx = 3
     mu, phi = sys.eigenvalues[idx], sys.vectors[:, idx]
-    lap = sphere_ops.apply_mode_laplacian(1, phi)
+    lap = mode_laplacian(sphere_ops, 1, phi)
     assert np.allclose(lap, -mu * phi, atol=1e-9 * mu * np.abs(phi).max())
     u = field_from_modes(sphere_ops.mesh, sphere_ops.max_mode, phi, mode=1)
-    bilap = sphere_ops.apply_bilaplacian(u)
+    bilap = sphere_ops.apply_laplacian(sphere_ops.apply_laplacian(u))
     assert np.allclose(bilap.coeffs[1, 0], mu ** 2 * phi,
                        atol=1e-9 * mu ** 2 * np.abs(phi).max())
 
@@ -184,49 +190,35 @@ def test_laplacian_rejects_a_wrong_mode_count(sphere_ops, rng):
             sphere_ops.apply_laplacian_coeffs(bad)
 
 
-# -------------------------------------------------------- Helmholtz solves
-
-
-def test_helmholtz_identity_limit(sphere_ops, rng):
-    rhs = rng.standard_normal(sphere_ops.mesh.cells)
-    u = sphere_ops.solve_helmholtz(1, 1.0, 0.0, rhs)
-    assert np.allclose(u, rhs, atol=1e-13 * np.abs(rhs).max())
-
-
-def test_helmholtz_eigenfunction_shrinks_by_resolvent(sphere_ops):
-    sys = sphere_ops.eigendecompose_mode(2)
-    mu, phi = sys.eigenvalues[2], sys.vectors[:, 2]
-    u = sphere_ops.solve_helmholtz(2, 1.0, 1.0, phi)
-    assert np.allclose(u, phi / (1.0 + mu), rtol=0,
-                       atol=1e-9 * np.abs(phi).max() / (1.0 + mu))
-
-
-def test_helmholtz_singular_incompatible_rhs_raises(sphere_ops):
-    with pytest.raises(SolverError, match="incompatible"):
-        sphere_ops.solve_helmholtz(0, 0.0, 1.0, np.ones(sphere_ops.mesh.cells))
-
-
-def test_helmholtz_singular_compatible_solves_mean_free(sphere_ops, rng):
-    rhs = rng.standard_normal(sphere_ops.mesh.cells)
-    rhs -= (sphere_ops.volumes @ rhs) / sphere_ops.mesh.area
-    u = sphere_ops.solve_helmholtz(0, 0.0, 1.0, rhs)
-    assert abs(vol_dot(sphere_ops, u, np.ones_like(u))) <= 1e-10 * vol_norm(sphere_ops, u)
-    resid = -sphere_ops.apply_mode_laplacian(0, u) - rhs
-    assert vol_norm(sphere_ops, resid) <= 1e-10 * vol_norm(sphere_ops, rhs)
+# ------------------------------------------------------------- -L_k solves
 
 
 def test_helmholtz_rejects_bad_inputs(sphere_ops):
     with pytest.raises(ValueError, match="shape"):
-        sphere_ops.solve_helmholtz(0, 1.0, 1.0, np.ones(3))
-    with pytest.raises(ValueError, match="vanish"):
-        sphere_ops.solve_helmholtz(0, 0.0, 0.0, np.ones(sphere_ops.mesh.cells))
+        sphere_ops.solve_neglap_pivoted(1, np.ones(3))
+    with pytest.raises(ValueError, match="singular"):
+        sphere_ops.solve_neglap_pivoted(0, np.ones(sphere_ops.mesh.cells))
+
+
+def test_neglap_pivoted_residual_check_fails_loudly(sphere_ops, rng, monkeypatch):
+    import conekit.operators as operators
+    rhs = rng.standard_normal(sphere_ops.mesh.cells)
+    u = sphere_ops.solve_neglap_pivoted(2, rhs)
+    assert vol_norm(sphere_ops, -mode_laplacian(sphere_ops, 2, u) - rhs) \
+        <= 1e-10 * vol_norm(sphere_ops, rhs)
+    solve = operators.solve_banded
+    for spoil in (lambda w: w * (1.0 + 1e-6), lambda w: np.full_like(w, np.nan)):
+        monkeypatch.setattr(operators, "solve_banded",
+                            lambda *args, spoil=spoil: spoil(solve(*args)))
+        with pytest.raises(SolverError, match="residual"):
+            sphere_ops.solve_neglap_pivoted(2, rhs)
 
 
 def test_neglap_solve_is_inverse_on_mean_free(sphere_ops, rng):
     rhs = rng.standard_normal(sphere_ops.mesh.cells)
     rhs -= (sphere_ops.volumes @ rhs) / sphere_ops.mesh.area
     psi = sphere_ops.solve_neglap(0, rhs)
-    back = -sphere_ops.apply_mode_laplacian(0, psi)
+    back = -mode_laplacian(sphere_ops, 0, psi)
     assert np.allclose(back, rhs, atol=1e-10 * np.abs(rhs).max())
 
 
@@ -493,37 +485,7 @@ def test_smallest_eigenvalue_is_cached_per_key(monkeypatch):
     assert solves
 
 
-# -------------------------------------------------------- fractional powers
-
-
-def test_fractional_power_zero_is_identity(small_sphere_ops, rng):
-    u = random_field(small_sphere_ops.mesh, small_sphere_ops.max_mode, rng)
-    v = small_sphere_ops.fractional_power_apply(u, 0.0)
-    assert np.allclose(v.coeffs, u.coeffs, atol=1e-10 * np.abs(u.coeffs).max())
-
-
-def test_fractional_power_one_matches_operator_composition(small_sphere_ops, rng):
-    ops = small_sphere_ops
-    u = random_field(ops.mesh, ops.max_mode, rng)
-    via_powers = ops.fractional_power_apply(u, 1.0)
-    lap = ops.apply_laplacian(u)
-    direct = u.coeffs - 2.0 * lap.coeffs + ops.apply_laplacian(lap).coeffs
-    assert np.allclose(via_powers.coeffs, direct, atol=1e-8 * np.abs(direct).max())
-
-
-def test_fractional_power_semigroup_property(small_sphere_ops, rng):
-    ops = small_sphere_ops
-    u = random_field(ops.mesh, ops.max_mode, rng)
-    two_step = ops.fractional_power_apply(ops.fractional_power_apply(u, 0.3), 0.45)
-    one_step = ops.fractional_power_apply(u, 0.75)
-    assert np.allclose(two_step.coeffs, one_step.coeffs,
-                       atol=1e-9 * np.abs(one_step.coeffs).max())
-
-
-def test_fractional_power_range_validated(small_sphere_ops):
-    u = constant_field(small_sphere_ops.mesh, small_sphere_ops.max_mode, 1.0)
-    with pytest.raises(ValueError, match="power"):
-        small_sphere_ops.fractional_power_apply(u, 2.5)
+# ------------------------------------------------------ semigroup oracle
 
 
 def test_semigroup_scalar_decay_is_bounded_by_calculus_oracle(small_sphere_ops):
