@@ -12,6 +12,8 @@ The package pairs two views of the same geometry:
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .geometry import (BoundarySpectrum, RadialMesh, SurfaceProfile,
                        boundary_spectrum, build_mesh, build_profile)
 from .fields import CutoffFunction, Field, constant_field, field_from_modes
@@ -31,4 +33,5 @@ from .analysis import (AbsorbingReport, LinearizationSpectrum, LojasiewiczProbe,
                        linearization_spectrum, lojasiewicz_probe,
                        smooth_random_field, tip_probe)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -388,7 +388,7 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     """
     import multiprocessing  # only ensembles fork; single runs need not load it
 
-    _initial_states(ops, initials)    # the slices convert their members again
+    initials = _initial_states(ops, initials)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_slices = min(cpus, len(initials))

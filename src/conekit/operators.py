@@ -216,7 +216,7 @@ class ModeOperators:
         return psi[:, 0] if single else psi
 
     def solve_neglap_pivoted(self, mode: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve -L_k u = rhs for one radial profile and a mode k >= 1 (the tip probes).
+        """Solve -L_k u = rhs for one radial profile and any mode k >= 1 (the tip probes).
 
         A pivoted banded LU on B_k, not solve_neglap's cached Cholesky factor:
         the CLI pins fits.csv and profiles.csv bit for bit, and the Cholesky
@@ -232,7 +232,7 @@ class ModeOperators:
         ab = np.stack([np.append(0.0, sub), diag, np.append(sub, 0.0)])  # (1, 1) band layout
         u = solve_banded((1, 1), ab, self.sqrt_volumes * rhs) / self.sqrt_volumes
         vol = self.volumes
-        resid = self._angular_coeff[mode, 0] * u - self._flux_divergence(u) - rhs
+        resid = (mode * mode) * self.inv_f_sq * u - self._flux_divergence(u) - rhs
         tol = SOLVE_RESIDUAL_TOL * max(float(np.sqrt(vol @ rhs ** 2)), 1e-300)
         if not (np.sqrt(vol @ resid ** 2) <= tol):  # written so that a NaN fails
             raise SolverError(f"-L_k solve residual exceeded tolerance for mode {mode}")

@@ -234,7 +234,7 @@ def test_dead_child_raises_and_the_others_are_reaped(small_sphere_ops, monkeypat
     real = conekit.dynamics._run_batch
 
     def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False):
-        fate = dict(zip((id(m) for m in members[1:]), fates)).get(id(initials[0]))
+        fate = dict(zip((id(m) for m in members[1:]), fates)).get(id(initials[0].u))
         if fate == "dies":
             os.kill(os.getpid(), signal.SIGKILL)
         if fate == "sleeps":

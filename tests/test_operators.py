@@ -214,6 +214,19 @@ def test_neglap_pivoted_residual_check_fails_loudly(sphere_ops, rng, monkeypatch
             sphere_ops.solve_neglap_pivoted(2, rhs)
 
 
+def test_neglap_pivoted_takes_modes_above_the_truncation(rng):
+    from conekit.analysis import tip_probe
+    mesh = build_mesh(build_profile("sphere", radius=1.0), 128, 1.0)
+    low, high = ModeOperators(mesh, 1), ModeOperators(mesh, 3)
+    rhs = rng.standard_normal(mesh.cells)
+    for mode in (2, 3):
+        assert np.array_equal(low.solve_neglap_pivoted(mode, rhs),
+                              high.solve_neglap_pivoted(mode, rhs))
+        sol_low, fit_low = tip_probe(low, mode)
+        sol_high, fit_high = tip_probe(high, mode)
+        assert np.array_equal(sol_low, sol_high) and fit_low == fit_high
+
+
 def test_neglap_solve_is_inverse_on_mean_free(sphere_ops, rng):
     rhs = rng.standard_normal(sphere_ops.mesh.cells)
     rhs -= (sphere_ops.volumes @ rhs) / sphere_ops.mesh.area
@@ -471,7 +484,7 @@ def test_smallest_eigenvalue_matches_full_decomposition(sphere_ops):
 
 
 def test_smallest_eigenvalue_is_cached_per_key(monkeypatch):
-    mesh = build_mesh(build_profile("sphere", radius=1.0), 48, 1.0)
+    mesh = build_mesh(build_profile("sphere", radius=1.0), 128, 1.0)
     ops = ModeOperators(mesh, 2)
     solves = []
     solve = ops.solve_neglap

@@ -13,17 +13,17 @@ def test_package_exports():
         "AbsorbingReport", "AsymptoticSpace", "BoundarySpectrum", "CutoffFunction",
         "DiagnosticsRecord", "Field", "GammaWindow", "IndicialRoot",
         "LinearizationSpectrum", "LojasiewiczProbe", "ModeEigensystem", "ModeOperators",
-        "RadialMesh", "SemiflowResult", "SemiflowState", "SolverError", "StabilityError",
-        "StepperConfig", "Surd", "SurfaceProfile", "TipFit", "absorbing_set_experiment",
-        "analysis", "asymptotic_space", "bilaplacian_indicial_roots", "boundary_spectrum",
-        "build_mesh", "build_profile", "ch_gamma_window", "constant_field", "dynamics",
-        "energy", "energy_gradient", "field_from_modes", "fields", "fit_tip_asymptotics",
-        "geometry", "gradient_residual", "h01_dual_norm", "h1_seminorm", "indicial",
+        "RadialMesh", "SemiflowResult", "SemiflowState", "SolverError",
+        "StabilityError", "StepperConfig", "Surd", "SurfaceProfile", "TipFit",
+        "absorbing_set_experiment", "asymptotic_space", "bilaplacian_indicial_roots",
+        "boundary_spectrum", "build_mesh", "build_profile", "ch_gamma_window",
+        "constant_field", "energy", "energy_gradient", "field_from_modes",
+        "fit_tip_asymptotics", "gradient_residual", "h01_dual_norm", "h1_seminorm",
         "interpolation_exclusions", "l2_norm", "laplacian_gamma_window",
         "laplacian_indicial_roots", "linearization_spectrum", "lojasiewicz_probe",
-        "lp_norm", "mean", "mellin_norm", "mellin_refinement_study", "minimal_domain_check",
-        "operators", "poincare_constant", "run_semiflow", "smooth_random_field", "spaces",
-        "tip_probe",
+        "lp_norm", "mean", "mellin_norm", "mellin_refinement_study",
+        "minimal_domain_check", "poincare_constant", "run_semiflow",
+        "smooth_random_field", "tip_probe",
     ]
 
 
