@@ -19,7 +19,7 @@ from .geometry import (BoundarySpectrum, RadialMesh, SurfaceProfile,
 from .fields import CutoffFunction, Field, constant_field, field_from_modes
 from .operators import ModeEigensystem, ModeOperators, SolverError
 from .spaces import (h01_dual_norm, h1_seminorm, l2_norm, lp_norm, mean,
-                     mellin_norm, mellin_refinement_study, poincare_constant)
+                     mellin_norm, poincare_constant)
 from .indicial import (AsymptoticSpace, GammaWindow, IndicialRoot, Surd,
                        asymptotic_space, bilaplacian_indicial_roots,
                        ch_gamma_window, interpolation_exclusions,
@@ -28,10 +28,9 @@ from .indicial import (AsymptoticSpace, GammaWindow, IndicialRoot, Surd,
 from .dynamics import (DiagnosticsRecord, SemiflowResult, SemiflowState,
                        StabilityError, StepperConfig, energy, energy_gradient,
                        gradient_residual, run_semiflow)
-from .analysis import (AbsorbingReport, LinearizationSpectrum, LojasiewiczProbe,
-                       TipFit, absorbing_set_experiment, fit_tip_asymptotics,
-                       linearization_spectrum, lojasiewicz_probe,
-                       smooth_random_field, tip_probe)
+from .analysis import (AbsorbingReport, LojasiewiczProbe, TipFit,
+                       absorbing_set_experiment, fit_tip_asymptotics,
+                       lojasiewicz_probe, smooth_random_field, tip_probe)
 
 __all__ = [name for name, value in globals().items()
            if not name.startswith("_") and not isinstance(value, _ModuleType)]

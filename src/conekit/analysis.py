@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SemiflowResult, StepperConfig, _run_sliced, energy_gradient,
-                       gradient_residual)
+from .dynamics import SemiflowResult, StepperConfig, _run_sliced, gradient_residual
 from .fields import Field
 from .operators import ModeOperators
 from .spaces import h01_dual_norm, mellin_norm
@@ -21,14 +20,12 @@ __all__ = [
     "TipFit",
     "LojasiewiczProbe",
     "AbsorbingReport",
-    "LinearizationSpectrum",
     "fit_tip_asymptotics",
     "tip_probe",
     "fit_lojasiewicz",
     "lojasiewicz_probe",
     "smooth_random_field",
     "absorbing_set_experiment",
-    "linearization_spectrum",
 ]
 
 
@@ -52,9 +49,9 @@ class TipFit:
     window: tuple[float, float]
 
 
-def fit_tip_asymptotics(u: Field, mode: int, window: tuple[float, float] | None = None,
-                        part: str = "cos") -> TipFit:
-    """Fit the tip behavior of one angular mode of a field.
+def fit_tip_asymptotics(u: Field, mode: int,
+                        window: tuple[float, float] | None = None) -> TipFit:
+    """Fit the tip behavior of the cos channel of one angular mode of a field.
 
     The fit window defaults to [2 * (first cell center), 0.1 * L], which on a
     tip-graded mesh spans several decades.  Raises ValueError when the window
@@ -64,7 +61,7 @@ def fit_tip_asymptotics(u: Field, mode: int, window: tuple[float, float] | None 
     mesh = u.mesh
     if mode > u.max_mode:
         raise ValueError(f"mode {mode} exceeds the field truncation {u.max_mode}")
-    profile = u.coeffs[mode, 0 if part == "cos" else 1]
+    profile = u.coeffs[mode, 0]
     lo, hi = window if window is not None else (2.0 * mesh.s_min, 0.1 * mesh.length)
     mask = (mesh.centers >= lo) & (mesh.centers < hi)
     n_points = int(mask.sum())
@@ -98,8 +95,7 @@ def fit_tip_asymptotics(u: Field, mode: int, window: tuple[float, float] | None 
 
 
 def tip_probe(ops: ModeOperators, mode: int, source_center_frac: float = 0.75,
-              source_width_frac: float = 0.08,
-              window: tuple[float, float] | None = None) -> tuple[np.ndarray, TipFit]:
+              source_width_frac: float = 0.08) -> tuple[np.ndarray, TipFit]:
     """Solve a Poisson problem forced away from the tip and fit the tip exponent.
 
     The source is a Gaussian bump centered at source_center_frac * L; near the
@@ -119,11 +115,13 @@ def tip_probe(ops: ModeOperators, mode: int, source_center_frac: float = 0.75,
         sol = ops.solve_neglap_pivoted(mode, g)
     coeffs = np.zeros((max(mode, 1) + 1, 2, mesh.cells))
     coeffs[mode, 0] = sol
-    fit = fit_tip_asymptotics(Field(mesh, coeffs), mode, window=window)
+    fit = fit_tip_asymptotics(Field(mesh, coeffs), mode)
     return sol, fit
 
 
 # --------------------------------------------------------- decay exponent fit
+
+MIN_LOJASIEWICZ_SAMPLES = 10   # fewer points do not pin a log-log slope
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,7 @@ def fit_lojasiewicz(energy_gaps: np.ndarray, gradient_norms: np.ndarray) -> tupl
 
 
 def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
-                      drop_last_fraction: float = 0.05,
-                      min_samples: int = 10) -> LojasiewiczProbe:
+                      drop_last_fraction: float = 0.05) -> LojasiewiczProbe:
     """Estimate the decay exponent from a finished relaxation run.
 
     Needs a run with collected snapshots that actually reached equilibrium.
@@ -186,8 +183,8 @@ def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
     keep = len(gaps) - max(1, int(math.ceil(drop_last_fraction * len(gaps)))) \
         if gaps else 0
     gaps, grads = gaps[:keep], grads[:keep]
-    if len(gaps) < min_samples:
-        raise ValueError(f"only {len(gaps)} usable samples (< {min_samples}); "
+    if len(gaps) < MIN_LOJASIEWICZ_SAMPLES:
+        raise ValueError(f"only {len(gaps)} usable samples (< {MIN_LOJASIEWICZ_SAMPLES}); "
                          "the trajectory spent too little time in the scaling regime")
     theta, slope, r2 = fit_lojasiewicz(np.array(gaps), np.array(grads))
     return LojasiewiczProbe(theta_hat=theta, slope=slope, r_squared=r2,
@@ -331,104 +328,3 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
                            post_sups=post_sups, kappa=kappa,
                            tip_norm_sup=tip_sup, tip_norm_sup_lap=tip_sup_lap,
                            diam_times=diam_times, diameters=diameters)
-
-
-# --------------------------------------------------- linearization spectrum
-
-
-@dataclass(frozen=True)
-class LinearizationSpectrum:
-    """Spectrum of the second variation restricted to the mean-zero subspace."""
-
-    eigenvalues: np.ndarray
-    kernel_dim: int
-    axisymmetric_path: bool
-
-    def smallest(self, count: int) -> np.ndarray:
-        return self.eigenvalues[:count]
-
-
-def linearization_spectrum(ops: ModeOperators, phi: Field,
-                           kernel_tol: float = 1e-6) -> LinearizationSpectrum:
-    """Eigenvalues of h -> P(-Lap h + (3 phi^2 - 1) h) on mean-zero fields.
-
-    P is the L^2 projection off constants; the operator is symmetric in the
-    volume inner product on that subspace.  For axisymmetric phi the problem
-    splits into angular modes and is solved as banded tridiagonal-plus-
-    diagonal systems (fast); otherwise a dense matrix over all channels is
-    assembled, which is only meant for modest resolutions.
-    """
-    ops._check_field(phi)
-    mesh = ops.mesh
-    m = mesh.cells
-    scale = max(float(np.abs(phi.coeffs).max()), 1.0)
-    axisym = phi.max_mode == 0 or float(np.abs(phi.coeffs[1:]).max()) <= 1e-12 * scale
-
-    if axisym:
-        w_diag = 3.0 * phi.coeffs[0, 0] ** 2 - 1.0
-        eigs = []
-        from scipy.linalg import eigh, eigh_tridiagonal
-        for k in range(ops.max_mode + 1):
-            diag, sub = ops.neglap_bands(k)
-            if k == 0:
-                a = np.diag(diag + w_diag) + np.diag(sub, 1) + np.diag(sub, -1)
-                nhat = ops.sqrt_volumes / math.sqrt(mesh.area)
-                proj = np.eye(m) - np.outer(nhat, nhat)
-                big = 10.0 * (np.abs(diag).max() + np.abs(w_diag).max() + 1.0)
-                a = proj @ a @ proj + big * np.outer(nhat, nhat)
-                vals = eigh(a, eigvals_only=True)
-                vals = vals[vals < 0.5 * big]
-                eigs.extend(vals.tolist())
-            else:
-                vals = eigh_tridiagonal(diag + w_diag, sub, eigvals_only=True)
-                eigs.extend(np.repeat(vals, 2).tolist())  # cos and sin channels
-        evals = np.sort(np.array(eigs))
-    else:
-        evals = _dense_linearization_eigs(ops, phi)
-
-    ktol = kernel_tol * max(1.0, float(np.abs(evals).max()))
-    kernel_dim = int((np.abs(evals) < ktol).sum())
-    return LinearizationSpectrum(eigenvalues=evals, kernel_dim=kernel_dim,
-                                 axisymmetric_path=axisym)
-
-
-def _dense_linearization_eigs(ops: ModeOperators, phi: Field) -> np.ndarray:
-    """Dense assembly of the projected second variation over all live channels."""
-    from scipy.linalg import eigh
-
-    from .fields import channel_weights, coeffs_to_values, values_to_coeffs
-    mesh = ops.mesh
-    m = mesh.cells
-    kmax = ops.max_mode
-    w_vals = 3.0 * phi.grid_values() ** 2 - 1.0
-    channels = [(0, 0)] + [(k, c) for k in range(1, kmax + 1) for c in (0, 1)]
-    n = len(channels) * m
-    wch = channel_weights(kmax)
-    # diagonal scaling that turns the volume/channel inner product into the dot product
-    dvec = np.concatenate([np.sqrt(wch[k, c] * mesh.volumes) for k, c in channels])
-
-    def apply(coeffs):
-        out = -ops.apply_laplacian_coeffs(coeffs)
-        out += values_to_coeffs(w_vals * coeffs_to_values(coeffs), kmax)
-        out[0, 0, :] -= (mesh.volumes @ out[0, 0]) / mesh.area
-        return out
-
-    a = np.empty((n, n))
-    basis = np.zeros((kmax + 1, 2, m))
-    for col in range(n):
-        ch, i = divmod(col, m)
-        k, c = channels[ch]
-        basis[k, c, i] = 1.0 / dvec[col]
-        img = apply(basis)
-        basis[k, c, i] = 0.0
-        a[:, col] = np.concatenate([img[k, c] for k, c in channels]) * dvec
-    a = 0.5 * (a + a.T)
-    # deflate the constant direction (mode-0 constants are not in the space)
-    nhat = np.zeros(n)
-    nhat[:m] = np.sqrt(wch[0, 0] * mesh.volumes)
-    nhat /= np.linalg.norm(nhat)
-    big = 10.0 * float(np.abs(a).max() + 1.0)
-    proj = np.eye(n) - np.outer(nhat, nhat)
-    a = proj @ a @ proj + big * np.outer(nhat, nhat)
-    vals = eigh(a, eigvals_only=True)
-    return vals[vals < 0.5 * big]

@@ -267,10 +267,11 @@ def _cmd_ls_probe(cfg: RunConfig, outdir: Path):
     u0 = _initial_field(cfg, ops)
     stepper = cfg.dynamics.stepper(cfg.norms.gamma)
     result = run_semiflow(ops, u0, stepper, collect_snapshots=True)
-    probe = lojasiewicz_probe(ops, result, drop_last_fraction=cfg.experiment.drop_last)
-    e_inf = probe.energy_limit
+    # the trajectory goes out before the probe, which may reject the run
+    e_inf = result.records[-1].energy
     rows = [(rec.t, rec.energy - e_inf, rec.ut_h01dual) for rec in result.records]
     _write_csv(outdir / "trajectory.csv", ("t", "energy_gap", "rate_dual_norm"), rows)
+    probe = lojasiewicz_probe(ops, result, drop_last_fraction=cfg.experiment.drop_last)
     _write_csv(outdir / "ls_summary.csv",
                ("theta_hat", "slope", "r_squared", "n_samples", "energy_limit", "in_bracket"),
                [(probe.theta_hat, probe.slope, probe.r_squared, probe.n_samples,

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
 from .dynamics import StepperConfig
-from .geometry import SurfaceProfile, build_mesh, build_profile, boundary_spectrum, exact_number
+from .geometry import SurfaceProfile, build_mesh, build_profile, exact_number
 from .indicial import ch_gamma_window
 from .operators import ModeOperators
 
@@ -38,8 +39,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
+    return tuple(_parse_finite(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
@@ -56,7 +64,7 @@ def _parse_pairs(raw: str) -> tuple[tuple[int, float], ...]:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ValueError(f"norm pair {chunk!r} is not 's,gamma'")
-        out.append((int(parts[0]), float(parts[1])))
+        out.append((int(parts[0]), _parse_finite(parts[1])))
     return tuple(out)
 
 
@@ -90,13 +98,11 @@ class DynamicsSection:
     eq_tol: float = 1.0e-8
     snapshot_stride: int = 100
     linear_only: bool = False
-    conserve_mean: bool = True
 
     def stepper(self, gamma: float) -> StepperConfig:
         return StepperConfig(dt=self.dt, stabilization=self.S, t_max=self.T_max,
                              eq_tol=self.eq_tol, snapshot_stride=self.snapshot_stride,
-                             linear_only=self.linear_only, conserve_mean=self.conserve_mean,
-                             mellin_gamma=gamma)
+                             linear_only=self.linear_only, mellin_gamma=gamma)
 
 
 @dataclass
@@ -131,39 +137,40 @@ class RunConfig:
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
 
 
+_FLOAT = (_parse_finite, lambda v: format(v, ".17g"))
+
 # (section, key) -> (parser, formatter); parsers raise ValueError on bad input
 _FIELDS = {
     ("geometry", "kind"): (str, str),
     ("geometry", "c"): (lambda s: str(Fraction(s)), str),
     ("geometry", "c2"): (lambda s: str(Fraction(s)) if s.strip() else "", str),
-    ("geometry", "radius"): (float, lambda v: format(v, ".17g")),
-    ("geometry", "L"): (float, lambda v: format(v, ".17g")),
+    ("geometry", "radius"): _FLOAT,
+    ("geometry", "L"): _FLOAT,
     ("geometry", "M"): (int, str),
-    ("geometry", "q"): (float, lambda v: format(v, ".17g")),
+    ("geometry", "q"): _FLOAT,
     ("geometry", "K"): (int, str),
-    ("dynamics", "dt"): (float, lambda v: format(v, ".17g")),
-    ("dynamics", "S"): (float, lambda v: format(v, ".17g")),
-    ("dynamics", "T_max"): (float, lambda v: format(v, ".17g")),
-    ("dynamics", "eq_tol"): (float, lambda v: format(v, ".17g")),
+    ("dynamics", "dt"): _FLOAT,
+    ("dynamics", "S"): _FLOAT,
+    ("dynamics", "T_max"): _FLOAT,
+    ("dynamics", "eq_tol"): _FLOAT,
     ("dynamics", "snapshot_stride"): (int, str),
     ("dynamics", "linear_only"): (_parse_bool, lambda v: "true" if v else "false"),
-    ("dynamics", "conserve_mean"): (_parse_bool, lambda v: "true" if v else "false"),
-    ("norms", "gamma"): (float, lambda v: format(v, ".17g")),
+    ("norms", "gamma"): _FLOAT,
     ("norms", "pairs"): (_parse_pairs, lambda v: ";".join(f"{s},{format(g, '.17g')}" for s, g in v)),
     ("experiment", "seed"): (int, str),
     ("experiment", "ic"): (str, str),
-    ("experiment", "amplitude"): (float, lambda v: format(v, ".17g")),
-    ("experiment", "mean"): (float, lambda v: format(v, ".17g")),
+    ("experiment", "amplitude"): _FLOAT,
+    ("experiment", "mean"): _FLOAT,
     ("experiment", "snapshots"): (_parse_bool, lambda v: "true" if v else "false"),
     ("experiment", "radii"): (_parse_float_list, lambda v: ",".join(format(x, ".17g") for x in v)),
     ("experiment", "seeds_per_radius"): (int, str),
-    ("experiment", "level_margin"): (float, lambda v: format(v, ".17g")),
-    ("experiment", "mode_decay"): (float, lambda v: format(v, ".17g")),
+    ("experiment", "level_margin"): _FLOAT,
+    ("experiment", "mode_decay"): _FLOAT,
     ("experiment", "modes"): (_parse_int_list, lambda v: ",".join(str(x) for x in v)),
-    ("experiment", "source_center"): (float, lambda v: format(v, ".17g")),
-    ("experiment", "source_width"): (float, lambda v: format(v, ".17g")),
+    ("experiment", "source_center"): _FLOAT,
+    ("experiment", "source_width"): _FLOAT,
     ("experiment", "n_eigs"): (int, str),
-    ("experiment", "drop_last"): (float, lambda v: format(v, ".17g")),
+    ("experiment", "drop_last"): _FLOAT,
 }
 
 _SECTIONS = ("geometry", "dynamics", "norms", "experiment")
@@ -241,6 +248,12 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"[experiment] ic must be one of {_VALID_ICS}, got {e.ic!r}")
     if e.seeds_per_radius < 1:
         raise ConfigError("[experiment] seeds_per_radius must be >= 1")
+    if e.seed < 0:
+        raise ConfigError("[experiment] seed must be >= 0")
+    if any(k < 0 for k in e.modes):
+        raise ConfigError(f"[experiment] modes must be >= 0, got {e.modes}")
+    if e.n_eigs < 1:
+        raise ConfigError("[experiment] n_eigs must be >= 1")
     if not e.radii:
         raise ConfigError("[experiment] radii must not be empty")
     if not (0 <= e.drop_last < 0.5):

@@ -60,7 +60,6 @@ class StepperConfig:
     eq_tol: float = 1.0e-8          # equilibrium threshold; 0 disables detection
     snapshot_stride: int = 100
     linear_only: bool = False
-    conserve_mean: bool = True
     mellin_gamma: float = -0.75
 
     def __post_init__(self):
@@ -191,10 +190,9 @@ def _advance(ops: ModeOperators, stack: np.ndarray, vals: np.ndarray, cfg: Stepp
     else:
         nl = values_to_coeffs(vals * vals * vals, ops.max_mode) - (1.0 + s) * stack
     unew = ops.solve_ch_system(stack + dt * ops.apply_laplacian_coeffs(nl), dt, s)
-    if cfg.conserve_mean:
-        area = ops.mesh.area
-        for c, m0 in zip(unew, mean0):
-            c[0, 0, :] += m0 - (ops.volumes @ c[0, 0]) / area
+    area = ops.mesh.area
+    for c, m0 in zip(unew, mean0):
+        c[0, 0, :] += m0 - (ops.volumes @ c[0, 0]) / area
     return unew
 
 

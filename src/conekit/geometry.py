@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -91,22 +91,6 @@ class SurfaceProfile:
     def __call__(self, s):
         """Profile radius f(s), vectorized."""
         return self._f(np.asarray(s, dtype=float))
-
-    @property
-    def tip_slope_float(self) -> float:
-        return float(self.tip_slope)
-
-    def serialize(self) -> list[tuple[str, str]]:
-        """Ordered (key, value) pairs sufficient to rebuild the profile."""
-        items = [("kind", self.kind)]
-        if self.kind == "sphere":
-            items.append(("radius", format(self.radius, ".17g")))
-        else:
-            items.append(("c", str(self.tip_slope)))
-            if self.kind == "spindle":
-                items.append(("c2", str(self.end_slope)))
-            items.append(("L", format(self.length, ".17g")))
-        return items
 
 
 def build_profile(kind: str, *, c=None, c2=None, radius=None, length=None) -> SurfaceProfile:
@@ -342,13 +326,6 @@ class BoundarySpectrum:
     @property
     def max_mode(self) -> int:
         return self.entries[-1].mode
-
-    def flattened(self) -> list[float]:
-        """Eigenvalues repeated by multiplicity, sorted descending (0 first)."""
-        out: list[float] = []
-        for e in self.entries:
-            out.extend([e.eigenvalue] * e.multiplicity)
-        return sorted(out, reverse=True)
 
     @property
     def lambda_1(self) -> Fraction:

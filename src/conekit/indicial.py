@@ -192,9 +192,6 @@ class Surd:
         sign = "+" if self.b > 0 else "-"
         return f"{self.a} {sign} {tail}"
 
-    def exact_str(self) -> str:
-        return repr(self)
-
 
 def _exact_min(x, y):
     """Exact min of a Surd/Fraction pair (single-radical comparison)."""
@@ -239,10 +236,6 @@ class IndicialRoot:
     @property
     def log_power_max(self) -> int:
         return self.multiplicity - 1
-
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
 
 
 def laplacian_indicial_roots(n: int, spectrum) -> list[IndicialRoot]:

@@ -60,6 +60,11 @@ SOLVE_RESIDUAL_TOL = 1.0e-10
 #: Headroom multiplier on the machine-epsilon residual evaluation floor.
 RESIDUAL_NOISE_FACTOR = 8.0
 
+#: Relative Rayleigh-quotient change, and iteration cap, that end the
+#: inverse iteration of smallest_eigenvalue().
+EIGEN_TOL = 1.0e-13
+EIGEN_MAX_ITER = 200
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -117,7 +122,7 @@ class ModeOperators:
         self._angular_coeff = ksq * self.inv_f_sq       # (k / f)^2, shape (K+1, 1, M)
         self._neglap_chol: Dict[int, object] = {}
         self._eigensystems: Dict[int, ModeEigensystem] = {}
-        self._smallest_eigenvalues: Dict[Tuple[int, float, int], float] = {}
+        self._smallest_eigenvalues: Dict[int, float] = {}
         self._ch_factor: Dict[Tuple[float, float], object] = {}
         self._stacked_bands = None
         # weights of the verification norms: channel- and volume-weighted,
@@ -391,18 +396,17 @@ class ModeOperators:
             self._eigensystems[mode] = sys
         return sys
 
-    def smallest_eigenvalue(self, mode: int, tol: float = 1e-13, max_iter: int = 200) -> float:
+    def smallest_eigenvalue(self, mode: int) -> float:
         """Smallest nonzero eigenvalue of -L_k via inverse power iteration.
 
         Uses the cached factorizations, so accuracy is set by the solve
         residual rather than by the spread of the spectrum (which is enormous
         on tip-graded meshes).  For mode 0 the constant nullspace is projected
         out and the first nonzero eigenvalue is returned.  Results are cached
-        per (mode, tol, max_iter).
+        per mode.
         """
-        key = (mode, tol, max_iter)
-        if key in self._smallest_eigenvalues:
-            return self._smallest_eigenvalues[key]
+        if mode in self._smallest_eigenvalues:
+            return self._smallest_eigenvalues[mode]
         m = self.mesh.cells
         rng = np.random.default_rng(12345 + mode)
         v = rng.standard_normal(m)
@@ -410,13 +414,13 @@ class ModeOperators:
             v -= (self.volumes @ v) / self.mesh.area
         v /= np.sqrt(self.volumes @ v ** 2)
         lam_prev = np.inf
-        for _ in range(max_iter):
+        for _ in range(EIGEN_MAX_ITER):
             w = self.solve_neglap(mode, v)
             norm_w = np.sqrt(self.volumes @ w ** 2)
             lam = 1.0 / float(self.volumes @ (w * v))  # Rayleigh quotient through the solve
             v = w / norm_w
-            if abs(lam - lam_prev) <= tol * abs(lam):
+            if abs(lam - lam_prev) <= EIGEN_TOL * abs(lam):
                 break
             lam_prev = lam
-        lam = self._smallest_eigenvalues[key] = float(lam)
+        lam = self._smallest_eigenvalues[mode] = float(lam)
         return lam

@@ -15,12 +15,10 @@ gradient flows: for mean-zero v it equals sqrt(<v, psi>) with -Lap psi = v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import CutoffFunction, Field, channel_weights
-from .geometry import RadialMesh, build_mesh
 from .operators import ModeOperators
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "h01_dual_norm",
     "poincare_constant",
     "mellin_norm",
-    "mellin_refinement_study",
-    "MellinStudy",
 ]
 
 
@@ -117,9 +113,7 @@ def _plain_derivative(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.gradient(values, x, axis=-1, edge_order=2)
 
 
-def mellin_norm(u: Field, s: int, gamma: float,
-                cutoff: CutoffFunction | None = None,
-                collar_only: bool = False) -> float:
+def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> float:
     """Tip-weighted Sobolev norm of order s in {0, 1, 2} with weight gamma.
 
     Collar part (tip region, radius weighted by x^{(n+1)/2-gamma}, n = 1):
@@ -128,11 +122,11 @@ def mellin_norm(u: Field, s: int, gamma: float,
         int |x^{1-gamma} (x d/dx)^a (angular/x-scale)^b (omega u)|^2 f/x dx/x dtheta
 
     where the angular factor per mode k is (k x / f(x))^b, plus the ordinary
-    order-s Sobolev norm of the remainder (1-omega) u.  The two contributions
-    are added (collar + interior).  With ``collar_only=True`` and no cutoff,
-    omega is taken identically 1 on x <= min(1, L) and the interior term is
-    dropped; this is the convention used by closed-form checks on model
-    fields supported in the collar.
+    order-s Sobolev norm of the remainder (1-omega) u, with omega the mesh's
+    default cutoff.  The two contributions are added (collar + interior).
+    With ``collar_only=True`` omega is taken identically 1 on x <= min(1, L)
+    and the interior term is dropped; this is the convention used by
+    closed-form checks on model fields supported in the collar.
     """
     if s not in (0, 1, 2):
         raise ValueError(f"order s must be one of 0, 1, 2, got {s}")
@@ -146,8 +140,7 @@ def mellin_norm(u: Field, s: int, gamma: float,
     if collar_only:
         omega_vals = in_collar.astype(float)
     else:
-        cutoff = cutoff or CutoffFunction.default_for(mesh)
-        omega_vals = cutoff(x)
+        omega_vals = CutoffFunction.default_for(mesh)(x)
 
     # ---- collar term on cells inside the collar
     idx = np.nonzero(in_collar)[0]
@@ -184,43 +177,3 @@ def mellin_norm(u: Field, s: int, gamma: float,
     # volumes already carry the 2*pi f dx measure; the collar weight above
     # spelled it out explicitly, so put the 2*pi back uniformly here:
     return math.sqrt(2.0 * math.pi * total_collar) + math.sqrt(2.0 * math.pi * total_interior)
-
-
-@dataclass(frozen=True)
-class MellinStudy:
-    """Refinement study of a tip norm: values at three nested meshes."""
-
-    values: tuple[float, float, float]
-    divergent: bool
-
-    @property
-    def value(self) -> float:
-        return math.inf if self.divergent else self.values[-1]
-
-
-def mellin_refinement_study(profile, mode_profiles: dict[int, object], s: int,
-                            gamma: float, base_cells: int = 64,
-                            max_mode: int | None = None) -> MellinStudy:
-    """Evaluate the collar norm of an analytic field at cells, 2x, 4x resolution.
-
-    ``mode_profiles`` maps angular mode -> callable radial profile (cos
-    channels).  The field is resampled on each uniform mesh, so genuinely
-    divergent integrands keep growing as the first cell center shrinks:
-    the study flags divergence when the three values strictly increase with
-    non-contracting increments (a convergent second-order quadrature contracts
-    its increments by ~4x per doubling).
-    """
-    if max_mode is None:
-        max_mode = max(mode_profiles) if mode_profiles else 0
-    vals = []
-    for factor in (1, 2, 4):
-        mesh = build_mesh(profile, base_cells * factor, 1.0)
-        coeffs = np.zeros((max_mode + 1, 2, mesh.cells))
-        for k, fn in mode_profiles.items():
-            coeffs[k, 0, :] = fn(mesh.centers)
-        vals.append(mellin_norm(Field(mesh, coeffs), s, gamma, collar_only=True))
-    v1, v2, v3 = vals
-    increasing = v1 < v2 < v3 and (v3 - v1) > 1e-8 * abs(v3)
-    divergent = increasing and (
-        (v3 - v2) > 0.6 * (v2 - v1) or (v2 > 1.5 * v1 and v3 > 1.5 * v2))
-    return MellinStudy(values=(v1, v2, v3), divergent=divergent)

@@ -1,4 +1,4 @@
-"""Measurement tools: tip fits, decay-exponent probes, ensembles, spectra."""
+"""Measurement tools: tip fits, decay-exponent probes, ensembles."""
 
 import os
 
@@ -7,8 +7,8 @@ import pytest
 
 import conekit.dynamics
 from conekit.analysis import (absorbing_set_experiment, fit_lojasiewicz,
-                              fit_tip_asymptotics, linearization_spectrum,
-                              lojasiewicz_probe, smooth_random_field, tip_probe)
+                              fit_tip_asymptotics, lojasiewicz_probe,
+                              smooth_random_field, tip_probe)
 from conekit.dynamics import StepperConfig, run_semiflow
 from conekit.fields import Field, constant_field, field_from_modes
 from conekit.geometry import build_mesh, build_profile
@@ -147,52 +147,6 @@ def test_smooth_random_field_is_seed_deterministic(small_sphere_ops):
     c = smooth_random_field(ops, np.random.default_rng(12), sup_amplitude=0.5)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert not np.array_equal(a.coeffs, c.coeffs)
-
-
-# ------------------------------------------------------------ linearization
-
-
-@pytest.fixture(scope="module")
-def tiny_ops():
-    return ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 32, 1.0), 2)
-
-
-def test_linearization_at_zero_matches_shifted_spectrum(tiny_ops):
-    spec = linearization_spectrum(tiny_ops, constant_field(tiny_ops.mesh, 2, 0.0))
-    assert spec.axisymmetric_path is True
-    pooled = []
-    for k in range(tiny_ops.max_mode + 1):
-        vals = tiny_ops.eigendecompose_mode(k).eigenvalues
-        if k == 0:
-            pooled.extend((vals[1:] - 1.0).tolist())  # constants are projected out
-        else:
-            pooled.extend(np.repeat(vals - 1.0, 2).tolist())
-    pooled = np.sort(np.asarray(pooled))
-    assert spec.eigenvalues.size == pooled.size
-    scale = np.abs(pooled).max()
-    assert np.allclose(spec.eigenvalues, pooled, atol=1e-10 * scale)
-    assert spec.kernel_dim == 0
-    assert np.allclose(spec.smallest(3), pooled[:3], atol=1e-10 * scale)
-
-
-def test_linearization_dense_path_agrees_with_banded_path(tiny_ops):
-    # an angular perturbation far below roundoff relevance forces the dense
-    # assembly; its spectrum must agree with the banded axisymmetric one
-    axisym = linearization_spectrum(tiny_ops, constant_field(tiny_ops.mesh, 2, 0.0))
-    c = np.zeros((3, 2, tiny_ops.mesh.cells))
-    c[1, 0] = 1e-8
-    dense = linearization_spectrum(tiny_ops, Field(tiny_ops.mesh, c))
-    assert dense.axisymmetric_path is False
-    assert dense.eigenvalues.size == axisym.eigenvalues.size
-    scale = np.abs(axisym.eigenvalues).max()
-    assert np.allclose(dense.eigenvalues, axisym.eigenvalues, atol=1e-6 * scale)
-
-
-def test_linearization_at_deep_well_is_positive(tiny_ops):
-    # phi = 1 sits in a convex region: second variation >= spectral gap > 0
-    spec = linearization_spectrum(tiny_ops, constant_field(tiny_ops.mesh, 2, 1.0))
-    assert spec.axisymmetric_path is True
-    assert spec.eigenvalues[0] > 1.9  # smallest is mu_1 + 2 with mu_1 ~ 0
 
 
 # -------------------------------------------------------------- absorbing

@@ -150,6 +150,47 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("norms", "gamma", "nan"),
+    ("norms", "gamma", "inf"),
+    ("norms", "pairs", "0,nan"),
+    ("dynamics", "dt", "nan"),
+    ("dynamics", "T_max", "inf"),
+    ("dynamics", "eq_tol", "nan"),
+    ("experiment", "radii", "1,-inf"),
+    ("experiment", "modes", "-1"),
+    ("experiment", "n_eigs", "-3"),
+    ("experiment", "seed", "-1"),
+])
+def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(tmp_path, capsys,
+                                                                 section, key, value):
+    rc, rundir = run_cli(tmp_path, "spectrum", f"[{section}]\n{key} = {value}\n")
+    assert rc == 2
+    assert rundir is None
+    err = capsys.readouterr().err
+    assert f"[{section}] {key}" in err
+    assert "Traceback" not in err
+
+
+def test_removed_conserve_mean_key_exits_2_naming_it(tmp_path, capsys):
+    rc, rundir = run_cli(tmp_path, "simulate", "[dynamics]\nconserve_mean = false\n")
+    assert rc == 2
+    assert rundir is None
+    assert "conserve_mean" in capsys.readouterr().err
+
+
+def test_rejected_ls_probe_still_writes_its_trajectory(tmp_path):
+    # at the default config the probe keeps too few samples and aborts; the
+    # trajectory it was computed from is written before that
+    rc, rundir = run_cli(tmp_path, "ls-probe", "")
+    assert rc == 3
+    assert "usable samples" in (rundir / "status").read_text()
+    assert not (rundir / "ls_summary.csv").exists()
+    header, rows = read_csv(rundir / "trajectory.csv")
+    assert header == ["t", "energy_gap", "rate_dual_norm"]
+    assert len(rows) > 1 and float(rows[-1][1]) == 0.0
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

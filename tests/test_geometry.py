@@ -62,14 +62,6 @@ def test_exact_number_parsing():
     assert exact_number(Fraction(7, 5)) == Fraction(7, 5)
 
 
-def test_profile_serialization_roundtrip():
-    p = build_profile("cone_capped", c="1/2", length=2.0)
-    blob = dict(p.serialize())
-    assert blob["kind"] == "cone_capped"
-    assert Fraction(blob["c"]) == Fraction(1, 2)
-    assert float(blob["L"]) == 2.0
-
-
 # --------------------------------------------------------------------- meshes
 
 
@@ -144,8 +136,8 @@ def test_integrate_radial_linearity(rng):
 
 def test_circle_spectrum_unit_slope():
     spec = boundary_spectrum(build_profile("cone_capped", c=1, length=2.0), 2)
-    assert spec.flattened() == [Fraction(0), Fraction(-1), Fraction(-1),
-                                Fraction(-4), Fraction(-4)]
+    assert [(e.mode, e.eigenvalue_exact, e.multiplicity) for e in spec.entries] == [
+        (0, Fraction(0), 1), (1, Fraction(-1), 2), (2, Fraction(-4), 2)]
 
 
 def test_circle_spectrum_half_slope():
@@ -155,7 +147,8 @@ def test_circle_spectrum_half_slope():
 
 def test_circle_spectrum_truncation_zero():
     spec = boundary_spectrum(build_profile("cone_capped", c=1, length=2.0), 0)
-    assert spec.flattened() == [Fraction(0)]
+    assert [(e.mode, e.eigenvalue_exact, e.multiplicity) for e in spec.entries] == [
+        (0, Fraction(0), 1)]
     with pytest.raises(ValueError):
         spec.lambda_1
 

@@ -12,7 +12,7 @@ def test_package_exports():
     assert sorted(conekit.__all__) == [
         "AbsorbingReport", "AsymptoticSpace", "BoundarySpectrum", "CutoffFunction",
         "DiagnosticsRecord", "Field", "GammaWindow", "IndicialRoot",
-        "LinearizationSpectrum", "LojasiewiczProbe", "ModeEigensystem", "ModeOperators",
+        "LojasiewiczProbe", "ModeEigensystem", "ModeOperators",
         "RadialMesh", "SemiflowResult", "SemiflowState", "SolverError",
         "StabilityError", "StepperConfig", "Surd", "SurfaceProfile", "TipFit",
         "absorbing_set_experiment", "asymptotic_space", "bilaplacian_indicial_roots",
@@ -20,8 +20,8 @@ def test_package_exports():
         "constant_field", "energy", "energy_gradient", "field_from_modes",
         "fit_tip_asymptotics", "gradient_residual", "h01_dual_norm", "h1_seminorm",
         "interpolation_exclusions", "l2_norm", "laplacian_gamma_window",
-        "laplacian_indicial_roots", "linearization_spectrum", "lojasiewicz_probe",
-        "lp_norm", "mean", "mellin_norm", "mellin_refinement_study",
+        "laplacian_indicial_roots", "lojasiewicz_probe",
+        "lp_norm", "mean", "mellin_norm",
         "minimal_domain_check", "poincare_constant", "run_semiflow",
         "smooth_random_field", "tip_probe",
     ]

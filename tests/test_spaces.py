@@ -15,7 +15,6 @@ from conekit.spaces import (
     lp_norm,
     mean,
     mellin_norm,
-    mellin_refinement_study,
     poincare_constant,
 )
 
@@ -99,25 +98,6 @@ def test_tip_norm_interior_term_covers_cap_region(long_cone_mesh):
     assert mellin_norm(u, 0, 0.0, collar_only=True) == 0.0
     full = mellin_norm(u, 0, 0.0)
     assert full == pytest.approx(l2_norm(u), rel=1e-6)
-
-
-def test_refinement_study_flags_divergent_profile():
-    profile = build_profile("cone_capped", c=1, length=3.0)
-    study = mellin_refinement_study(profile, {0: lambda x: 1.0 / x}, 0, 0.0)
-    assert study.divergent
-    assert study.value == math.inf
-    assert study.values[0] < study.values[1] < study.values[2]
-
-
-def test_refinement_study_passes_member_profile():
-    profile = build_profile("cone_capped", c=1, length=3.0)
-    study = mellin_refinement_study(profile, {0: lambda x: x}, 0, 0.0,
-                                    base_cells=512)
-    assert not study.divergent
-    assert study.value == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-3)
-    # borderline-but-integrable: constants have finite collar norm at gamma 0
-    study = mellin_refinement_study(profile, {0: lambda x: np.ones_like(x)}, 0, 0.0)
-    assert not study.divergent
 
 
 # -------------------------------------------------------------- seminorms
