@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SemiflowResult, StepperConfig, _run_sliced, gradient_residual
+from .dynamics import SemiflowResult, StepperConfig, _mean_free_dual_norm, _run_sliced, gradient_residual
 from .fields import Field
 from .operators import ModeOperators
 from .spaces import h01_dual_norm, mellin_norm
@@ -209,14 +209,7 @@ def smooth_random_field(ops: ModeOperators, rng: np.random.Generator,
     coeffs[0, 1, :] = 0.0
     coeffs *= ((1.0 + np.arange(ops.max_mode + 1)) ** (-mode_decay))[:, None, None]
     for _ in range(2):
-        out = np.empty_like(coeffs)
-        for k in range(ops.max_mode + 1):
-            stack = coeffs[k].T
-            if k == 0:
-                stack = stack.copy()
-                stack[:, 0] -= (ops.volumes @ stack[:, 0]) / mesh.area
-            out[k] = ops.solve_neglap(k, stack).T
-        coeffs = out
+        coeffs = np.stack([psi.T for _, psi in ops.solve_neglap_field(coeffs)])
     coeffs[0, 0, :] -= (mesh.volumes @ coeffs[0, 0]) / mesh.area
     u = Field(mesh, coeffs)
     if dual_radius is not None:
@@ -318,8 +311,7 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
             dmax = 0.0
             for i in range(len(sel)):
                 for j in range(i + 1, len(sel)):
-                    diff = Field(ops.mesh, sel[i][s] - sel[j][s])
-                    dmax = max(dmax, h01_dual_norm(diff, ops))
+                    dmax = max(dmax, _mean_free_dual_norm(ops, sel[i][s] - sel[j][s]))
             series.append(dmax)
         diameters[radius] = np.array(series)
 

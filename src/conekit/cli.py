@@ -30,7 +30,7 @@ from .analysis import (absorbing_set_experiment, lojasiewicz_probe,
                        smooth_random_field, tip_probe)
 from .config import (ConfigError, RunConfig, manifest_text, parse_config,
                      validate_gamma)
-from .dynamics import StabilityError, energy, run_semiflow
+from .dynamics import StabilityError, _mean_free_dual_norm, energy, run_semiflow
 from .fields import Field, constant_field
 from .geometry import boundary_spectrum
 from .indicial import (asymptotic_space, bilaplacian_indicial_roots,
@@ -38,7 +38,7 @@ from .indicial import (asymptotic_space, bilaplacian_indicial_roots,
                        laplacian_gamma_window, laplacian_indicial_roots,
                        minimal_domain_check)
 from .operators import SolverError
-from .spaces import h01_dual_norm, h1_seminorm, l2_norm, lp_norm, mean, mellin_norm, poincare_constant
+from .spaces import h1_seminorm, l2_norm, lp_norm, mean, mellin_norm, poincare_constant
 
 #: Exceptions that end a run as a numerical abort (exit code 3).
 NUMERICAL_ABORTS = (StabilityError, SolverError, ValueError, ArithmeticError)
@@ -167,15 +167,13 @@ def _cmd_norms(cfg: RunConfig, outdir: Path):
     rows = []
     for s, gamma in cfg.norms.pairs:
         rows.append(("mellin_norm", s, gamma, mellin_norm(u, s, gamma)))
-    u0 = u.copy()
-    u0.coeffs[0, 0, :] -= ops.mesh.integrate_radial(u0.coeffs[0, 0]) / ops.mesh.area
     rows += [("mass", "", "", mean(u) * ops.mesh.area),
              ("mean", "", "", mean(u)),
              ("energy", "", "", energy(u)),
              ("l2_norm", "", "", l2_norm(u)),
              ("l4_norm", "", "", lp_norm(u, 4)),
              ("h1_seminorm", "", "", h1_seminorm(u)),
-             ("h01_dual_norm_meanfree", "", "", h01_dual_norm(u0, ops)),
+             ("h01_dual_norm_meanfree", "", "", _mean_free_dual_norm(ops, u.coeffs.copy())),
              ("sup", "", "", u.max_abs())]
     _write_csv(outdir / "field_norms.csv", ("quantity", "s", "gamma", "value"), rows)
 

@@ -317,13 +317,6 @@ class GammaWindow:
         return f"({float(self.lower):g}, {float(self.upper):g})"
 
 
-def _first_nonzero_eigenvalue(entries) -> Fraction:
-    lams = [lam for _, lam, _ in entries if lam != 0]
-    if not lams:
-        raise ValueError("spectrum has no nonzero eigenvalue")
-    return max(lams)
-
-
 def ch_gamma_window(n: int, lambda_1) -> GammaWindow:
     """Weight window for the fourth-order flow on an (n+1)-dimensional cone.
 

@@ -13,9 +13,13 @@ identically; no boundary condition is imposed beyond that).  This makes
 with nullspace exactly the constants for k = 0 and trivial for k >= 1.
 
 All solves go through the symmetrized tridiagonal form
-B_k = D^{1/2} (-L_k) D^{-1/2}, D = diag(volumes).  The Cholesky factors and
-the implicit step's LU pair are cached on the operator workspace; the
-pivoted LU of solve_neglap_pivoted is not cached.
+B_k = D^{1/2} (-L_k) D^{-1/2}, D = diag(volumes).  The workspace caches one
+banded Cholesky factor of B over the stacked modes, which serves every -L_k
+solve, and the implicit step's LU pair.  The tip probes' pivoted LU
+(solve_neglap_pivoted) is not cached and stays outside the Cholesky factor:
+it takes modes above the truncation, and the Cholesky solve moves the
+pinned fits.csv and profiles.csv bits (3e-14 relative at the default
+configuration).
 
 The fourth-order implicit step matrix I + dt*B^2 + S*dt*B is never assembled
 as a pentadiagonal system: squaring B doubles its (enormous, on tip-graded
@@ -120,7 +124,7 @@ class ModeOperators:
         self.inv_f_sq = 1.0 / mesh.f_centers ** 2
         ksq = (np.arange(self.max_mode + 1, dtype=float) ** 2)[:, None, None]
         self._angular_coeff = ksq * self.inv_f_sq       # (k / f)^2, shape (K+1, 1, M)
-        self._neglap_chol: Dict[int, object] = {}
+        self._neglap_chol = None
         self._eigensystems: Dict[int, ModeEigensystem] = {}
         self._smallest_eigenvalues: Dict[int, float] = {}
         self._ch_factor: Dict[Tuple[float, float], object] = {}
@@ -179,22 +183,19 @@ class ModeOperators:
 
     # ----------------------------------------------------------------- solves
 
-    def _neglap_factor(self, mode: int):
-        """Cached Cholesky factor of B_k (reduced by the last row/col for k=0)."""
-        fac = self._neglap_chol.get(mode)
-        if fac is None:
-            diag, sub = self.neglap_bands(mode)
-            if mode == 0:
-                ab = np.zeros((2, self.mesh.cells - 1))
-                ab[0] = diag[:-1]
-                ab[1, :-1] = sub[:-1]
-            else:
-                ab = np.zeros((2, self.mesh.cells))
-                ab[0] = diag
-                ab[1, :-1] = sub
-            fac = cholesky_banded(ab, lower=True)
-            self._neglap_chol[mode] = fac
-        return fac
+    def _neglap_factor(self) -> np.ndarray:
+        """Cached Cholesky factor of B over the stacked modes, one block per mode.
+
+        Mode 0's last row is pinned to the identity; that drops the constants.
+        """
+        if self._neglap_chol is None:
+            diag, sub = self._stacked_tridiag()
+            m = self.mesh.cells
+            ab = np.stack([diag, np.append(sub, 0.0)])  # lower band layout
+            ab[0, m - 1] = 1.0
+            ab[1, m - 2] = 0.0
+            self._neglap_chol = cholesky_banded(ab, lower=True)
+        return self._neglap_chol
 
     def solve_neglap(self, mode: int, rhs: np.ndarray) -> np.ndarray:
         """Solve -L_k psi = rhs for one radial profile (or a stack of them).
@@ -207,26 +208,40 @@ class ModeOperators:
         single = rhs.ndim == 1
         r = rhs[:, None] if single else rhs.copy()
         r = self.sqrt_volumes[:, None] * r
+        m = self.mesh.cells
         if mode == 0:
             # remove the nullspace component (direction sqrt(vol) in sym coords)
             nhat = self.sqrt_volumes / np.sqrt(self.mesh.area)
             r -= nhat[:, None] * (nhat @ r)
-            w = np.zeros_like(r)
-            w[:-1] = cho_solve_banded((self._neglap_factor(0), True), r[:-1])
-            psi = w / self.sqrt_volumes[:, None]
+            r[-1] = 0.0  # the pinned row: its solution entry is 0
+        w = cho_solve_banded((self._neglap_factor()[:, mode * m:(mode + 1) * m], True), r)
+        psi = w / self.sqrt_volumes[:, None]
+        if mode == 0:
+            psi = np.ascontiguousarray(psi)  # the mean's bits depend on the layout
             psi -= (self.volumes @ psi) / self.mesh.area
-        else:
-            w = cho_solve_banded((self._neglap_factor(mode), True), r)
-            psi = w / self.sqrt_volumes[:, None]
         return psi[:, 0] if single else psi
+
+    def solve_neglap_field(self, coeffs: np.ndarray) -> list:
+        """Solve -L_k psi_k = v_k for every mode of coefficient data (K+1, 2, M).
+
+        Returns one (rhs, psi) pair of (M, 2) arrays per mode, cos and sin
+        channel in the columns; mode 0's rhs has its volume mean removed.
+        """
+        pairs = []
+        for k in range(self.max_mode + 1):
+            stack = coeffs[k].T
+            if k == 0:
+                stack = stack.copy()
+                stack[:, 0] -= (self.volumes @ stack[:, 0]) / self.mesh.area
+            pairs.append((stack, self.solve_neglap(k, stack)))
+        return pairs
 
     def solve_neglap_pivoted(self, mode: int, rhs: np.ndarray) -> np.ndarray:
         """Solve -L_k u = rhs for one radial profile and any mode k >= 1 (the tip probes).
 
-        A pivoted banded LU on B_k, not solve_neglap's cached Cholesky factor:
-        the CLI pins fits.csv and profiles.csv bit for bit, and the Cholesky
-        solve moves them (3e-14 relative at the default configuration).  The
-        residual (volume-weighted) must be <= 1e-10 * ||rhs||, else SolverError.
+        A pivoted banded LU on B_k, outside the Cholesky factor (see the module
+        docstring).  The residual (volume-weighted) must be <= 1e-10 * ||rhs||,
+        else SolverError.
         """
         rhs = np.asarray(rhs, dtype=float)
         if mode < 1:

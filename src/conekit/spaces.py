@@ -77,12 +77,7 @@ def h01_dual_norm(v: Field, ops: ModeOperators) -> float:
                          f"sup = {sup:.3e})")
     w = channel_weights(v.max_mode)
     total = 0.0
-    for k in range(v.max_mode + 1):
-        stack = v.coeffs[k].T                     # (M, 2)
-        if k == 0:
-            stack = stack.copy()
-            stack[:, 0] -= (ops.volumes @ stack[:, 0]) / ops.mesh.area
-        psi = ops.solve_neglap(k, stack)
+    for k, (stack, psi) in enumerate(ops.solve_neglap_field(v.coeffs)):
         pair = (ops.volumes[:, None] * stack * psi).sum(axis=0)   # per channel
         total += float(w[k] @ np.maximum(pair, 0.0))
     return math.sqrt(total)

@@ -194,3 +194,14 @@ def test_absorbing_experiment_report_shape(small_sphere_ops):
         assert np.all(np.isfinite(report.diameters[r]))
     assert 0.0 <= report.kappa_spread < 1.0
     assert report.level >= max(report.kappa.values()) / 1.05 * 0.999
+
+
+def test_diameters_of_converged_members_do_not_abort():
+    # the members meet at u = 0; the mean roundoff of a difference scales with
+    # the members, not with the difference, so the diameter removes it first
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 16, 1.0), 1)
+    report = absorbing_set_experiment(ops, StepperConfig(dt=1e-2), seeds_per_radius=2)
+    for r in report.radii:
+        diam = report.diameters[r]
+        assert np.all(np.isfinite(diam))
+        assert diam[-1] < 1e-6 * diam[0]

@@ -229,6 +229,18 @@ def test_spectrum_output_matches_sphere(tmp_path):
     assert float(summary["mu_1"]) == pytest.approx(2.0, rel=0.01)
 
 
+@pytest.mark.xfail(strict=True, reason="FOUND: eigendecompose_mode's eigh_tridiagonal with "
+                   "eigenvectors gives 9 negative eigenvalues of -L_k at the default config")
+def test_default_spectrum_is_nonnegative_and_starts_at_mu_1(tmp_path):
+    rc, rundir = run_cli(tmp_path, "spectrum", "")
+    assert rc == 0
+    _, rows = read_csv(rundir / "spectrum.csv")
+    assert min(float(value) for _, _, value in rows) > -1e-9
+    first = {mode: float(value) for mode, index, value in rows if index == "0"}
+    mu_1 = float(csv_dict(rundir / "summary.csv")["mu_1"])
+    assert first["1"] == pytest.approx(mu_1, rel=1e-9)
+
+
 def test_norms_output_closed_forms(tmp_path):
     rc, rundir = run_cli(tmp_path, "norms", SMOKE_CONFIGS["norms"])
     assert rc == 0

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from conekit.analysis import smooth_random_field
 from conekit.fields import Field, channel_weights
@@ -85,3 +86,78 @@ def test_fields_from_another_geometry_or_truncation_are_rejected(data):
                   lambda v: h01_dual_norm(v, ops)):
         with pytest.raises(ValueError, match="does not match operator"):
             apply(foreign)
+
+
+def per_mode_solve_neglap(ops, mode, rhs):
+    """The reference -L_k solve: its own Cholesky factor per mode, mode 0 on its first M-1 rows."""
+    diag, sub = ops.neglap_bands(mode)
+    n = ops.mesh.cells - (mode == 0)
+    ab = np.zeros((2, n))
+    ab[0] = diag[:n]
+    ab[1, :-1] = sub[:n - 1]
+    fac = cholesky_banded(ab, lower=True)
+    rhs = np.asarray(rhs, dtype=float)
+    single = rhs.ndim == 1
+    r = rhs[:, None] if single else rhs.copy()
+    r = ops.sqrt_volumes[:, None] * r
+    if mode == 0:
+        nhat = ops.sqrt_volumes / np.sqrt(ops.mesh.area)
+        r -= nhat[:, None] * (nhat @ r)
+        w = np.zeros_like(r)
+        w[:-1] = cho_solve_banded((fac, True), r[:-1])
+        psi = w / ops.sqrt_volumes[:, None]
+        psi -= (ops.volumes @ psi) / ops.mesh.area
+    else:
+        psi = cho_solve_banded((fac, True), r) / ops.sqrt_volumes[:, None]
+    return psi[:, 0] if single else psi
+
+
+def per_mode_dual_norm(v, ops):
+    w = channel_weights(v.max_mode)
+    total = 0.0
+    for k in range(v.max_mode + 1):
+        stack = v.coeffs[k].T
+        if k == 0:
+            stack = stack.copy()
+            stack[:, 0] -= (ops.volumes @ stack[:, 0]) / ops.mesh.area
+        psi = per_mode_solve_neglap(ops, k, stack)
+        pair = (ops.volumes[:, None] * stack * psi).sum(axis=0)
+        total += float(w[k] @ np.maximum(pair, 0.0))
+    return math.sqrt(total)
+
+
+def mean_free(u):
+    c = u.coeffs.copy()
+    c[0, 0] -= (u.mesh.volumes @ c[0, 0]) / u.mesh.area
+    return Field(u.mesh, c)
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_stacked_factor_solves_equal_the_per_mode_factors_bit_for_bit(data):
+    ops, _ = data.draw(workspaces())
+    u = data.draw(fields_on(ops))
+    for k in range(ops.max_mode + 1):
+        for rhs in (u.coeffs[k, 0], u.coeffs[k].T):
+            assert ops.solve_neglap(k, rhs).tobytes() == per_mode_solve_neglap(ops, k, rhs).tobytes()
+    v = mean_free(u)
+    assert h01_dual_norm(v, ops) == per_mode_dual_norm(v, ops)
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_whole_field_inverse_solves_the_poisson_problem(data):
+    ops, _ = data.draw(workspaces().filter(lambda w: w[1][2] == 1.0))  # uniform meshes
+    u = data.draw(fields_on(ops))
+    pairs = ops.solve_neglap_field(u.coeffs)
+    rhs = np.stack([r.T for r, _ in pairs])
+    psi = np.stack([p.T for _, p in pairs])
+    w = channel_weights(ops.max_mode)
+
+    def norm(c):
+        return math.sqrt(float(np.einsum("kci,i,kc->", c * c, ops.volumes, w)))
+
+    assert norm(-ops.apply_laplacian_coeffs(psi) - rhs) <= 1e-10 * norm(rhs)
+    assert abs(ops.volumes @ psi[0, 0]) <= 1e-13 * (ops.volumes @ np.abs(psi[0, 0]))

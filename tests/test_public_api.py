@@ -31,5 +31,5 @@ def test_mode_operators_public_methods():
     assert sorted(name for name in vars(ModeOperators) if not name.startswith("_")) == [
         "apply_laplacian", "apply_laplacian_coeffs", "ch_factorization",
         "eigendecompose_mode", "gauss_defect", "neglap_bands", "smallest_eigenvalue",
-        "solve_ch_system", "solve_neglap", "solve_neglap_pivoted",
+        "solve_ch_system", "solve_neglap", "solve_neglap_field", "solve_neglap_pivoted",
     ]
