@@ -50,6 +50,10 @@ class StabilityError(RuntimeError):
     """The discrete energy rose beyond tolerance; reduce dt or raise S."""
 
 
+class _SliceStopped(Exception):
+    """A slice of _run_sliced stopped: another slice aborted at a lockstep this one has finished."""
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     """Parameters of the semi-implicit stepper and its bookkeeping."""
@@ -75,8 +79,10 @@ class StepperConfig:
 class SemiflowState:
     """Evolving field plus the integer step count and the conserved mean.
 
-    Time is always step * dt, so a run split into two resumed halves
-    reproduces the uninterrupted run bit for bit.
+    Time is always step * dt, so a run split into two resumed halves at a
+    record step reproduces the uninterrupted run bit for bit; so does any
+    split with eq_tol = 0.  Elsewhere the first half's closing record, which
+    tests for equilibrium exactly, can stop a run the whole one continues.
     """
 
     u: Field
@@ -223,6 +229,11 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
     return _run_batch(ops, [initial], cfg, deliver, collect_snapshots)[0]
 
 
+def _last_step(cfg: StepperConfig) -> int:
+    """The step at which a run stops unless it reaches equilibrium first."""
+    return int(math.floor(cfg.t_max / cfg.dt + 1e-9))
+
+
 def _initial_states(ops: ModeOperators, initials: list) -> list[SemiflowState]:
     """The members as SemiflowStates; a foreign or non-finite one raises ValueError."""
     states = [s if isinstance(s, SemiflowState) else SemiflowState(u=s) for s in initials]
@@ -235,7 +246,7 @@ def _initial_states(ops: ModeOperators, initials: list) -> list[SemiflowState]:
 
 def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                on_record: Optional[Callable] = None,
-               collect_snapshots: bool = False) -> list[SemiflowResult]:
+               collect_snapshots: bool = False, stop=None) -> list[SemiflowResult]:
     """Run several trajectories through one step kernel; one result per member.
 
     Each entry of ``initials`` is a Field (fresh run) or a SemiflowState
@@ -249,11 +260,13 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     to its own run_semiflow.  A member leaves the stack when it reaches
     equilibrium or t_max.  ``on_record(member, record)`` receives every
     record as it is produced; an energy violation in any member raises
-    StabilityError after that member's record is delivered.
+    StabilityError after that member's record is delivered.  ``stop`` is
+    the shared value of _run_sliced, the earliest lockstep at which a slice
+    aborted; the batch raises _SliceStopped instead of starting a later one.
     """
     states = _initial_states(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
-    n_steps_max = int(math.floor(cfg.t_max / dt + 1e-9))
+    n_steps_max = _last_step(cfg)
     steps = [st.step for st in states]
     mean0 = [st.mean0 for st in states]
     records: list[list[DiagnosticsRecord]] = [[] for _ in states]
@@ -313,6 +326,8 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
             stack, vals = stack[keep], vals[keep]
             e_now = [e_now[row] for row in keep]
             active = [active[row] for row in keep]
+        if stop is not None and stop.value < lockstep:
+            raise _SliceStopped
 
         prev = stack
         try:
@@ -377,8 +392,11 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     When slices fail, the error raised is the one the one-process batch
     raises: the earliest lockstep first (errors raised before the first step
     rank first, and a failed solve ranks before an energy rise in the same
-    step), then the lowest member; so a failed slice still waits for the
-    others.  A child that ends without sending its slice raises RuntimeError.
+    step), then the lowest member.  A slice that aborts at lockstep n lowers
+    a shared stop value to n, and every other slice stops as soon as it has
+    finished lockstep n: by then it has raised any error of its own that
+    ranks before the abort.  A child that ends without sending its slice
+    raises RuntimeError.
     Any exception here, interrupts included, terminates and reaps the
     children.  With one usable CPU, one member, or no "fork" start method
     this is a plain _run_batch call and starts no process.  Members are checked
@@ -394,19 +412,21 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
         return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots)
     bounds = [len(initials) * i // n_slices for i in range(n_slices + 1)]
     ctx = multiprocessing.get_context("fork")
+    stop = ctx.Value("q", 2 ** 62)   # created before the fork: shared by every slice
     children = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_slice_worker, daemon=True,
-                               args=(writer, ops, initials[lo:hi], cfg, collect_snapshots))
+                               args=(writer, ops, initials[lo:hi], cfg, collect_snapshots, stop))
             proc.start()
             children.append((proc, reader))
             writer.close()  # so that a dead child reads as EOF, not as a hang
         try:
             outcomes = [(True, _run_batch(ops, initials[:bounds[1]], cfg,
-                                          collect_snapshots=collect_snapshots))]
+                                          collect_snapshots=collect_snapshots, stop=stop))]
         except Exception as exc:  # ranked against the children's aborts below
+            _lower_slice_stop(stop, exc)
             outcomes = [(False, exc)]
         for proc, reader in children:
             try:
@@ -425,14 +445,22 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
             proc.join()
             reader.close()
     aborts = [(getattr(exc, "lockstep", -1), not isinstance(exc, SolverError), i, exc)
-              for i, (ok, exc) in enumerate(outcomes) if not ok]
+              for i, (ok, exc) in enumerate(outcomes)
+              if not ok and not isinstance(exc, _SliceStopped)]
     if aborts:
         raise min(aborts, key=lambda a: a[:3])[3]
     return [res for _, results in outcomes for res in results]
 
 
+def _lower_slice_stop(stop, exc: Exception):
+    """Make the other slices stop after the lockstep at which ``exc`` aborted this one."""
+    if not isinstance(exc, _SliceStopped):
+        with stop.get_lock():
+            stop.value = min(stop.value, getattr(exc, "lockstep", -1))
+
+
 def _slice_worker(writer, ops: ModeOperators, initials: list, cfg: StepperConfig,
-                  collect_snapshots: bool):
+                  collect_snapshots: bool, stop):
     """Forked child of _run_sliced: run one slice, send it back, end with os._exit.
 
     Results travel as plain data, never as a Field: a mesh holds its
@@ -444,8 +472,10 @@ def _slice_worker(writer, ops: ModeOperators, initials: list, cfg: StepperConfig
             message = (True, [(r.records, r.state.u.coeffs, r.state.step, r.state.mean0,
                                r.equilibrium_reached, r.final_residual, r.snapshots)
                               for r in _run_batch(ops, initials, cfg,
-                                                  collect_snapshots=collect_snapshots)])
+                                                  collect_snapshots=collect_snapshots,
+                                                  stop=stop)])
         except Exception as exc:
+            _lower_slice_stop(stop, exc)
             message = (False, exc)
         try:
             writer.send(message)

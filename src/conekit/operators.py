@@ -13,9 +13,12 @@ identically; no boundary condition is imposed beyond that).  This makes
 with nullspace exactly the constants for k = 0 and trivial for k >= 1.
 
 All solves go through the symmetrized tridiagonal form
-B_k = D^{1/2} (-L_k) D^{-1/2}, D = diag(volumes).  The workspace caches one
+B_k = D^{1/2} (-L_k) D^{-1/2}, D = diag(volumes).  The workspace keeps one
 banded Cholesky factor of B over the stacked modes, which serves every -L_k
-solve, and the implicit step's LU pair.  The tip probes' pivoted LU
+solve, the implicit step's LU pair, and the implicit solve's two work arrays
+(a real and a complex right-hand-side stack, replaced when the member count
+changes); the solve runs in them, so it is not reentrant.  Eigensystems are
+computed on demand and not kept.  The tip probes' pivoted LU
 (solve_neglap_pivoted) is not cached and stays outside the Cholesky factor:
 it takes modes above the truncation, and the Cholesky solve moves the
 pinned fits.csv and profiles.csv bits (3e-14 relative at the default
@@ -125,10 +128,10 @@ class ModeOperators:
         ksq = (np.arange(self.max_mode + 1, dtype=float) ** 2)[:, None, None]
         self._angular_coeff = ksq * self.inv_f_sq       # (k / f)^2, shape (K+1, 1, M)
         self._neglap_chol = None
-        self._eigensystems: Dict[int, ModeEigensystem] = {}
         self._smallest_eigenvalues: Dict[int, float] = {}
         self._ch_factor: Dict[Tuple[float, float], object] = {}
         self._stacked_bands = None
+        self._ch_work = None    # (real, complex) (2B, n) right-hand-side stacks of the solve
         # weights of the verification norms: channel- and volume-weighted,
         # in the symmetrized coordinates the solver works in
         self._sym_weight = channel_weights(self.max_mode)[:, :, None] * mesh.volumes ** 2
@@ -359,14 +362,17 @@ class ModeOperators:
         factors, abs_penta = self.ch_factorization(dt, stabilization)
         m = self.mesh.cells
         nb = stack.shape[0]
-        n = (self.max_mode + 1) * m
-        # members' cos/sin columns in symmetrized coordinates, written straight
-        # into the complex array the sweeps take
-        packed = np.zeros((2 * nb, n), dtype=complex)
+        if self._ch_work is None or self._ch_work[0].shape[0] != 2 * nb:
+            n = (self.max_mode + 1) * m
+            self._ch_work = (np.empty((2 * nb, n)), np.empty((2 * nb, n), dtype=complex))
+        packed, work = self._ch_work
+        # members' cos/sin columns in symmetrized coordinates; both sweeps
+        # overwrite the complex copy, whose transpose is Fortran-ordered
         np.multiply(stack.transpose(0, 2, 1, 3), self.sqrt_volumes,
-                    out=packed.real.reshape(nb, 2, self.max_mode + 1, m))
-        mid, info1 = zgttrs(*factors[0], packed.T)
-        sol, info2 = zgttrs(*factors[1], mid)
+                    out=packed.reshape(nb, 2, self.max_mode + 1, m))
+        work[...] = packed
+        mid, info1 = zgttrs(*factors[0], work.T, overwrite_b=1)
+        sol, info2 = zgttrs(*factors[1], mid, overwrite_b=1)
         if info1 != 0 or info2 != 0:
             raise SolverError("tridiagonal solve failed")
         sol = sol.real
@@ -382,7 +388,7 @@ class ModeOperators:
         # the floor term is >= 0, so it can only rescue a member that fails the plain test
         if not np.all(resid_norm <= plain):
             floor = RESIDUAL_NOISE_FACTOR * _EPS * self._sym_norms(self._unpack(
-                self._abs_penta_apply(abs_penta, np.abs(sol)) + np.abs(packed.real.T)))
+                self._abs_penta_apply(abs_penta, np.abs(sol)) + np.abs(packed.T)))
             failed = np.flatnonzero(~(resid_norm <= plain + floor))
             if failed.size:
                 b = failed[0]
@@ -396,20 +402,15 @@ class ModeOperators:
     # ------------------------------------------------------------ eigensystems
 
     def eigendecompose_mode(self, mode: int) -> ModeEigensystem:
-        """Full symmetric eigendecomposition of -L_k (cached).
+        """Full symmetric eigendecomposition of -L_k.
 
         Intended for uniform or mildly graded meshes; on deeply graded meshes
         the smallest eigenvalues should be taken from smallest_eigenvalue(),
         which works through solves.
         """
-        sys = self._eigensystems.get(mode)
-        if sys is None:
-            diag, sub = self.neglap_bands(mode)
-            vals, vecs = eigh_tridiagonal(diag, sub)
-            sys = ModeEigensystem(mode=mode, eigenvalues=vals, vectors_sym=vecs,
-                                  sqrt_volumes=self.sqrt_volumes)
-            self._eigensystems[mode] = sys
-        return sys
+        vals, vecs = eigh_tridiagonal(*self.neglap_bands(mode))
+        return ModeEigensystem(mode=mode, eigenvalues=vals, vectors_sym=vecs,
+                               sqrt_volumes=self.sqrt_volumes)
 
     def smallest_eigenvalue(self, mode: int) -> float:
         """Smallest nonzero eigenvalue of -L_k via inverse power iteration.

@@ -207,6 +207,25 @@ def test_failing_slice_raises_the_one_process_error(layout, cpus, expected):
         assert str(sliced.value) == str(whole.value)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("layout", [("rise", "ok"), ("ok", "rise")])
+def test_an_abort_stops_the_other_slices(layout):
+    """One member blows up at once; the healthy one would run 10000 steps."""
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 96, 1.0), 8)
+    cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=100.0, eq_tol=0.0,
+                        snapshot_stride=100)
+    members = failing_members(ops)
+    initials = [members[name] for name in layout]
+    with pytest.raises(StabilityError) as whole:
+        _run_batch(ops, initials, cfg)
+    # the healthy slice is the child in the first layout and this process's own in the second
+    with pytest.MonkeyPatch.context() as mp, deadline(3), pytest.raises(StabilityError) as sliced:
+        usable_cpus(mp, 2)
+        _run_sliced(ops, initials, cfg)
+    assert multiprocessing.active_children() == []
+    assert str(sliced.value) == str(whole.value)
+
+
 @pytest.mark.parametrize("step", [0, 2])
 def test_non_finite_member_of_a_child_slice_raises_the_one_process_error(step):
     ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
@@ -233,13 +252,13 @@ def test_dead_child_raises_and_the_others_are_reaped(small_sphere_ops, monkeypat
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(3)]
     real = conekit.dynamics._run_batch
 
-    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False):
+    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, stop=None):
         fate = dict(zip((id(m) for m in members[1:]), fates)).get(id(initials[0].u))
         if fate == "dies":
             os.kill(os.getpid(), signal.SIGKILL)
         if fate == "sleeps":
             time.sleep(60)
-        return real(ops, initials, cfg, on_record, collect_snapshots)
+        return real(ops, initials, cfg, on_record, collect_snapshots, stop)
 
     monkeypatch.setattr(conekit.dynamics, "_run_batch", fragile)
     usable_cpus(monkeypatch, 3)
@@ -255,7 +274,7 @@ def test_interrupt_in_the_parent_reaps_the_children(small_sphere_ops, monkeypatc
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(2)]
     parent = os.getpid()
 
-    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False):
+    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False, stop=None):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)

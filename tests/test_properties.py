@@ -5,15 +5,17 @@ truncations 0 to 4.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from conekit.analysis import smooth_random_field
-from conekit.fields import Field, channel_weights
+from conekit.dynamics import StepperConfig, run_semiflow
+from conekit.fields import Field, channel_weights, constant_field
 from conekit.geometry import build_mesh, build_profile
-from conekit.operators import ModeOperators
+from conekit.operators import RESIDUAL_NOISE_FACTOR, SOLVE_RESIDUAL_TOL, ModeOperators
 from conekit.spaces import h01_dual_norm, h1_seminorm
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -30,10 +32,10 @@ def profile(kind, c):
 
 
 @st.composite
-def workspaces(draw):
+def workspaces(draw, gradings=(1.0, 0.9, 0.8)):
     kind = draw(st.sampled_from(("sphere", "cone_capped")))
     c = draw(st.sampled_from(SLOPES)) if kind == "cone_capped" else None
-    grading = draw(st.sampled_from((1.0, 0.9, 0.8)))
+    grading = draw(st.sampled_from(gradings))
     cells = draw(st.integers(8, 64))
     ops = ModeOperators(build_mesh(profile(kind, c), cells, grading), draw(st.integers(0, 4)))
     return ops, (kind, c, grading, cells)
@@ -161,3 +163,112 @@ def test_whole_field_inverse_solves_the_poisson_problem(data):
 
     assert norm(-ops.apply_laplacian_coeffs(psi) - rhs) <= 1e-10 * norm(rhs)
     assert abs(ops.volumes @ psi[0, 0]) <= 1e-13 * (ops.volumes @ np.abs(psi[0, 0]))
+
+
+def tridiagonal_apply(diag, sub, v):
+    y = diag * v
+    y[..., :-1] += sub * v[..., 1:]
+    y[..., 1:] += sub * v[..., :-1]
+    return y
+
+
+def ch_residual_terms(ops, x, rhs, dt, s):
+    """Residual, right-hand side and Oettli-Prager term of one implicit solve, in long double.
+
+    The system is A x_sym = rhs_sym with A = I + dt*B^2 + S*dt*B in
+    symmetrized coordinates, built from the bands of B alone; the three norms
+    are the solve's own, volume- and channel-weighted.
+    """
+    ld = np.longdouble
+    vol = ops.volumes.astype(ld)
+    xs, bs = np.sqrt(vol) * x.astype(ld), np.sqrt(vol) * rhs.astype(ld)
+    resid, op_term = np.empty_like(xs), np.empty_like(xs)
+    for k in range(ops.max_mode + 1):
+        diag, sub = (band.astype(ld) for band in ops.neglap_bands(k))
+
+        def step_matrix(v, sub):
+            """A v; with the sign of ``sub`` flipped, |A| v (B's diagonal is positive)."""
+            bv = tridiagonal_apply(diag, sub, v)
+            return v + dt * tridiagonal_apply(diag, sub, bv) + s * dt * bv
+
+        resid[k] = step_matrix(xs[k], sub) - bs[k]
+        op_term[k] = step_matrix(abs(xs[k]), -sub) + abs(bs[k])
+    weight = channel_weights(ops.max_mode)[:, :, None] * vol
+
+    def norm(v):
+        return float(np.sqrt((weight * v * v).sum()))
+
+    return norm(resid), norm(bs), norm(op_term)
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_implicit_solve_meets_its_residual_bound(data):
+    # gradings down to 0.5 reach the meshes where the evaluation floor is live
+    ops, _ = data.draw(workspaces(gradings=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5)))
+    dt = data.draw(st.sampled_from((1e-4, 1e-3, 1e-2)))
+    s = data.draw(st.sampled_from((0.0, 2.0, 5.0)))
+    rhs = [np.stack([data.draw(fields_on(ops)).coeffs for _ in range(data.draw(st.integers(1, 3)))])
+           for _ in range(2)]
+    first = ops.solve_ch_system(rhs[0], dt, s)
+    kept = first.copy()
+    # the second call reuses or replaces the work arrays the first ran in
+    second = (ops.solve_ch_system(Field(ops.mesh, rhs[1][0]), dt, s).coeffs[None]
+              if len(rhs[1]) == 1 else ops.solve_ch_system(rhs[1], dt, s))
+    assert first.tobytes() == kept.tobytes()
+    eps = float(np.finfo(float).eps)
+    for x, b in zip([*first, *second], [*rhs[0], *rhs[1]]):
+        resid, b_norm, op_norm = ch_residual_terms(ops, x, b, dt, s)
+        assert resid <= SOLVE_RESIDUAL_TOL * b_norm + RESIDUAL_NOISE_FACTOR * eps * op_norm
+
+
+def test_residual_floor_is_live_on_a_deeply_graded_mesh():
+    """The property above reaches meshes where 1e-10 * ||rhs|| alone cannot be met."""
+    ops = ModeOperators(build_mesh(profile("cone_capped", "1/2"), 64, 0.6), 4)
+    rhs = np.random.default_rng(0).standard_normal((1, 5, 2, 64))
+    resid, b_norm, _ = ch_residual_terms(ops, ops.solve_ch_system(rhs, 1e-3, 2.0)[0],
+                                         rhs[0], 1e-3, 2.0)
+    assert resid > 100 * SOLVE_RESIDUAL_TOL * b_norm
+
+
+@settings(max_examples=50, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_run_split_at_any_step_resumes_bit_for_bit(data):
+    ops, _ = data.draw(workspaces())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    u0 = smooth_random_field(ops, rng, sup_amplitude=data.draw(st.floats(1e-3, 0.5))) \
+        + constant_field(ops.mesh, ops.max_mode, data.draw(st.sampled_from((0.0, 0.25, -0.4))))
+    dt = data.draw(st.sampled_from((1e-3, 1e-2)))
+    stride = data.draw(st.integers(1, 10))
+    n_steps = data.draw(st.integers(stride + 1, 40))
+    cfg = StepperConfig(dt=dt, t_max=n_steps * dt, snapshot_stride=stride,
+                        eq_tol=data.draw(st.sampled_from((0.0, 1e-2, 1e-1, 1.0))))
+    if cfg.eq_tol:
+        # the head's closing record tests for equilibrium exactly, which the
+        # whole run does only at its records and where the Poincare screen lets it
+        split = stride * data.draw(st.integers(1, (n_steps - 1) // stride))
+    else:
+        split = data.draw(st.integers(1, n_steps - 1))
+    full = run_semiflow(ops, u0, cfg, collect_snapshots=True)
+    head = run_semiflow(ops, u0, replace(cfg, t_max=(split + 0.5) * dt), collect_snapshots=True)
+    if head.equilibrium_reached:
+        parts = [head]
+    else:
+        tail = run_semiflow(ops, head.state, cfg, collect_snapshots=True)
+        # the head closes with a record at the split, which the whole run has
+        # only at a stride
+        if split % stride:
+            head.records.pop()
+            head.snapshots.pop()
+        parts = [head, tail]
+    assert [rec for p in parts for rec in p.records] == full.records
+    snaps = [snap for p in parts for snap in p.snapshots]
+    assert [step for step, _ in snaps] == [step for step, _ in full.snapshots]
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(snaps, full.snapshots))
+    last = parts[-1]
+    assert last.state.step == full.state.step and last.state.mean0 == full.state.mean0
+    assert last.state.u.coeffs.tobytes() == full.state.u.coeffs.tobytes()
+    assert last.equilibrium_reached == full.equilibrium_reached
+    assert last.final_residual == full.final_residual
