@@ -77,21 +77,21 @@ def fit_tip_asymptotics(u: Field, mode: int,
     if mode == 0:
         design = np.column_stack([np.ones_like(x), x])
         coef, *_ = np.linalg.lstsq(design, seg, rcond=None)
-        fitted = design @ coef
-        ss_res = float(((seg - fitted) ** 2).sum())
-        ss_tot = float(((seg - seg.mean()) ** 2).sum())
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        return TipFit(mode=0, rho_hat=None, log_slope=float(coef[1]), r_squared=r2,
-                      n_points=n_points, window=(lo, hi))
+        return TipFit(mode=0, rho_hat=None, log_slope=float(coef[1]),
+                      r_squared=_r_squared(seg, design @ coef), n_points=n_points,
+                      window=(lo, hi))
     good = np.abs(seg) > 0
     x, y = x[good], np.log(np.abs(seg[good]))
     slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(((y - fitted) ** 2).sum())
+    return TipFit(mode=mode, rho_hat=float(slope), log_slope=None,
+                  r_squared=_r_squared(y, slope * x + intercept), n_points=int(good.sum()),
+                  window=(lo, hi))
+
+
+def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
+    """Coefficient of determination of a least-squares fit; 1 for constant data."""
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return TipFit(mode=mode, rho_hat=float(slope), log_slope=None, r_squared=r2,
-                  n_points=int(good.sum()), window=(lo, hi))
+    return 1.0 - float(((y - fitted) ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
 
 
 def tip_probe(ops: ModeOperators, mode: int, source_center_frac: float = 0.75,
@@ -151,10 +151,7 @@ def fit_lojasiewicz(energy_gaps: np.ndarray, gradient_norms: np.ndarray) -> tupl
     if x.size < 2:
         raise ValueError("need at least two samples")
     slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float(((y - fitted) ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return 1.0 - float(slope), float(slope), r2
+    return 1.0 - float(slope), float(slope), _r_squared(y, slope * x + intercept)
 
 
 def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
@@ -209,7 +206,7 @@ def smooth_random_field(ops: ModeOperators, rng: np.random.Generator,
     coeffs[0, 1, :] = 0.0
     coeffs *= ((1.0 + np.arange(ops.max_mode + 1)) ** (-mode_decay))[:, None, None]
     for _ in range(2):
-        coeffs = np.stack([psi.T for _, psi in ops.solve_neglap_field(coeffs)])
+        coeffs = np.ascontiguousarray(ops.solve_neglap_field(coeffs)[1].transpose(0, 2, 1))
     coeffs[0, 0, :] -= (mesh.volumes @ coeffs[0, 0]) / mesh.area
     u = Field(mesh, coeffs)
     if dual_radius is not None:

@@ -118,7 +118,7 @@ class ExperimentSection:
     amplitude: float = 0.1
     mean: float = 0.0
     snapshots: bool = True
-    radii: tuple[float, ...] = (1.0, 10.0)
+    radii: tuple[float, ...] = (0.5, 1.0)   # dual radii whose fields the default S = 2 step handles
     seeds_per_radius: int = 4
     level_margin: float = 1.05
     mode_decay: float = 2.0

@@ -217,8 +217,8 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
     delivered).
 
     Equilibrium is declared once the dual norm of the discrete time
-    derivative drops below eq_tol.  Because that norm requires one solve per
-    mode, each step is first screened with the Poincare inequality
+    derivative drops below eq_tol.  Because that norm requires a solve over
+    every mode, each step is first screened with the Poincare inequality
     (dual norm <= C_P * L2 norm); the exact dual norm is evaluated at record
     steps and whenever the screen certifies the threshold is reachable, so a
     detected equilibrium always carries its exact residual.
@@ -344,7 +344,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
             # written so that a NaN energy counts as a rise
             energy_rose = not (e_new[row] <= e_now[row]
                                + ENERGY_INCREASE_TOL * (1.0 + abs(e_now[row])))
-            # The dual norm costs one tridiagonal solve per mode, so per step we
+            # The dual norm costs a solve over every mode, so per step we
             # first test the Poincare bound C_P * ||du/dt||_L2 <= eq_tol, which
             # certifies the dual residual is below threshold before paying for it.
             du = None

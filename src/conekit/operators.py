@@ -14,15 +14,16 @@ with nullspace exactly the constants for k = 0 and trivial for k >= 1.
 
 All solves go through the symmetrized tridiagonal form
 B_k = D^{1/2} (-L_k) D^{-1/2}, D = diag(volumes).  The workspace keeps one
-banded Cholesky factor of B over the stacked modes, which serves every -L_k
-solve, the implicit step's LU pair, and the implicit solve's two work arrays
-(a real and a complex right-hand-side stack, replaced when the member count
-changes); the solve runs in them, so it is not reentrant.  Eigensystems are
-computed on demand and not kept.  The tip probes' pivoted LU
-(solve_neglap_pivoted) is not cached and stays outside the Cholesky factor:
-it takes modes above the truncation, and the Cholesky solve moves the
-pinned fits.csv and profiles.csv bits (3e-14 relative at the default
-configuration).
+banded Cholesky factor of B over the stacked modes, and every -L_k solve is
+one block solve on it (_solve_blocks): a single cho_solve_banded call over a
+run of consecutive modes, which gives each block the bits of its own
+per-mode solve.  It also keeps the implicit step's LU pair and the implicit
+solve's two work arrays (a real and a complex right-hand-side stack,
+replaced when the member count changes); the solve runs in them, so it is
+not reentrant.  Eigensystems are computed on demand and not kept.  The tip
+probes' pivoted LU (solve_neglap_pivoted) stays outside the Cholesky factor:
+it takes modes above the truncation, and the Cholesky solve moves the pinned
+fits.csv and profiles.csv bits (3e-14 relative at the default configuration).
 
 The fourth-order implicit step matrix I + dt*B^2 + S*dt*B is never assembled
 as a pentadiagonal system: squaring B doubles its (enormous, on tip-graded
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import (cho_solve_banded, cholesky_banded, eigh_tridiagonal,
@@ -127,10 +128,8 @@ class ModeOperators:
         self.inv_f_sq = 1.0 / mesh.f_centers ** 2
         ksq = (np.arange(self.max_mode + 1, dtype=float) ** 2)[:, None, None]
         self._angular_coeff = ksq * self.inv_f_sq       # (k / f)^2, shape (K+1, 1, M)
-        self._neglap_chol = None
-        self._smallest_eigenvalues: Dict[int, float] = {}
-        self._ch_factor: Dict[Tuple[float, float], object] = {}
-        self._stacked_bands = None
+        self._smallest_eigenvalues = None   # every mode's, computed together
+        self._ch_factor: dict[tuple[float, float], object] = {}
         self._ch_work = None    # (real, complex) (2B, n) right-hand-side stacks of the solve
         # weights of the verification norms: channel- and volume-weighted,
         # in the symmetrized coordinates the solver works in
@@ -186,19 +185,43 @@ class ModeOperators:
 
     # ----------------------------------------------------------------- solves
 
+    @cached_property
     def _neglap_factor(self) -> np.ndarray:
-        """Cached Cholesky factor of B over the stacked modes, one block per mode.
+        """Cholesky factor of B over the stacked modes, one block per mode.
 
         Mode 0's last row is pinned to the identity; that drops the constants.
         """
-        if self._neglap_chol is None:
-            diag, sub = self._stacked_tridiag()
-            m = self.mesh.cells
-            ab = np.stack([diag, np.append(sub, 0.0)])  # lower band layout
-            ab[0, m - 1] = 1.0
-            ab[1, m - 2] = 0.0
-            self._neglap_chol = cholesky_banded(ab, lower=True)
-        return self._neglap_chol
+        diag, sub = self._stacked_bands
+        m = self.mesh.cells
+        ab = np.stack([diag, np.append(sub, 0.0)])  # lower band layout
+        ab[0, m - 1] = 1.0
+        ab[1, m - 2] = 0.0
+        return cholesky_banded(ab, lower=True)
+
+    def _solve_blocks(self, first: int, rhs: np.ndarray) -> np.ndarray:
+        """Solve -L_k psi = rhs, rhs of shape (blocks, M, columns), for k = first, first+1, ...
+
+        One banded Cholesky solve for all blocks.  Mode 0's right-hand side is
+        projected off the constants and its solution returned vol-mean-free.
+        """
+        nb, m, _ = rhs.shape
+        r = self.sqrt_volumes[:, None] * rhs
+        if first == 0:
+            # remove the nullspace component (direction sqrt(vol) in sym coords),
+            # on a C-ordered copy: the projection's bits depend on the layout
+            r0 = np.ascontiguousarray(r[0])
+            nhat = self.sqrt_volumes / np.sqrt(self.mesh.area)
+            r0 -= nhat[:, None] * (nhat @ r0)
+            r0[-1] = 0.0  # the pinned row: its solution entry is 0
+            r[0] = r0
+        fac = self._neglap_factor[:, first * m:(first + nb) * m]
+        w = cho_solve_banded((fac, True), r.reshape(nb * m, -1))
+        psi = w.reshape(rhs.shape) / self.sqrt_volumes[:, None]
+        if first == 0:
+            psi0 = np.ascontiguousarray(psi[0])  # the mean's bits depend on the layout
+            psi0 -= (self.volumes @ psi0) / self.mesh.area
+            psi[0] = psi0
+        return psi
 
     def solve_neglap(self, mode: int, rhs: np.ndarray) -> np.ndarray:
         """Solve -L_k psi = rhs for one radial profile (or a stack of them).
@@ -208,36 +231,18 @@ class ModeOperators:
         Accepts rhs of shape (M,) or (M, nrhs).
         """
         rhs = np.asarray(rhs, dtype=float)
-        single = rhs.ndim == 1
-        r = rhs[:, None] if single else rhs.copy()
-        r = self.sqrt_volumes[:, None] * r
-        m = self.mesh.cells
-        if mode == 0:
-            # remove the nullspace component (direction sqrt(vol) in sym coords)
-            nhat = self.sqrt_volumes / np.sqrt(self.mesh.area)
-            r -= nhat[:, None] * (nhat @ r)
-            r[-1] = 0.0  # the pinned row: its solution entry is 0
-        w = cho_solve_banded((self._neglap_factor()[:, mode * m:(mode + 1) * m], True), r)
-        psi = w / self.sqrt_volumes[:, None]
-        if mode == 0:
-            psi = np.ascontiguousarray(psi)  # the mean's bits depend on the layout
-            psi -= (self.volumes @ psi) / self.mesh.area
-        return psi[:, 0] if single else psi
+        return self._solve_blocks(mode, rhs.reshape(1, rhs.shape[0], -1))[0].reshape(rhs.shape)
 
-    def solve_neglap_field(self, coeffs: np.ndarray) -> list:
+    def solve_neglap_field(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve -L_k psi_k = v_k for every mode of coefficient data (K+1, 2, M).
 
-        Returns one (rhs, psi) pair of (M, 2) arrays per mode, cos and sin
-        channel in the columns; mode 0's rhs has its volume mean removed.
+        Returns (rhs, psi), each (K+1, M, 2) with cos and sin channel in the
+        columns: the right-hand sides, mode 0's with its volume mean removed,
+        and the solutions.
         """
-        pairs = []
-        for k in range(self.max_mode + 1):
-            stack = coeffs[k].T
-            if k == 0:
-                stack = stack.copy()
-                stack[:, 0] -= (self.volumes @ stack[:, 0]) / self.mesh.area
-            pairs.append((stack, self.solve_neglap(k, stack)))
-        return pairs
+        rhs = coeffs.transpose(0, 2, 1).copy()
+        rhs[0, :, 0] -= (self.volumes @ rhs[0, :, 0]) / self.mesh.area
+        return rhs, self._solve_blocks(0, rhs)
 
     def solve_neglap_pivoted(self, mode: int, rhs: np.ndarray) -> np.ndarray:
         """Solve -L_k u = rhs for one radial profile and any mode k >= 1 (the tip probes).
@@ -263,19 +268,13 @@ class ModeOperators:
 
     # -------------------------------------------------------- implicit solver
 
-    def _stacked_tridiag(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _stacked_bands(self) -> tuple[np.ndarray, np.ndarray]:
         """Bands of B over all modes as one block-diagonal tridiagonal system."""
-        if self._stacked_bands is None:
-            m = self.mesh.cells
-            nmodes = self.max_mode + 1
-            diag = np.empty(nmodes * m)
-            sub = np.zeros(nmodes * m - 1)  # zeros decouple the mode blocks
-            for k in range(nmodes):
-                d, e = self.neglap_bands(k)
-                diag[k * m:(k + 1) * m] = d
-                sub[k * m:k * m + m - 1] = e
-            self._stacked_bands = (diag, sub)
-        return self._stacked_bands
+        nmodes = self.max_mode + 1
+        diag = np.concatenate([self.neglap_bands(k)[0] for k in range(nmodes)])
+        # zeros between the blocks decouple the modes
+        return diag, np.tile(np.append(self.neglap_bands(0)[1], 0.0), nmodes)[:-1]
 
     def ch_factorization(self, dt: float, stabilization: float):
         """Cached tridiagonal LU pair factoring the implicit step matrix.
@@ -288,13 +287,10 @@ class ModeOperators:
         key = (float(dt), float(stabilization))
         fac = self._ch_factor.get(key)
         if fac is None:
-            diag, sub = self._stacked_tridiag()
+            diag, sub = self._stacked_bands
             factors = []
             for root in _stage_roots(*key):
-                dl = root * sub
-                du = root * sub
-                dd = 1.0 + root * diag
-                dlf, df, duf, du2, ipiv, info = zgttrf(dl, dd, du)
+                dlf, df, duf, du2, ipiv, info = zgttrf(root * sub, 1.0 + root * diag, root * sub)
                 if info != 0:
                     raise SolverError(f"tridiagonal factorization failed (info={info})")
                 factors.append((dlf, df, duf, du2, ipiv))
@@ -306,8 +302,7 @@ class ModeOperators:
             abs_penta = (1.0 + dt_ * b2_diag + s_ * dt_ * diag,
                          dt_ * asub * (diag[:-1] + diag[1:]) + s_ * dt_ * asub,
                          dt_ * asub[:-1] * asub[1:])
-            fac = (tuple(factors), abs_penta)
-            self._ch_factor[key] = fac
+            fac = self._ch_factor[key] = (tuple(factors), abs_penta)
         return fac
 
     @staticmethod
@@ -418,25 +413,29 @@ class ModeOperators:
         Uses the cached factorizations, so accuracy is set by the solve
         residual rather than by the spread of the spectrum (which is enormous
         on tip-graded meshes).  For mode 0 the constant nullspace is projected
-        out and the first nonzero eigenvalue is returned.  Results are cached
-        per mode.
+        out and the first nonzero eigenvalue is returned.  The first call
+        iterates every mode at once, one block solve per step, each mode until
+        its own convergence, and caches all of them.
         """
-        if mode in self._smallest_eigenvalues:
-            return self._smallest_eigenvalues[mode]
-        m = self.mesh.cells
-        rng = np.random.default_rng(12345 + mode)
-        v = rng.standard_normal(m)
-        if mode == 0:
-            v -= (self.volumes @ v) / self.mesh.area
-        v /= np.sqrt(self.volumes @ v ** 2)
-        lam_prev = np.inf
-        for _ in range(EIGEN_MAX_ITER):
-            w = self.solve_neglap(mode, v)
-            norm_w = np.sqrt(self.volumes @ w ** 2)
-            lam = 1.0 / float(self.volumes @ (w * v))  # Rayleigh quotient through the solve
-            v = w / norm_w
-            if abs(lam - lam_prev) <= EIGEN_TOL * abs(lam):
-                break
-            lam_prev = lam
-        lam = self._smallest_eigenvalues[mode] = float(lam)
-        return lam
+        if self._smallest_eigenvalues is None:
+            m, nmodes = self.mesh.cells, self.max_mode + 1
+            v = np.stack([np.random.default_rng(12345 + k).standard_normal(m)
+                          for k in range(nmodes)])
+            v[0] -= (self.volumes @ v[0]) / self.mesh.area
+            for vk in v:
+                vk /= np.sqrt(self.volumes @ vk ** 2)
+            lam = np.full(nmodes, np.inf)
+            active = list(range(nmodes))
+            for _ in range(EIGEN_MAX_ITER):
+                w = self._solve_blocks(0, v[:, :, None])[:, :, 0]
+                # one dot per mode: a matrix-vector product sums in another order
+                for k in list(active):
+                    lam_k = 1.0 / float(self.volumes @ (w[k] * v[k]))  # Rayleigh quotient
+                    v[k] = w[k] / np.sqrt(self.volumes @ w[k] ** 2)
+                    if abs(lam_k - lam[k]) <= EIGEN_TOL * abs(lam_k):
+                        active.remove(k)
+                    lam[k] = lam_k
+                if not active:
+                    break
+            self._smallest_eigenvalues = lam
+        return float(self._smallest_eigenvalues[mode])

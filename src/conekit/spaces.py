@@ -76,9 +76,12 @@ def h01_dual_norm(v: Field, ops: ModeOperators) -> float:
         raise ValueError(f"h01_dual_norm needs a mean-zero field (mean = {vmean:.3e}, "
                          f"sup = {sup:.3e})")
     w = channel_weights(v.max_mode)
+    rhs, psi = ops.solve_neglap_field(v.coeffs)
     total = 0.0
-    for k, (stack, psi) in enumerate(ops.solve_neglap_field(v.coeffs)):
-        pair = (ops.volumes[:, None] * stack * psi).sum(axis=0)   # per channel
+    for k in range(v.max_mode + 1):
+        # the layouts fix the summation order: mode 0 C-ordered, the rest coeffs[k].T views
+        stack, sol = (rhs[0], np.ascontiguousarray(psi[0])) if k == 0 else (v.coeffs[k].T, psi[k])
+        pair = (ops.volumes[:, None] * stack * sol).sum(axis=0)   # per channel
         total += float(w[k] @ np.maximum(pair, 0.0))
     return math.sqrt(total)
 

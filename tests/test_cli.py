@@ -241,8 +241,6 @@ def test_default_spectrum_is_nonnegative_and_starts_at_mu_1(tmp_path):
     assert first["1"] == pytest.approx(mu_1, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND: at the default config the radius-10 attractor "
-                   "members' energy rises at the first step (graded cone, dt = 1e-3, S = 2)")
 def test_default_attractor_runs(tmp_path):
     rc, rundir = run_cli(tmp_path, "attractor", "")
     assert (rundir / "status").read_text() == "ok\n"

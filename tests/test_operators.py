@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from conekit import operators
+from conekit.analysis import smooth_random_field
+from conekit.config import RunConfig
 from conekit.fields import Field, channel_weights, constant_field, field_from_modes
 from conekit.geometry import build_mesh, build_profile
-from conekit.operators import ModeOperators, SolverError, _stage_roots
-from conekit.spaces import h01_dual_norm
+from conekit.operators import EIGEN_MAX_ITER, ModeOperators, SolverError, _stage_roots
+from conekit.spaces import h01_dual_norm, poincare_constant
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -483,19 +486,41 @@ def test_smallest_eigenvalue_matches_full_decomposition(sphere_ops):
         assert sphere_ops.smallest_eigenvalue(k) == pytest.approx(dense, rel=1e-8)
 
 
+def count_block_solves(monkeypatch):
+    """Record every cho_solve_banded call made by the operators module."""
+    calls = []
+    solve = operators.cho_solve_banded
+    monkeypatch.setattr(operators, "cho_solve_banded",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    return calls
+
+
 def test_smallest_eigenvalue_is_cached_per_key(monkeypatch):
+    """The first call, for any mode, computes every mode; later calls solve nothing."""
     mesh = build_mesh(build_profile("sphere", radius=1.0), 128, 1.0)
     ops = ModeOperators(mesh, 2)
-    solves = []
-    solve = ops.solve_neglap
-    monkeypatch.setattr(ops, "solve_neglap",
-                        lambda mode, rhs: solves.append(mode) or solve(mode, rhs))
+    solves = count_block_solves(monkeypatch)
     first = ops.smallest_eigenvalue(1)
-    assert solves and first == ModeOperators(mesh, 2).smallest_eigenvalue(1)
-    solves.clear()
-    assert ops.smallest_eigenvalue(1) is first and solves == []
-    ops.smallest_eigenvalue(2)                 # another mode is computed afresh
     assert solves
+    solves.clear()
+    again = [ops.smallest_eigenvalue(k) for k in (1, 0, 2)]
+    assert solves == []
+    fresh = ModeOperators(mesh, 2)
+    assert [first] + again == [fresh.smallest_eigenvalue(k) for k in (1, 1, 0, 2)]
+
+
+def test_every_neglap_user_makes_one_block_solve_at_the_default_config(monkeypatch):
+    ops = RunConfig().geometry.build_workspace()
+    u = smooth_random_field(ops, np.random.default_rng(0), sup_amplitude=0.5)
+    solves = count_block_solves(monkeypatch)
+    h01_dual_norm(u, ops)
+    assert len(solves) == 1
+    solves.clear()
+    smooth_random_field(ops, np.random.default_rng(1), sup_amplitude=0.5)
+    assert len(solves) == 2
+    solves.clear()
+    poincare_constant(ops)
+    assert 1 <= len(solves) <= EIGEN_MAX_ITER
 
 
 # ------------------------------------------------------ semigroup oracle

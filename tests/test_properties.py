@@ -15,7 +15,8 @@ from conekit.analysis import smooth_random_field
 from conekit.dynamics import StepperConfig, run_semiflow
 from conekit.fields import Field, channel_weights, constant_field
 from conekit.geometry import build_mesh, build_profile
-from conekit.operators import RESIDUAL_NOISE_FACTOR, SOLVE_RESIDUAL_TOL, ModeOperators
+from conekit.operators import (EIGEN_MAX_ITER, EIGEN_TOL, RESIDUAL_NOISE_FACTOR,
+                               SOLVE_RESIDUAL_TOL, ModeOperators)
 from conekit.spaces import h01_dual_norm, h1_seminorm
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -128,6 +129,25 @@ def per_mode_dual_norm(v, ops):
     return math.sqrt(total)
 
 
+def per_mode_smallest_eigenvalue(ops, mode):
+    """The reference inverse iteration: one mode at a time, one solve per step."""
+    m = ops.mesh.cells
+    v = np.random.default_rng(12345 + mode).standard_normal(m)
+    if mode == 0:
+        v -= (ops.volumes @ v) / ops.mesh.area
+    v /= np.sqrt(ops.volumes @ v ** 2)
+    lam_prev = np.inf
+    for _ in range(EIGEN_MAX_ITER):
+        w = per_mode_solve_neglap(ops, mode, v)
+        norm_w = np.sqrt(ops.volumes @ w ** 2)
+        lam = 1.0 / float(ops.volumes @ (w * v))
+        v = w / norm_w
+        if abs(lam - lam_prev) <= EIGEN_TOL * abs(lam):
+            break
+        lam_prev = lam
+    return float(lam)
+
+
 def mean_free(u):
     c = u.coeffs.copy()
     c[0, 0] -= (u.mesh.volumes @ c[0, 0]) / u.mesh.area
@@ -150,12 +170,19 @@ def test_stacked_factor_solves_equal_the_per_mode_factors_bit_for_bit(data):
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
+def test_stacked_inverse_iteration_equals_the_per_mode_iteration_bit_for_bit(data):
+    ops, _ = data.draw(workspaces(gradings=(1.0, 0.9, 0.8, 0.7)))
+    for k in data.draw(st.permutations(range(ops.max_mode + 1))):
+        assert ops.smallest_eigenvalue(k) == per_mode_smallest_eigenvalue(ops, k)
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
 def test_whole_field_inverse_solves_the_poisson_problem(data):
     ops, _ = data.draw(workspaces().filter(lambda w: w[1][2] == 1.0))  # uniform meshes
     u = data.draw(fields_on(ops))
-    pairs = ops.solve_neglap_field(u.coeffs)
-    rhs = np.stack([r.T for r, _ in pairs])
-    psi = np.stack([p.T for _, p in pairs])
+    rhs, psi = (a.transpose(0, 2, 1) for a in ops.solve_neglap_field(u.coeffs))
     w = channel_weights(ops.max_mode)
 
     def norm(c):
