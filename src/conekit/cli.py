@@ -277,7 +277,9 @@ def _cmd_fit_asymptotics(cfg: RunConfig, outdir: Path):
 def _cmd_ls_probe(cfg: RunConfig, outdir: Path):
     ops = cfg.geometry.build_workspace()
     u0 = _initial_field(cfg, ops)
-    stepper = cfg.dynamics.stepper(cfg.norms.gamma)
+    # records and gradient samples every quarter stride: the default run settles within ten strides
+    stepper = replace(cfg.dynamics.stepper(cfg.norms.gamma),
+                      snapshot_stride=max(1, cfg.dynamics.snapshot_stride // 4))
     result = run_semiflow(ops, u0, stepper, collect_snapshots=True)
     # the trajectory goes out before the probe, which may reject the run
     e_inf = result.records[-1].energy

@@ -246,6 +246,8 @@ def _validate(cfg: RunConfig):
     e = cfg.experiment
     if e.ic not in _VALID_ICS:
         raise ConfigError(f"[experiment] ic must be one of {_VALID_ICS}, got {e.ic!r}")
+    if e.ic == "random_mean_zero" and e.mean != 0.0:
+        raise ConfigError(f"[experiment] mean must be 0 for ic = random_mean_zero, got {e.mean:g}")
     if e.seeds_per_radius < 1:
         raise ConfigError("[experiment] seeds_per_radius must be >= 1")
     if e.seed < 0:

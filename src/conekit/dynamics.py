@@ -67,10 +67,14 @@ class StepperConfig:
     mellin_gamma: float = -0.75
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.stabilization < 0:
-            raise ValueError("stabilization must be >= 0")
+        # each rule is written so that a NaN breaks it
+        rules = (("dt", self.dt > 0.0, " and > 0"), ("t_max", self.t_max > 0.0, " and > 0"),
+                 ("stabilization", self.stabilization >= 0.0, " and >= 0"),
+                 ("eq_tol", self.eq_tol >= 0.0, " and >= 0"),
+                 ("mellin_gamma", self.mellin_gamma > -math.inf, ""))
+        for name, holds, rule in rules:
+            if not (holds and getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite{rule}, got {getattr(self, name)}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 
@@ -142,7 +146,10 @@ def _energies(mesh, stack: np.ndarray, vals: np.ndarray,
         pot = [-0.5 * mesh.integrate_radial(row) for row in (vals ** 2).mean(axis=-1)]
     else:
         sq = vals * vals
-        pot = [mesh.integrate_radial(row) for row in (0.25 * sq * sq - 0.5 * sq).mean(axis=-1)]
+        dens = np.multiply(0.25, sq)   # 0.25 sq sq - 0.5 sq, in place
+        dens *= sq
+        dens -= np.multiply(0.5, sq, out=sq)
+        pot = [mesh.integrate_radial(row) for row in dens.mean(axis=-1)]
     return [0.5 * g ** 2 + p for g, p in zip(h1, pot)], h1
 
 
@@ -194,8 +201,10 @@ def _advance(ops: ModeOperators, stack: np.ndarray, vals: np.ndarray, cfg: Stepp
     if cfg.linear_only:
         nl = -(1.0 + s) * stack
     else:
-        nl = values_to_coeffs(vals * vals * vals, ops.max_mode) - (1.0 + s) * stack
-    unew = ops.solve_ch_system(stack + dt * ops.apply_laplacian_coeffs(nl), dt, s)
+        nl = values_to_coeffs(vals * vals * vals, ops.max_mode)
+        nl -= (1.0 + s) * stack
+    lap = ops.apply_laplacian_coeffs(nl)   # stack + dt * lap in place, operands in that order
+    unew = ops.solve_ch_system(np.add(stack, np.multiply(dt, lap, out=lap), out=lap), dt, s)
     area = ops.mesh.area
     for c, m0 in zip(unew, mean0):
         c[0, 0, :] += m0 - (ops.volumes @ c[0, 0]) / area

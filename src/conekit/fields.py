@@ -98,10 +98,12 @@ def coeffs_to_values(coeffs: np.ndarray) -> np.ndarray:
     m = coeffs.shape[-1]
     n = n_theta_nodes(kmax)
     spec = np.zeros(coeffs.shape[:-3] + (m, n // 2 + 1), dtype=complex)
-    spec[..., 0] = n * coeffs[..., 0, 0, :]
+    np.multiply(n, coeffs[..., 0, 0, :], out=spec.real[..., 0])
     if kmax >= 1:
-        spec[..., 1:kmax + 1] = np.swapaxes(
-            (n / 2.0) * (coeffs[..., 1:, 0, :] - 1j * coeffs[..., 1:, 1, :]), -1, -2)
+        # complex arithmetic as written: writing .real and .imag differs on +-0, inf, nan
+        z = 1j * coeffs[..., 1:, 1, :]
+        np.subtract(coeffs[..., 1:, 0, :], z, out=z)
+        np.multiply(n / 2.0, z, out=np.swapaxes(spec[..., 1:kmax + 1], -1, -2))
     return np.fft.irfft(spec, n=n, axis=-1)
 
 
@@ -110,11 +112,11 @@ def values_to_coeffs(values: np.ndarray, max_mode: int) -> np.ndarray:
     m, n = values.shape[-2:]
     spec = np.fft.rfft(values, axis=-1)
     out = np.zeros(values.shape[:-2] + (max_mode + 1, 2, m))
-    out[..., 0, 0, :] = spec[..., 0].real / n
+    np.divide(spec.real[..., 0], n, out=out[..., 0, 0, :])
     if max_mode >= 1:
         modes = np.swapaxes(spec[..., 1:max_mode + 1], -1, -2)
-        out[..., 1:, 0, :] = (2.0 / n) * modes.real
-        out[..., 1:, 1, :] = (-2.0 / n) * modes.imag
+        np.multiply(2.0 / n, modes.real, out=out[..., 1:, 0, :])
+        np.multiply(-2.0 / n, modes.imag, out=out[..., 1:, 1, :])
     return out
 
 

@@ -154,15 +154,27 @@ class ModeOperators:
             raise ValueError(f"field truncation {u.max_mode} does not match "
                              f"operator truncation {self.max_mode}")
 
-    def _flux_divergence(self, radial: np.ndarray) -> np.ndarray:
-        """Radial flux-form part of L_k for profiles (..., M); zero flux at both ends."""
-        m = radial.shape[-1]
-        flux = np.zeros(radial.shape[:-1] + (m + 1,))
-        inner = flux[..., 1:m]
-        np.subtract(radial[..., 1:], radial[..., :-1], out=inner)
-        inner *= self.trans[1:m]
-        div = np.subtract(flux[..., 1:], flux[..., :-1])
+    def _flux_divergence(self, x: np.ndarray, angular=None) -> np.ndarray:
+        """Radial flux-form part of L_k for profiles (..., M), minus ``angular * x`` if given.
+
+        Zero flux at both ends.  Contiguous passes over the rows of M cells of
+        a C-ordered copy: each cell keeps its own row's operands and order of
+        operations, and the result is C-ordered whatever the input layout.
+        """
+        x = np.ascontiguousarray(x)
+        m, n = x.shape[-1], x.size
+        flux = np.empty(n + 1)   # flux[r*m + i]: through the inner face of cell i of row r
+        flux[0] = 0.0
+        with np.errstate(invalid="ignore", over="ignore"):  # the cross-row differences are dropped
+            np.subtract(x.reshape(-1)[1:], x.reshape(-1)[:-1], out=flux[1:n])
+        faces = flux[1:].reshape(-1, m)
+        faces[:, -1] = 0.0   # each row's outer end, which also holds the next row's inner end
+        faces *= self.trans[1:]
+        div = np.subtract(flux[1:], flux[:-1]).reshape(-1, m)
         div /= self.volumes
+        div = div.reshape(x.shape)
+        if angular is not None:
+            div -= angular * x
         return div
 
     def apply_laplacian_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
@@ -170,7 +182,7 @@ class ModeOperators:
         if coeffs.ndim < 3 or coeffs.shape[-3] != self.max_mode + 1:
             raise ValueError(f"coefficient shape {coeffs.shape} does not have "
                              f"{self.max_mode + 1} angular modes on axis -3")
-        return self._flux_divergence(coeffs) - self._angular_coeff * coeffs
+        return self._flux_divergence(coeffs, self._angular_coeff)
 
     def apply_laplacian(self, u: Field) -> Field:
         """Laplace-Beltrami operator applied mode by mode."""
@@ -350,10 +362,10 @@ class ModeOperators:
             if stack.shape[1:] != (self.max_mode + 1, 2, self.mesh.cells):
                 raise ValueError(f"coefficient stack shape {stack.shape} does not match "
                                  f"(B, {self.max_mode + 1}, 2, {self.mesh.cells})")
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if stabilization < 0.0:
-            raise ValueError("stabilization must be >= 0")
+        if not (0.0 < dt < math.inf):   # written so that a NaN fails
+            raise ValueError("dt must be positive and finite")
+        if not (0.0 <= stabilization < math.inf):
+            raise ValueError("stabilization must be >= 0 and finite")
         factors, abs_penta = self.ch_factorization(dt, stabilization)
         m = self.mesh.cells
         nb = stack.shape[0]
@@ -374,10 +386,13 @@ class ModeOperators:
         coeffs = self._unpack(sol)
 
         # independent verification through the flux-form operator, on a
-        # C-ordered copy, where the Laplacians run fastest
+        # C-ordered copy; x + dt L(L x) - (S dt) L x - rhs is formed in place
         x = np.ascontiguousarray(coeffs)
         lap1 = self.apply_laplacian_coeffs(x)
-        resid = x + dt * self.apply_laplacian_coeffs(lap1) - stabilization * dt * lap1 - stack
+        resid = self.apply_laplacian_coeffs(lap1)
+        np.add(x, np.multiply(dt, resid, out=resid), out=resid)
+        resid -= np.multiply(stabilization * dt, lap1, out=lap1)
+        resid -= stack
         plain = SOLVE_RESIDUAL_TOL * self._sym_norms(stack)
         resid_norm = self._sym_norms(resid)
         # the floor term is >= 0, so it can only rescue a member that fails the plain test

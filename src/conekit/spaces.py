@@ -57,7 +57,7 @@ def h1_seminorm(u: Field) -> float:
     """
     mesh = u.mesh
     w = channel_weights(u.max_mode)
-    diffs = np.diff(u.coeffs, axis=-1)
+    diffs = u.coeffs[..., 1:] - u.coeffs[..., :-1]
     radial = np.einsum("kci,kc->", mesh.transmissibilities[1:-1] * diffs ** 2, w)
     ang = np.einsum("kci,kc->", mesh.angular_factor(u.max_mode) * u.coeffs ** 2, w)
     return math.sqrt(radial + ang)

@@ -180,15 +180,35 @@ def test_removed_conserve_mean_key_exits_2_naming_it(tmp_path, capsys):
 
 
 def test_rejected_ls_probe_still_writes_its_trajectory(tmp_path):
-    # at the default config the probe keeps too few samples and aborts; the
-    # trajectory it was computed from is written before that
-    rc, rundir = run_cli(tmp_path, "ls-probe", "")
+    # sampled every 100 steps, the default run keeps too few samples and the
+    # probe aborts; the trajectory it was computed from is written before that
+    rc, rundir = run_cli(tmp_path, "ls-probe", "[dynamics]\nsnapshot_stride = 400\n")
     assert rc == 3
     assert "usable samples" in (rundir / "status").read_text()
     assert not (rundir / "ls_summary.csv").exists()
     header, rows = read_csv(rundir / "trajectory.csv")
     assert header == ["t", "energy_gap", "rate_dual_norm"]
     assert len(rows) > 1 and float(rows[-1][1]) == 0.0
+
+
+def test_default_ls_probe_fits_the_decay_exponent_reproducibly(tmp_path):
+    rc, rundir = run_cli(tmp_path, "ls-probe", "")
+    assert rc == 0
+    header, rows = read_csv(rundir / "ls_summary.csv")
+    summary = dict(zip(header, rows[0]))
+    assert 0.0 < float(summary["theta_hat"]) <= 0.55
+    assert int(summary["n_samples"]) >= 10
+    rc, again = run_cli(tmp_path, "ls-probe", (rundir / "manifest.ini").read_text())
+    assert rc == 0
+    for name in ("trajectory.csv", "ls_summary.csv"):
+        assert (again / name).read_bytes() == (rundir / name).read_bytes()
+
+
+def test_mean_with_a_mean_zero_initial_field_exits_2_naming_it(tmp_path, capsys):
+    rc, rundir = run_cli(tmp_path, "norms", "[experiment]\nic = random_mean_zero\nmean = 0.3\n")
+    assert rc == 2
+    assert rundir is None
+    assert "[experiment] mean" in capsys.readouterr().err
 
 
 def test_version_flag():

@@ -86,6 +86,13 @@ def test_bad_values_name_the_field():
             parse_config(text)
 
 
+def test_a_mean_zero_initial_field_takes_no_mean():
+    with pytest.raises(ConfigError, match=r"\[experiment\] mean"):
+        parse_config("[experiment]\nic = random_mean_zero\nmean = 0.3\n")
+    for ic in ("random", "constant"):
+        assert parse_config(f"[experiment]\nic = {ic}\nmean = 0.3\n").experiment.mean == 0.3
+
+
 def test_manifest_roundtrip_preserves_overrides():
     cfg = parse_config(
         "[geometry]\nkind = cone_capped\nc = 1/2\nL = 3\nM = 64\nq = 0.8\nK = 4\n\n"

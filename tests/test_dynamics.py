@@ -329,6 +329,16 @@ def test_stepper_config_validation():
         StepperConfig(stabilization=-1.0)
     with pytest.raises(ValueError, match="stride"):
         StepperConfig(snapshot_stride=0)
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_max"):
+            StepperConfig(t_max=t_max)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["dt", "stabilization", "t_max", "eq_tol", "mellin_gamma"])
+def test_stepper_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        StepperConfig(**{name: value})
 
 
 def test_state_time_is_step_times_dt(small_sphere_ops):

@@ -390,6 +390,11 @@ def test_ch_solve_validates_parameters(sphere_ops):
         sphere_ops.solve_ch_system(rhs, 0.0, 2.0)
     with pytest.raises(ValueError, match="stabilization"):
         sphere_ops.solve_ch_system(rhs, 1e-3, -1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            sphere_ops.solve_ch_system(rhs, value, 2.0)
+        with pytest.raises(ValueError, match="stabilization"):
+            sphere_ops.solve_ch_system(rhs, 1e-3, value)
 
 
 def test_ch_solve_rejects_non_finite_rhs(small_sphere_ops, rng):

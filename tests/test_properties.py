@@ -5,6 +5,7 @@ truncations 0 to 4.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from conekit.analysis import smooth_random_field
 from conekit.dynamics import StepperConfig, run_semiflow
-from conekit.fields import Field, channel_weights, constant_field
+from conekit.fields import (Field, channel_weights, coeffs_to_values, constant_field,
+                            values_to_coeffs)
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import (EIGEN_MAX_ITER, EIGEN_TOL, RESIDUAL_NOISE_FACTOR,
                                SOLVE_RESIDUAL_TOL, ModeOperators)
@@ -299,3 +301,124 @@ def test_a_run_split_at_any_step_resumes_bit_for_bit(data):
     assert last.state.u.coeffs.tobytes() == full.state.u.coeffs.tobytes()
     assert last.equilibrium_reached == full.equilibrium_reached
     assert last.final_residual == full.final_residual
+
+
+# ------------------------------------------- the step's Laplacian and transforms
+# Reference copies of the strided formulas the contiguous passes replaced.
+
+
+def reference_flux_divergence(ops, radial):
+    m = radial.shape[-1]
+    flux = np.zeros(radial.shape[:-1] + (m + 1,))
+    inner = flux[..., 1:m]
+    np.subtract(radial[..., 1:], radial[..., :-1], out=inner)
+    inner *= ops.trans[1:m]
+    div = np.subtract(flux[..., 1:], flux[..., :-1])
+    div /= ops.volumes
+    return div
+
+
+def reference_laplacian(ops, coeffs):
+    ksq = (np.arange(ops.max_mode + 1, dtype=float) ** 2)[:, None, None]
+    return reference_flux_divergence(ops, coeffs) - ksq * ops.inv_f_sq * coeffs
+
+
+def reference_gauss_defect(ops, coeffs):
+    return abs(float(ops.volumes @ reference_flux_divergence(ops, coeffs[0, 0])))
+
+
+def reference_coeffs_to_values(coeffs):
+    kmax, m = coeffs.shape[-3] - 1, coeffs.shape[-1]
+    n = 4 * (kmax + 1)
+    spec = np.zeros(coeffs.shape[:-3] + (m, n // 2 + 1), dtype=complex)
+    spec[..., 0] = n * coeffs[..., 0, 0, :]
+    if kmax >= 1:
+        spec[..., 1:kmax + 1] = np.swapaxes(
+            (n / 2.0) * (coeffs[..., 1:, 0, :] - 1j * coeffs[..., 1:, 1, :]), -1, -2)
+    return np.fft.irfft(spec, n=n, axis=-1)
+
+
+def reference_values_to_coeffs(values, max_mode):
+    m, n = values.shape[-2:]
+    spec = np.fft.rfft(values, axis=-1)
+    out = np.zeros(values.shape[:-2] + (max_mode + 1, 2, m))
+    out[..., 0, 0, :] = spec[..., 0].real / n
+    if max_mode >= 1:
+        modes = np.swapaxes(spec[..., 1:max_mode + 1], -1, -2)
+        out[..., 1:, 0, :] = (2.0 / n) * modes.real
+        out[..., 1:, 1, :] = (-2.0 / n) * modes.imag
+    return out
+
+
+@st.composite
+def coefficient_stacks(draw, ops):
+    """(B, K+1, 2, M) stacks of generated fields with exact +-0, and maybe inf and nan, entries.
+
+    C-ordered, or in the layout of the implicit solve's output (a transposed
+    (B, 2, K+1, M) array).  Special values favour the ends of the rows.
+    """
+    nb, k1, m = draw(st.integers(1, 4)), ops.max_mode + 1, ops.mesh.cells
+    x = np.stack([draw(fields_on(ops)).coeffs for _ in range(nb)])
+    specials = [0.0, -0.0] + ([math.inf, -math.inf, math.nan] if draw(st.booleans()) else [])
+    row = st.tuples(st.integers(0, nb - 1), st.integers(0, k1 - 1), st.integers(0, 1))
+    for _ in range(draw(st.integers(0, 3))):
+        x[draw(row)] = draw(st.sampled_from([0.0, -0.0]))
+    for _ in range(draw(st.integers(0, 8))):
+        cell = draw(st.one_of(st.sampled_from([0, m - 1]), st.integers(0, m - 1)))
+        x[draw(row) + (cell,)] = draw(st.sampled_from(specials))
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    return x
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.strides == want.strides
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+def without_new_warnings(kernel, reference):
+    """Both results; the kernel may warn only with messages the reference also gives."""
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = reference()
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        got = kernel()
+    assert {str(w.message) for w in got_warned} <= {str(w.message) for w in want_warned}
+    return got, want
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_laplacian_and_transforms_keep_the_reference_bits_and_strides(data):
+    ops, _ = data.draw(workspaces())
+    x = data.draw(coefficient_stacks(ops))
+    k = ops.max_mode
+    with np.errstate(all="ignore"):
+        vals = reference_coeffs_to_values(x)
+    cases = (
+        (lambda: ops.apply_laplacian_coeffs(x), lambda: reference_laplacian(ops, x)),
+        (lambda: ops.apply_laplacian_coeffs(x[-1]), lambda: reference_laplacian(ops, x[-1])),
+        (lambda: ops.gauss_defect(Field(ops.mesh, x[-1])),
+         lambda: reference_gauss_defect(ops, x[-1])),
+        (lambda: coeffs_to_values(x), lambda: reference_coeffs_to_values(x)),
+        (lambda: coeffs_to_values(x[-1]), lambda: reference_coeffs_to_values(x[-1])),
+        (lambda: values_to_coeffs(vals, k), lambda: reference_values_to_coeffs(vals, k)),
+    )
+    for kernel, reference in cases:
+        got, want = without_new_warnings(kernel, reference)
+        assert same_bits(got, want)
+
+
+def test_infinities_meeting_across_a_row_end_raise_no_warning():
+    # the flat difference pass subtracts the next row's first cell from this
+    # row's last one; that difference is dropped and must not warn
+    ops = ModeOperators(build_mesh(profile("sphere", None), 16, 1.0), 2)
+    x = np.ones((1, 3, 2, 16))
+    x[0, 1, 0, -1] = x[0, 1, 1, 0] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ops.apply_laplacian_coeffs(x)
+    assert same_bits(got, reference_laplacian(ops, x))
