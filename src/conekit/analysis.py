@@ -256,6 +256,10 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
     slices, one per usable CPU, forked from this process; each is bitwise
     equal to its own run_semiflow.
     """
+    if len(radii) == 0:
+        raise ValueError("radii must hold at least one radius")
+    if seeds_per_radius < 1:
+        raise ValueError(f"seeds_per_radius must be >= 1, got {seeds_per_radius}")
     jobs = [(radius, base_seed + i) for radius in radii for i in range(seeds_per_radius)]
     initials = [smooth_random_field(ops, np.random.default_rng(seed),
                                     dual_radius=radius, mode_decay=mode_decay)

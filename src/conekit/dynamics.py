@@ -13,14 +13,20 @@ first order in time, unconditionally gradient-stable for S large enough
 relative to sup|u| (S >= 2 covers |u| <= 1 with margin).  The angular mean is
 a conserved quantity; after each solve the mode-0 mean is restored to its
 initial value exactly, which removes the slow mass leak that solver roundoff
-would otherwise produce.
+would otherwise produce.  A single run busy-polls a second CPU when one is
+free: a forked checker verifies each step and takes its energy meanwhile.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+import mmap
 import os
 import pickle
+import signal
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -75,8 +81,9 @@ class StepperConfig:
         for name, holds, rule in rules:
             if not (holds and getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite{rule}, got {getattr(self, name)}")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
+        stride = self.snapshot_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ValueError(f"snapshot_stride must be an integer >= 1, got {stride!r}")
 
 
 @dataclass
@@ -188,27 +195,145 @@ def _mean_free_dual_norm(ops: ModeOperators, coeffs: np.ndarray) -> float:
     return h01_dual_norm(Field(ops.mesh, coeffs), ops)
 
 
-def _advance(ops: ModeOperators, stack: np.ndarray, vals: np.ndarray, cfg: StepperConfig,
-             mean0: list) -> np.ndarray:
-    """One implicit solve for a (B, K+1, 2, M) stack, with exact mean restoration.
+@dataclass
+class _Step:
+    """A step's solve right-hand side and (n, 2B) symmetrized columns, state and grid values."""
 
-    ``vals`` are the stack's grid values and ``mean0`` the conserved mean of
-    each member.  The solve verifies every member's residual against an
-    independent flux-form application of the operator and raises
-    SolverError on failure.
-    """
+    rhs: np.ndarray
+    sol: np.ndarray
+    u: np.ndarray
+    vals: Optional[np.ndarray] = None
+
+
+def _sweep(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals: np.ndarray,
+           out: Optional[tuple] = None) -> _Step:
+    """The unverified, unsettled solve of the step after ``stack``; ``out`` takes (rhs, sol)."""
     dt, s = cfg.dt, cfg.stabilization
     if cfg.linear_only:
         nl = -(1.0 + s) * stack
     else:
         nl = values_to_coeffs(vals * vals * vals, ops.max_mode)
         nl -= (1.0 + s) * stack
-    lap = ops.apply_laplacian_coeffs(nl)   # stack + dt * lap in place, operands in that order
-    unew = ops.solve_ch_system(np.add(stack, np.multiply(dt, lap, out=lap), out=lap), dt, s)
+    lap = ops.apply_laplacian_coeffs(nl)   # stack + dt * lap, operands in that order
+    rhs = np.add(stack, np.multiply(dt, lap, out=lap), out=lap if out is None else out[0])
+    sol = ops._ch_sweeps(rhs, dt, s)
+    if out is not None:
+        out[1][...] = sol
+    return _Step(rhs, sol if out is None else out[1], ops._unpack(sol))
+
+
+def _settle(ops: ModeOperators, step: _Step, mean0: list):
+    """Restore each member's conserved mean exactly, then evaluate the state on the grid."""
     area = ops.mesh.area
-    for c, m0 in zip(unew, mean0):
+    for c, m0 in zip(step.u, mean0):
         c[0, 0, :] += m0 - (ops.volumes @ c[0, 0]) / area
-    return unew
+    step.vals = coeffs_to_values(step.u)
+
+
+def _step_checks(ops: ModeOperators, cfg: StepperConfig, step: _Step, prev: np.ndarray,
+                 mean0: Optional[list] = None) -> tuple:
+    """Solve verification, then each member's energy, Dirichlet seminorm and Poincare-screen
+    L2 norm of its change (None if eq_tol = 0); inline, ``mean0`` settles the step between."""
+    ops._ch_verify(step.rhs, step.sol, cfg.dt, cfg.stabilization)
+    if mean0 is not None:
+        _settle(ops, step, mean0)
+    return (*_energies(ops.mesh, step.u, step.vals, cfg.linear_only),
+            [_weighted_l2(u - p, ops.mesh) for u, p in zip(step.u, prev)] if cfg.eq_tol else None)
+
+
+class _Checker:
+    """A forked process that checks each step, from a ring of shared slots, behind the caller.
+
+    The caller posts step numbers on one pipe and reads checks from another; both busy-poll,
+    since a blocking read would wake the checker on the caller's CPU.  The checker settles
+    each state as the caller does, so its results have the inline bits."""
+
+    def __init__(self, ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, mean0: list):
+        self.depth = max(2, min(8, 2 ** 20 // (40 * stack.size)))   # steps in ~1 MB, 5 arrays each
+        flat = np.frombuffer(mmap.mmap(-1, 16 * self.depth * stack.size), dtype=float)
+        self.slots = [(rhs.reshape(stack.shape), sol.reshape(2 * len(stack), -1).T)
+                      for rhs, sol in flat.reshape(self.depth, 2, -1)]   # step n's in n % depth
+        self.ahead, self.stalled = collections.deque(), False   # steps posted, not decided
+        (todo, self.todo), (self.done, done) = os.pipe(), os.pipe()
+        for fd in (todo, self.done):
+            os.set_blocking(fd, False)
+        ops.ch_factorization(cfg.dt, cfg.stabilization)   # made before the fork: shared
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                os.close(self.todo)
+                os.close(self.done)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller ends the checker
+                self._serve(ops, cfg, stack, mean0, todo, done)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(todo)
+        os.close(done)
+
+    @staticmethod
+    def _poll(fd: int, size: int = 8) -> bytes:
+        """Busy-poll a non-blocking pipe for its next message; b"" once its writers are gone."""
+        while True:
+            try:
+                return os.read(fd, size)
+            except BlockingIOError:
+                os.sched_yield()   # a peer that shares the CPU runs at once
+
+    def _serve(self, ops, cfg, prev: np.ndarray, mean0: list, todo: int, done: int):
+        while msg := self._poll(todo):
+            rhs, sol = self.slots[int.from_bytes(msg, "little") % self.depth]
+            step = _Step(rhs, sol, ops._unpack(sol))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    e, h1, l2 = _step_checks(ops, cfg, step, prev, mean0)
+                    checks, prev = [1.0] + e + h1 + (l2 or [math.nan] * len(e)), step.u
+                except Exception:  # the caller checks this step, and those after it, inline
+                    checks, prev = [0.0] * (3 * len(step.u) + 1), None
+            os.write(done, np.array(checks).tobytes())
+
+    def advance(self, ops, cfg, stack, vals, mean0: list, n: int, left: int) -> tuple:
+        """Step ``n`` from ``stack`` and its checks, after posting the next of the ``left``."""
+        while not self.stalled and len(self.ahead) < min(self.depth, left):
+            base = self.ahead[-1] if self.ahead else _Step(None, None, stack, vals)
+            step = self._ahead(ops, cfg, base.u, base.vals, n + len(self.ahead), mean0)
+            self.stalled = step is None
+            if step is not None:
+                self.ahead.append(step)
+        if not self.ahead:   # step n warned or raised ahead: inline, it does again, as the rest
+            self.close()
+            step = _sweep(ops, cfg, stack, vals)
+            return step, _step_checks(ops, cfg, step, stack, mean0)
+        step = self.ahead.popleft()
+        checks = np.frombuffer(self._poll(self.done, 8 * (3 * len(stack) + 1)))
+        if not checks.size:
+            raise RuntimeError(f"step checker ended before checking step {n} "
+                               f"(exit code {os.waitstatus_to_exitcode(self.close())})")
+        if not checks[0]:
+            return step, _step_checks(ops, cfg, step, stack)
+        e, h1, l2 = checks[1:].reshape(3, -1).tolist()
+        return step, (e, h1, l2 if cfg.eq_tol > 0.0 else None)
+
+    def _ahead(self, ops, cfg, stack, vals, n: int, mean0: list) -> Optional[_Step]:
+        """Step ``n`` from ``stack``, posted to the checker; None when it warns or raises."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                step = _sweep(ops, cfg, stack, vals, out=self.slots[n % self.depth])
+                _settle(ops, step, mean0)
+            except Exception:  # taken again when the step is decided, inline
+                return None
+        with contextlib.suppress(BrokenPipeError):   # a dead checker: advance reports it
+            os.write(self.todo, n.to_bytes(8, "little"))
+        return step
+
+    def close(self) -> int:
+        """Close the pipes, which ends the checker, and reap it: its wait status, once."""
+        pid, self.pid = self.pid, None
+        for fd in (self.todo, self.done) if pid else ():
+            os.close(fd)
+        return os.waitpid(pid, 0)[1] if pid else 0
 
 
 def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
@@ -235,7 +360,11 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
     This is the one-member case of the ensemble step kernel (_run_batch).
     """
     deliver = None if on_record is None else (lambda _member, rec: on_record(rec))
-    return _run_batch(ops, [initial], cfg, deliver, collect_snapshots)[0]
+    return _run_batch(ops, [initial], cfg, deliver, collect_snapshots, cpus=_usable_cpus())[0]
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _last_step(cfg: StepperConfig) -> int:
@@ -255,7 +384,8 @@ def _initial_states(ops: ModeOperators, initials: list) -> list[SemiflowState]:
 
 def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                on_record: Optional[Callable] = None,
-               collect_snapshots: bool = False, stop=None) -> list[SemiflowResult]:
+               collect_snapshots: bool = False, stop=None,
+               cpus: int = 1) -> list[SemiflowResult]:
     """Run several trajectories through one step kernel; one result per member.
 
     Each entry of ``initials`` is a Field (fresh run) or a SemiflowState
@@ -272,6 +402,8 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     StabilityError after that member's record is delivered.  ``stop`` is
     the shared value of _run_sliced, the earliest lockstep at which a slice
     aborted; the batch raises _SliceStopped instead of starting a later one.
+    One member with two ``cpus`` or more advances steps ahead, then decides each with the
+    checks a _Checker took meanwhile; stopped at step n, it returns the state of step n.
     """
     states = _initial_states(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
@@ -315,75 +447,81 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                     else math.nan)
             emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b], res0)
 
+    checker = (_Checker(ops, cfg, stack, [mean0[0]])
+               if cpus >= 2 and len(states) == 1 and hasattr(os, "fork") else None)
     active = list(range(len(states)))    # member index of each stack row
     poincare = None
     lockstep = 0    # steps the batch has taken together; orders the aborts of slices
-    while True:
-        done = [row for row, b in enumerate(active)
-                if equilibrium[b] or steps[b] >= n_steps_max]
-        for row in done:
-            b = active[row]
-            results[b] = SemiflowResult(
-                records=records[b],
-                state=SemiflowState(u=Field(mesh, stack[row]), step=steps[b], mean0=mean0[b]),
-                equilibrium_reached=equilibrium[b], final_residual=residual[b],
-                snapshots=snapshots[b])
-        if done:
-            keep = [row for row in range(len(active)) if row not in done]
-            if not keep:
-                break
-            stack, vals = stack[keep], vals[keep]
-            e_now = [e_now[row] for row in keep]
-            active = [active[row] for row in keep]
-        if stop is not None and stop.value < lockstep:
-            raise _SliceStopped
+    try:
+        while True:
+            done = [row for row, b in enumerate(active)
+                    if equilibrium[b] or steps[b] >= n_steps_max]
+            for row in done:
+                b = active[row]
+                results[b] = SemiflowResult(
+                    records=records[b],
+                    state=SemiflowState(u=Field(mesh, stack[row]), step=steps[b], mean0=mean0[b]),
+                    equilibrium_reached=equilibrium[b], final_residual=residual[b],
+                    snapshots=snapshots[b])
+            if done:
+                keep = [row for row in range(len(active)) if row not in done]
+                if not keep:
+                    break
+                stack, vals = stack[keep], vals[keep]
+                e_now = [e_now[row] for row in keep]
+                active = [active[row] for row in keep]
+            if stop is not None and stop.value < lockstep:
+                raise _SliceStopped
 
-        prev = stack
-        try:
-            stack = _advance(ops, prev, vals, cfg, [mean0[b] for b in active])
-        except SolverError as exc:
-            exc.lockstep = lockstep
-            raise
-        vals = coeffs_to_values(stack)
-        e_new, h1_new = _energies(mesh, stack, vals, cfg.linear_only)
-        for row, b in enumerate(active):
-            steps[b] += 1
-            step = steps[b]
-            is_record = step % cfg.snapshot_stride == 0 or step == n_steps_max
-            # written so that a NaN energy counts as a rise
-            energy_rose = not (e_new[row] <= e_now[row]
-                               + ENERGY_INCREASE_TOL * (1.0 + abs(e_now[row])))
-            # The dual norm costs a solve over every mode, so per step we
-            # first test the Poincare bound C_P * ||du/dt||_L2 <= eq_tol, which
-            # certifies the dual residual is below threshold before paying for it.
-            du = None
-            maybe_eq = False
-            if eq_tol > 0.0:
-                if poincare is None:
-                    poincare = poincare_constant(ops)
-                du = stack[row] - prev[row]
-                maybe_eq = poincare * _weighted_l2(du, mesh) / dt <= eq_tol
-            if not math.isfinite(e_new[row]):
-                residual[b] = math.nan  # a non-finite step has no dual residual
-            elif is_record or maybe_eq or energy_rose:
-                if du is None:
-                    du = stack[row] - prev[row]
-                residual[b] = _mean_free_dual_norm(ops, du / dt)
-                equilibrium[b] = eq_tol > 0.0 and residual[b] <= eq_tol
-            if is_record or equilibrium[b] or energy_rose:
-                emit(b, stack[row], vals[row], step, e_new[row], h1_new[row], residual[b])
-            if energy_rose:
-                change = e_new[row] - e_now[row]
-                what = (f"rose by {change:.3e}" if math.isfinite(change)
-                        else f"went from {e_now[row]:g} to {e_new[row]:g}")
-                err = StabilityError(
-                    f"energy {what} in one step at t = {step * dt:g}; "
-                    "reduce dt or raise the stabilization parameter")
-                err.lockstep = lockstep
-                raise err
-        e_now = e_new
-        lockstep += 1
-
+            prev = stack
+            try:
+                if checker is None:
+                    new = _sweep(ops, cfg, prev, vals)
+                    e_new, h1_new, l2 = _step_checks(ops, cfg, new, prev,
+                                                     [mean0[b] for b in active])
+                else:
+                    new, (e_new, h1_new, l2) = checker.advance(
+                        ops, cfg, prev, vals, mean0, lockstep + 1, n_steps_max - steps[0])
+            except SolverError as exc:
+                exc.lockstep = lockstep
+                raise
+            stack, vals = new.u, new.vals
+            for row, b in enumerate(active):
+                steps[b] += 1
+                step = steps[b]
+                is_record = step % cfg.snapshot_stride == 0 or step == n_steps_max
+                # written so that a NaN energy counts as a rise
+                energy_rose = not (e_new[row] <= e_now[row]
+                                   + ENERGY_INCREASE_TOL * (1.0 + abs(e_now[row])))
+                # The dual norm costs a solve over every mode, so per step we
+                # first test the Poincare bound C_P * ||du/dt||_L2 <= eq_tol, which
+                # certifies the dual residual is below threshold before paying for it.
+                maybe_eq = False
+                if eq_tol > 0.0:
+                    if poincare is None:
+                        poincare = poincare_constant(ops)
+                    maybe_eq = poincare * l2[row] / dt <= eq_tol
+                if not math.isfinite(e_new[row]):
+                    residual[b] = math.nan  # a non-finite step has no dual residual
+                elif is_record or maybe_eq or energy_rose:
+                    residual[b] = _mean_free_dual_norm(ops, (stack[row] - prev[row]) / dt)
+                    equilibrium[b] = eq_tol > 0.0 and residual[b] <= eq_tol
+                if is_record or equilibrium[b] or energy_rose:
+                    emit(b, stack[row], vals[row], step, e_new[row], h1_new[row], residual[b])
+                if energy_rose:
+                    change = e_new[row] - e_now[row]
+                    what = (f"rose by {change:.3e}" if math.isfinite(change)
+                            else f"went from {e_now[row]:g} to {e_new[row]:g}")
+                    err = StabilityError(
+                        f"energy {what} in one step at t = {step * dt:g}; "
+                        "reduce dt or raise the stabilization parameter")
+                    err.lockstep = lockstep
+                    raise err
+            e_now = e_new
+            lockstep += 1
+    finally:
+        if checker is not None:
+            checker.close()
     return results
 
 
@@ -408,17 +546,18 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     raises RuntimeError.
     Any exception here, interrupts included, terminates and reaps the
     children.  With one usable CPU, one member, or no "fork" start method
-    this is a plain _run_batch call and starts no process.  Members are checked
+    this is a plain _run_batch call and starts no slice.  Members are checked
     before any slice starts, so a bad one raises the one-process batch's error.
     """
     import multiprocessing  # only ensembles fork; single runs need not load it
 
     initials = _initial_states(ops, initials)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = _usable_cpus()
     n_slices = min(cpus, len(initials))
     if n_slices < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots)
+        return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots, cpus=cpus)
+    cpus //= n_slices   # each slice's share: one member with two checks its steps aside
     bounds = [len(initials) * i // n_slices for i in range(n_slices + 1)]
     ctx = multiprocessing.get_context("fork")
     stop = ctx.Value("q", 2 ** 62)   # created before the fork: shared by every slice
@@ -426,14 +565,14 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_slice_worker, daemon=True,
-                               args=(writer, ops, initials[lo:hi], cfg, collect_snapshots, stop))
+            proc = ctx.Process(target=_slice_worker, args=(writer, ops, initials[lo:hi], cfg,
+                               collect_snapshots, stop, cpus), daemon=True)
             proc.start()
             children.append((proc, reader))
             writer.close()  # so that a dead child reads as EOF, not as a hang
         try:
-            outcomes = [(True, _run_batch(ops, initials[:bounds[1]], cfg,
-                                          collect_snapshots=collect_snapshots, stop=stop))]
+            outcomes = [(True, _run_batch(ops, initials[:bounds[1]], cfg, stop=stop, cpus=cpus,
+                                          collect_snapshots=collect_snapshots))]
         except Exception as exc:  # ranked against the children's aborts below
             _lower_slice_stop(stop, exc)
             outcomes = [(False, exc)]
@@ -469,7 +608,7 @@ def _lower_slice_stop(stop, exc: Exception):
 
 
 def _slice_worker(writer, ops: ModeOperators, initials: list, cfg: StepperConfig,
-                  collect_snapshots: bool, stop):
+                  collect_snapshots: bool, stop, cpus: int):
     """Forked child of _run_sliced: run one slice, send it back, end with os._exit.
 
     Results travel as plain data, never as a Field: a mesh holds its
@@ -482,7 +621,7 @@ def _slice_worker(writer, ops: ModeOperators, initials: list, cfg: StepperConfig
                                r.equilibrium_reached, r.final_residual, r.snapshots)
                               for r in _run_batch(ops, initials, cfg,
                                                   collect_snapshots=collect_snapshots,
-                                                  stop=stop)])
+                                                  stop=stop, cpus=cpus)])
         except Exception as exc:
             _lower_slice_stop(stop, exc)
             message = (False, exc)

@@ -18,9 +18,10 @@ banded Cholesky factor of B over the stacked modes, and every -L_k solve is
 one block solve on it (_solve_blocks): a single cho_solve_banded call over a
 run of consecutive modes, which gives each block the bits of its own
 per-mode solve.  It also keeps the implicit step's LU pair and the implicit
-solve's two work arrays (a real and a complex right-hand-side stack,
-replaced when the member count changes); the solve runs in them, so it is
-not reentrant.  Eigensystems are computed on demand and not kept.  The tip
+solve's work array (a complex right-hand-side stack, replaced when the
+member count changes); the solve runs in it, so it is not reentrant.  Its
+two halves, the sweeps and their verification, may run in different
+processes.  Eigensystems are computed on demand and not kept.  The tip
 probes' pivoted LU (solve_neglap_pivoted) stays outside the Cholesky factor:
 it takes modes above the truncation, and the Cholesky solve moves the pinned
 fits.csv and profiles.csv bits (3e-14 relative at the default configuration).
@@ -130,7 +131,7 @@ class ModeOperators:
         self._angular_coeff = ksq * self.inv_f_sq       # (k / f)^2, shape (K+1, 1, M)
         self._smallest_eigenvalues = None   # every mode's, computed together
         self._ch_factor: dict[tuple[float, float], object] = {}
-        self._ch_work = None    # (real, complex) (2B, n) right-hand-side stacks of the solve
+        self._ch_work = None    # the solve's complex (2B, n) right-hand-side stack
         # weights of the verification norms: channel- and volume-weighted,
         # in the symmetrized coordinates the solver works in
         self._sym_weight = channel_weights(self.max_mode)[:, :, None] * mesh.volumes ** 2
@@ -328,11 +329,11 @@ class ModeOperators:
         y[2:] += d2[:, None] * x[:-2]
         return y
 
-    def _unpack(self, cols: np.ndarray) -> np.ndarray:
+    def _unpack(self, cols: np.ndarray, out=None) -> np.ndarray:
         """Stacked (n, 2B) columns in symmetrized coordinates -> (B, K+1, 2, M) coefficients."""
         nb = cols.shape[1] // 2
-        return (cols.T.reshape(nb, 2, self.max_mode + 1, self.mesh.cells).transpose(0, 2, 1, 3)
-                / self.sqrt_volumes)
+        return np.divide(cols.T.reshape(nb, 2, self.max_mode + 1, self.mesh.cells)
+                         .transpose(0, 2, 1, 3), self.sqrt_volumes, out=out)
 
     def _sym_norms(self, stack: np.ndarray) -> np.ndarray:
         """Verification norm of each member of a (B, K+1, 2, M) stack."""
@@ -366,28 +367,34 @@ class ModeOperators:
             raise ValueError("dt must be positive and finite")
         if not (0.0 <= stabilization < math.inf):
             raise ValueError("stabilization must be >= 0 and finite")
-        factors, abs_penta = self.ch_factorization(dt, stabilization)
-        m = self.mesh.cells
-        nb = stack.shape[0]
-        if self._ch_work is None or self._ch_work[0].shape[0] != 2 * nb:
-            n = (self.max_mode + 1) * m
-            self._ch_work = (np.empty((2 * nb, n)), np.empty((2 * nb, n), dtype=complex))
-        packed, work = self._ch_work
-        # members' cos/sin columns in symmetrized coordinates; both sweeps
-        # overwrite the complex copy, whose transpose is Fortran-ordered
-        np.multiply(stack.transpose(0, 2, 1, 3), self.sqrt_volumes,
-                    out=packed.reshape(nb, 2, self.max_mode + 1, m))
-        work[...] = packed
+        sol = self._ch_sweeps(stack, dt, stabilization)
+        self._ch_verify(stack, sol, dt, stabilization)
+        coeffs = self._unpack(sol)
+        return Field(self.mesh, coeffs[0]) if single else coeffs
+
+    def _ch_sweeps(self, stack: np.ndarray, dt: float, stabilization: float) -> np.ndarray:
+        """The sweeps of solve_ch_system: its (n, 2B) solution columns in symmetrized
+        coordinates, a view of the work array that the next solve overwrites."""
+        factors, _ = self.ch_factorization(dt, stabilization)
+        nb, kn, m = stack.shape[0], self.max_mode + 1, self.mesh.cells
+        if self._ch_work is None or self._ch_work.shape[0] != 2 * nb:
+            self._ch_work = np.empty((2 * nb, kn * m), dtype=complex)
+        # members' columns in symmetrized coordinates; both sweeps overwrite them, Fortran-ordered
+        work = self._ch_work
+        np.multiply(stack.transpose(0, 2, 1, 3), self.sqrt_volumes, out=work.reshape(nb, 2, kn, m))
         mid, info1 = zgttrs(*factors[0], work.T, overwrite_b=1)
         sol, info2 = zgttrs(*factors[1], mid, overwrite_b=1)
         if info1 != 0 or info2 != 0:
             raise SolverError("tridiagonal solve failed")
-        sol = sol.real
-        coeffs = self._unpack(sol)
+        return sol.real
 
+    def _ch_verify(self, stack: np.ndarray, sol: np.ndarray, dt: float, stabilization: float):
+        """Verify _ch_sweeps' columns ``sol`` for the right-hand sides ``stack``, in any layout;
+        SolverError for a member that fails."""
+        _, abs_penta = self.ch_factorization(dt, stabilization)
         # independent verification through the flux-form operator, on a
         # C-ordered copy; x + dt L(L x) - (S dt) L x - rhs is formed in place
-        x = np.ascontiguousarray(coeffs)
+        x = self._unpack(sol, out=np.empty(stack.shape))
         lap1 = self.apply_laplacian_coeffs(x)
         resid = self.apply_laplacian_coeffs(lap1)
         np.add(x, np.multiply(dt, resid, out=resid), out=resid)
@@ -397,6 +404,7 @@ class ModeOperators:
         resid_norm = self._sym_norms(resid)
         # the floor term is >= 0, so it can only rescue a member that fails the plain test
         if not np.all(resid_norm <= plain):
+            packed = (stack.transpose(0, 2, 1, 3) * self.sqrt_volumes).reshape(-1, sol.shape[0])
             floor = RESIDUAL_NOISE_FACTOR * _EPS * self._sym_norms(self._unpack(
                 self._abs_penta_apply(abs_penta, np.abs(sol)) + np.abs(packed.T)))
             failed = np.flatnonzero(~(resid_norm <= plain + floor))
@@ -406,8 +414,7 @@ class ModeOperators:
                     f"implicit step residual {resid_norm[b]:.3e} exceeded tolerance "
                     f"{plain[b] + floor[b]:.3e} (1e-10*||rhs|| = {plain[b]:.3e}, "
                     f"evaluation floor = {floor[b]:.3e})"
-                    + (f" for member {b} of {nb}" if nb > 1 else ""))
-        return Field(self.mesh, coeffs[0]) if single else coeffs
+                    + (f" for member {b} of {len(stack)}" if len(stack) > 1 else ""))
 
     # ------------------------------------------------------------ eigensystems
 

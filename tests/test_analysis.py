@@ -165,8 +165,9 @@ def test_absorbing_experiment_is_deterministic(small_sphere_ops, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(
         conekit.dynamics, "_run_batch",
-        lambda ops, initials, cfg, collect_snapshots: [
-            batch(ops, [u], cfg, collect_snapshots=collect_snapshots)[0] for u in initials])
+        lambda ops, initials, cfg, collect_snapshots, cpus=1: [
+            batch(ops, [u], cfg, collect_snapshots=collect_snapshots, cpus=cpus)[0]
+            for u in initials])
     serial = absorbing_set_experiment(ops, cfg, **kwargs)
     for report in (second, serial):
         assert report.level == first.level
@@ -194,6 +195,13 @@ def test_absorbing_experiment_report_shape(small_sphere_ops):
         assert np.all(np.isfinite(report.diameters[r]))
     assert 0.0 <= report.kappa_spread < 1.0
     assert report.level >= max(report.kappa.values()) / 1.05 * 0.999
+
+
+@pytest.mark.parametrize("kwargs, name", [({"radii": ()}, "radii"),
+                                          ({"seeds_per_radius": 0}, "seeds_per_radius")])
+def test_an_empty_ensemble_names_its_argument(small_sphere_ops, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        absorbing_set_experiment(small_sphere_ops, StepperConfig(t_max=0.01), **kwargs)
 
 
 def test_diameters_of_converged_members_do_not_abort():

@@ -5,10 +5,12 @@ a forked slice is bitwise its one-process batch result.
 """
 
 import contextlib
+import dataclasses
 import multiprocessing
 import os
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -167,11 +169,18 @@ def test_one_usable_cpu_starts_no_process(small_sphere_ops, monkeypatch):
     def no_fork():
         raise AssertionError("a process was started")
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    check_sliced(ops, members, cfg, 1)
-    check_sliced(ops, members[:1], cfg, 4)        # one member: one slice
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    check_sliced(ops, members, cfg, 4)            # no fork start method
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "fork", no_fork)
+        check_sliced(ops, members, cfg, 1)
+        mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        check_sliced(ops, members, cfg, 4)            # no fork start method
+
+    def no_slice(process):
+        raise AssertionError("a slice was started")
+
+    # one member: one slice, which may check its steps in a forked process
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_slice)
+    check_sliced(ops, members[:1], cfg, 4)
 
 
 def failing_members(ops):
@@ -252,13 +261,13 @@ def test_dead_child_raises_and_the_others_are_reaped(small_sphere_ops, monkeypat
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(3)]
     real = conekit.dynamics._run_batch
 
-    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, stop=None):
+    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, stop=None, cpus=1):
         fate = dict(zip((id(m) for m in members[1:]), fates)).get(id(initials[0].u))
         if fate == "dies":
             os.kill(os.getpid(), signal.SIGKILL)
         if fate == "sleeps":
             time.sleep(60)
-        return real(ops, initials, cfg, on_record, collect_snapshots, stop)
+        return real(ops, initials, cfg, on_record, collect_snapshots, stop, cpus)
 
     monkeypatch.setattr(conekit.dynamics, "_run_batch", fragile)
     usable_cpus(monkeypatch, 3)
@@ -274,7 +283,8 @@ def test_interrupt_in_the_parent_reaps_the_children(small_sphere_ops, monkeypatc
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(2)]
     parent = os.getpid()
 
-    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False, stop=None):
+    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False, stop=None,
+                   cpus=1):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
@@ -284,3 +294,157 @@ def test_interrupt_in_the_parent_reaps_the_children(small_sphere_ops, monkeypatc
     with deadline(30), pytest.raises(KeyboardInterrupt):
         _run_sliced(ops, members, cfg)
     assert multiprocessing.active_children() == []
+
+
+# ------------------------------------------------- steps checked in a forked checker
+
+
+def assert_no_child():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def lone_run(ops, initial, cfg, cpus):
+    """run_semiflow on ``cpus`` usable CPUs: with two or more its steps are checked aside."""
+    delivered = []
+    with pytest.MonkeyPatch.context() as mp, deadline(120):
+        usable_cpus(mp, cpus)
+        result = run_semiflow(ops, initial, cfg, on_record=delivered.append,
+                              collect_snapshots=True)
+    assert delivered == result.records
+    assert_no_child()
+    return result
+
+
+@settings(max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(ensembles(), st.integers(1, 4), st.booleans())
+def test_runs_checked_aside_equal_the_inline_kernel(case, cpus, detect):
+    ops, initials, cfg = case
+    if not detect:
+        cfg = dataclasses.replace(cfg, eq_tol=0.0)
+    for initial in initials[:2]:
+        want = _run_batch(ops, [initial], cfg, collect_snapshots=True)[0]
+        assert_same_run(lone_run(ops, initial, cfg, cpus), want)
+        assert lone_run(ops, initial, cfg, cpus).state.u.coeffs.strides \
+            == want.state.u.coeffs.strides
+
+
+def failed_run(ops, initial, cfg, cpus, action):
+    """(type, message, lockstep, records, warnings) of a failing run, warnings under ``action``."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp, deadline(120), \
+            warnings.catch_warnings(record=True) as warned, pytest.raises(Exception) as err:
+        warnings.simplefilter(action)
+        usable_cpus(mp, cpus)
+        run_semiflow(ops, initial, cfg, on_record=seen.append)
+    assert_no_child()
+    return (type(err.value), str(err.value), getattr(err.value, "lockstep", None),
+            [repr(rec) for rec in seen],   # exact for floats, and NaN equals NaN
+            [(w.category, str(w.message), w.filename, w.lineno) for w in warned])
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("eq_tol", [0.0, 1e-8])
+@pytest.mark.parametrize("name", ["rise_late", "rise", "solve", "overflow"])
+def test_failures_checked_aside_are_the_inline_ones(name, eq_tol, action):
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
+    cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=eq_tol,
+                        snapshot_stride=5)
+    members = failing_members(ops)
+    initial = members["solve"].u if name == "overflow" else members[name]   # fresh, then resumed
+    want = failed_run(ops, initial, cfg, 1, action)
+    for cpus in (2, 4):
+        assert failed_run(ops, initial, cfg, cpus, action) == want
+
+
+def sphere_member(ops, seed=7, amplitude=0.3):
+    return smooth_random_field(ops, np.random.default_rng(seed), sup_amplitude=amplitude)
+
+
+@pytest.mark.parametrize("ending", ["t_max", "equilibrium", "abort", "on_record", "interrupt"])
+def test_every_ending_reaps_the_checker(small_sphere_ops, ending):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=40 * DT, eq_tol=0.0, snapshot_stride=5)
+    initial = sphere_member(ops)
+    expected, raised = None, {"on_record": ValueError, "interrupt": KeyboardInterrupt}.get(ending)
+    if ending == "equilibrium":
+        cfg = dataclasses.replace(cfg, eq_tol=1.0)
+    if ending == "abort":
+        ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
+        cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=0.0, snapshot_stride=5)
+        initial, expected = failing_members(ops)["rise_late"], StabilityError
+
+    def on_record(rec):
+        if raised is not None and rec.step == 10:
+            raise raised("stop here")
+
+    with pytest.MonkeyPatch.context() as mp, deadline(60):
+        usable_cpus(mp, 2)
+        if raised or expected:
+            with pytest.raises(raised or expected):
+                run_semiflow(ops, initial, cfg, on_record=on_record)
+        else:
+            result = run_semiflow(ops, initial, cfg, on_record=on_record)
+            assert result.equilibrium_reached == (ending == "equilibrium")
+    assert_no_child()
+
+
+def test_a_dead_checker_raises_with_its_exit_code(small_sphere_ops, monkeypatch):
+    parent = os.getpid()
+    real = conekit.dynamics._step_checks
+
+    def mortal(ops, cfg, step, prev, mean0=None):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(ops, cfg, step, prev, mean0)
+
+    monkeypatch.setattr(conekit.dynamics, "_step_checks", mortal)
+    usable_cpus(monkeypatch, 2)
+    cfg = StepperConfig(dt=DT, t_max=20 * DT, eq_tol=0.0)
+    with deadline(30), pytest.raises(RuntimeError, match=r"step checker .*exit code -9"):
+        run_semiflow(small_sphere_ops, sphere_member(small_sphere_ops), cfg)
+    assert_no_child()
+
+
+def test_a_fault_in_the_checker_is_checked_again_inline(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=30 * DT, eq_tol=1e-2, snapshot_stride=4)
+    initial = sphere_member(ops)
+    want = _run_batch(ops, [initial], cfg, collect_snapshots=True)[0]
+    parent = os.getpid()
+    real = conekit.dynamics._step_checks
+
+    def flaky(ops, cfg, step, prev, mean0=None):
+        if os.getpid() != parent and np.random.default_rng().random() < 0.5:
+            raise FloatingPointError("a fault only the checker meets")
+        return real(ops, cfg, step, prev, mean0)
+
+    monkeypatch.setattr(conekit.dynamics, "_step_checks", flaky)
+    assert_same_run(lone_run(ops, initial, cfg, 2), want)
+
+
+def test_a_step_that_warns_ahead_ends_the_pipelining(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=30 * DT, eq_tol=1e-2, snapshot_stride=4)
+    initial = sphere_member(ops)
+    want = _run_batch(ops, [initial], cfg, collect_snapshots=True)[0]
+    parent = os.getpid()
+    real = conekit.dynamics._settle
+    settled = []
+
+    def noisy(ops, step, mean0):
+        real(ops, step, mean0)
+        if os.getpid() == parent:
+            settled.append(None)
+            if len(settled) >= 6:
+                warnings.warn("a step that warns", UserWarning)
+
+    monkeypatch.setattr(conekit.dynamics, "_settle", noisy)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        assert_same_run(lone_run(ops, initial, cfg, 2), want)
+    # steps 1-5 were checked aside; step 6 warned ahead, and it and the rest ran inline
+    assert len(settled) == 5 + 1 + 25
+    assert [str(w.message) for w in warned] == ["a step that warns"] * 25

@@ -54,8 +54,9 @@ def run_cli(tmp_path, command, ini_text, *extra):
 
 def serial_runs(batch):
     """Stand-in for the batched step kernel: each member on its own, as run_semiflow runs it."""
-    def run(ops, initials, cfg, collect_snapshots=False):
-        return [batch(ops, [u], cfg, collect_snapshots=collect_snapshots)[0] for u in initials]
+    def run(ops, initials, cfg, collect_snapshots=False, cpus=1):
+        return [batch(ops, [u], cfg, collect_snapshots=collect_snapshots, cpus=cpus)[0]
+                for u in initials]
     return run
 
 

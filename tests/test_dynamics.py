@@ -280,7 +280,10 @@ def test_oversized_step_aborts_with_stability_error(small_sphere_ops):
 def test_non_finite_energy_trips_the_guard(monkeypatch):
     # a solver that let NaN through must not yield a run that ends normally
     ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
-    monkeypatch.setattr(ops, "solve_ch_system", lambda rhs, dt, s: rhs * math.nan)
+    # the semiflow solves in two halves, the sweeps and their verification
+    monkeypatch.setattr(ops, "_ch_sweeps", lambda rhs, dt, s: np.full(
+        (rhs.shape[1] * rhs.shape[3], 2 * rhs.shape[0]), math.nan))
+    monkeypatch.setattr(ops, "_ch_verify", lambda rhs, sol, dt, s: None)
     u0 = field_from_modes(ops.mesh, 2, lambda s: 0.1 * np.cos(s), mode=0)
     cfg = StepperConfig(dt=1e-3, t_max=0.01, eq_tol=0.0, snapshot_stride=100)
     seen = []
@@ -332,6 +335,17 @@ def test_stepper_config_validation():
     for t_max in (0.0, -1.0):
         with pytest.raises(ValueError, match="t_max"):
             StepperConfig(t_max=t_max)
+
+
+@pytest.mark.parametrize("stride", [1.5, 2.0, True, np.True_, "3", None])
+def test_stepper_config_rejects_a_stride_that_is_not_an_integer(stride):
+    with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 1"):
+        StepperConfig(snapshot_stride=stride)
+
+
+@pytest.mark.parametrize("stride", [1, 7, np.int64(3), np.int32(5)])
+def test_stepper_config_takes_python_and_numpy_integer_strides(stride):
+    assert StepperConfig(snapshot_stride=stride).snapshot_stride == stride
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
