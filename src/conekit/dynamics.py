@@ -294,14 +294,14 @@ class _Checker:
             os.write(done, np.array(checks).tobytes())
 
     def advance(self, ops, cfg, stack, vals, mean0: list, n: int, left: int) -> tuple:
-        """Step ``n`` from ``stack`` and its checks, after posting the next of the ``left``."""
+        """Step ``n`` from ``stack`` and its checks; first posts up to ``depth`` of the ``left``."""
         while not self.stalled and len(self.ahead) < min(self.depth, left):
             base = self.ahead[-1] if self.ahead else _Step(None, None, stack, vals)
             step = self._ahead(ops, cfg, base.u, base.vals, n + len(self.ahead), mean0)
             self.stalled = step is None
             if step is not None:
                 self.ahead.append(step)
-        if not self.ahead:   # step n warned or raised ahead: inline, it does again, as the rest
+        if not self.ahead:   # step n warned or raised ahead: it and the rest run inline
             self.close()
             step = _sweep(ops, cfg, stack, vals)
             return step, _step_checks(ops, cfg, step, stack, mean0)
