@@ -26,6 +26,7 @@ import mmap
 import os
 import pickle
 import signal
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -195,19 +196,9 @@ def _mean_free_dual_norm(ops: ModeOperators, coeffs: np.ndarray) -> float:
     return h01_dual_norm(Field(ops.mesh, coeffs), ops)
 
 
-@dataclass
-class _Step:
-    """A step's solve right-hand side and (n, 2B) symmetrized columns, state and grid values."""
-
-    rhs: np.ndarray
-    sol: np.ndarray
-    u: np.ndarray
-    vals: Optional[np.ndarray] = None
-
-
-def _sweep(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals: np.ndarray,
-           out: Optional[tuple] = None) -> _Step:
-    """The unverified, unsettled solve of the step after ``stack``; ``out`` takes (rhs, sol)."""
+def _rhs(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals: np.ndarray,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The implicit solve's right-hand side for the step after ``stack``, in ``out`` if given."""
     dt, s = cfg.dt, cfg.stabilization
     if cfg.linear_only:
         nl = -(1.0 + s) * stack
@@ -215,55 +206,69 @@ def _sweep(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals: np.n
         nl = values_to_coeffs(vals * vals * vals, ops.max_mode)
         nl -= (1.0 + s) * stack
     lap = ops.apply_laplacian_coeffs(nl)   # stack + dt * lap, operands in that order
-    rhs = np.add(stack, np.multiply(dt, lap, out=lap), out=lap if out is None else out[0])
-    sol = ops._ch_sweeps(rhs, dt, s)
-    if out is not None:
-        out[1][...] = sol
-    return _Step(rhs, sol if out is None else out[1], ops._unpack(sol))
+    return np.add(stack, np.multiply(dt, lap, out=lap), out=lap if out is None else out)
 
 
-def _settle(ops: ModeOperators, step: _Step, mean0: list):
-    """Restore each member's conserved mean exactly, then evaluate the state on the grid."""
+def _settle(ops: ModeOperators, stack: np.ndarray, mean0: list) -> np.ndarray:
+    """Restore each member's conserved mean exactly; the grid values of the stack."""
     area = ops.mesh.area
-    for c, m0 in zip(step.u, mean0):
+    for c, m0 in zip(stack, mean0):
         c[0, 0, :] += m0 - (ops.volumes @ c[0, 0]) / area
-    step.vals = coeffs_to_values(step.u)
+    return coeffs_to_values(stack)
 
 
-def _step_checks(ops: ModeOperators, cfg: StepperConfig, step: _Step, prev: np.ndarray,
-                 mean0: Optional[list] = None) -> tuple:
-    """Solve verification, then each member's energy, Dirichlet seminorm and Poincare-screen
-    L2 norm of its change (None if eq_tol = 0); inline, ``mean0`` settles the step between."""
-    ops._ch_verify(step.rhs, step.sol, cfg.dt, cfg.stabilization)
-    if mean0 is not None:
-        _settle(ops, step, mean0)
-    return (*_energies(ops.mesh, step.u, step.vals, cfg.linear_only),
-            [_weighted_l2(u - p, ops.mesh) for u, p in zip(step.u, prev)] if cfg.eq_tol else None)
+def _step_checks(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals: np.ndarray,
+                 prev: np.ndarray) -> tuple:
+    """Each member's energy, Dirichlet seminorm and Poincare-screen L2 norm of its change
+    (None if eq_tol = 0), for a settled step."""
+    return (*_energies(ops.mesh, stack, vals, cfg.linear_only),
+            [_weighted_l2(u - p, ops.mesh) for u, p in zip(stack, prev)] if cfg.eq_tol else None)
 
 
 class _Checker:
-    """A forked process that checks each step, from a ring of shared slots, behind the caller.
+    """Forked processes that check steps, from a ring of shared slots, behind the caller.
 
     The caller posts step numbers on one pipe and reads checks from another; both busy-poll,
-    since a blocking read would wake the checker on the caller's CPU.  The checker settles
-    each state as the caller does, so its results have the inline bits."""
+    since a blocking read would wake the checker on the caller's CPU.  The checker verifies
+    each solve and settles its state as the caller does, so its results have the inline bits.
+    A checker stops at a step it cannot check.  The caller stops posting after a step that
+    warns or raises ahead, or after a window of steps that took longer per step than the
+    inline steps before the checker (another process holds a CPU, or the two share one).
+    The steps from there run inline, and a new checker is forked after a pause that doubles
+    with each stall in a row."""
 
-    def __init__(self, ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, mean0: list):
+    FIRST = 128    # steps a run takes inline before its first checker: fewer lose by the fork
+    WINDOW = 128   # steps per timed window of the pipeline, and the first pause
+
+    def __init__(self, stack: np.ndarray):
         self.depth = max(2, min(8, 2 ** 20 // (40 * stack.size)))   # steps in ~1 MB, 5 arrays each
         flat = np.frombuffer(mmap.mmap(-1, 16 * self.depth * stack.size), dtype=float)
         self.slots = [(rhs.reshape(stack.shape), sol.reshape(2 * len(stack), -1).T)
                       for rhs, sol in flat.reshape(self.depth, 2, -1)]   # step n's in n % depth
-        self.ahead, self.stalled = collections.deque(), False   # steps posted, not decided
+        self.ahead = collections.deque()   # steps posted, not decided
+        self.pid, self.pause, self.resume = None, self.WINDOW, self.FIRST + 1   # inline < resume
+        self.mark = time.perf_counter(), 1   # clock and step where the inline steps began
+
+    def _start(self, ops, cfg, stack: np.ndarray, mean0: list, n: int):
+        """Fork a checker whose first step is ``n``; on failure, pause."""
+        self.inline_dt = (time.perf_counter() - self.mark[0]) / max(1, n - self.mark[1])
+        self.stalled, self.window = False, (-self.WINDOW, 0.0)   # steps timed, clock at start
         (todo, self.todo), (self.done, done) = os.pipe(), os.pipe()
         for fd in (todo, self.done):
             os.set_blocking(fd, False)
         ops.ch_factorization(cfg.dt, cfg.stabilization)   # made before the fork: shared
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:   # no process or memory to spare
+            for fd in (todo, self.todo, self.done, done):
+                os.close(fd)
+            return self._stop(n)
         if self.pid == 0:
             try:
                 os.close(self.todo)
                 os.close(self.done)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller ends the checker
+                time.sleep(0.001)   # forked onto the caller's CPU, it wakes on an idle one
                 self._serve(ops, cfg, stack, mean0, todo, done)
                 os._exit(0)
             finally:
@@ -281,52 +286,84 @@ class _Checker:
                 os.sched_yield()   # a peer that shares the CPU runs at once
 
     def _serve(self, ops, cfg, prev: np.ndarray, mean0: list, todo: int, done: int):
+        """Check each posted step: (ok, energies, seminorms, screen norms) back."""
         while msg := self._poll(todo):
             rhs, sol = self.slots[int.from_bytes(msg, "little") % self.depth]
-            step = _Step(rhs, sol, ops._unpack(sol))
+            u = ops._unpack(sol)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    e, h1, l2 = _step_checks(ops, cfg, step, prev, mean0)
-                    checks, prev = [1.0] + e + h1 + (l2 or [math.nan] * len(e)), step.u
-                except Exception:  # the caller checks this step, and those after it, inline
-                    checks, prev = [0.0] * (3 * len(step.u) + 1), None
+                    ops._ch_verify(rhs, sol, cfg.dt, cfg.stabilization)
+                    e, h1, l2 = _step_checks(ops, cfg, u, _settle(ops, u, mean0), prev)
+                except Exception:
+                    os.write(done, bytes(8 * (3 * len(u) + 1)))   # not ok
+                    return
+            checks = [1.0] + e + h1 + (l2 or [math.nan] * len(e))
             os.write(done, np.array(checks).tobytes())
+            prev = u
 
-    def advance(self, ops, cfg, stack, vals, mean0: list, n: int, left: int) -> tuple:
-        """Step ``n`` from ``stack`` and its checks; first posts up to ``depth`` of the ``left``."""
-        while not self.stalled and len(self.ahead) < min(self.depth, left):
-            base = self.ahead[-1] if self.ahead else _Step(None, None, stack, vals)
-            step = self._ahead(ops, cfg, base.u, base.vals, n + len(self.ahead), mean0)
+    def advance(self, ops, cfg, stack, vals, mean0: list, n: int, left: int) -> Optional[tuple]:
+        """Step ``n`` from ``stack``: its state, grid values and checks, once up to ``depth`` of
+        the ``left`` steps are posted; None when step ``n`` runs inline."""
+        if self.pid is None and not self.ahead and n >= self.resume:
+            self._start(ops, cfg, stack, mean0, n)
+        while self.pid is not None and not self.stalled and len(self.ahead) < min(self.depth, left):
+            step = self._ahead(ops, cfg, *(self.ahead[-1][:2] if self.ahead else (stack, vals)),
+                               n + len(self.ahead), mean0)
             self.stalled = step is None
             if step is not None:
                 self.ahead.append(step)
-        if not self.ahead:   # step n warned or raised ahead: it and the rest run inline
-            self.close()
-            step = _sweep(ops, cfg, stack, vals)
-            return step, _step_checks(ops, cfg, step, stack, mean0)
-        step = self.ahead.popleft()
-        checks = np.frombuffer(self._poll(self.done, 8 * (3 * len(stack) + 1)))
-        if not checks.size:
-            raise RuntimeError(f"step checker ended before checking step {n} "
-                               f"(exit code {os.waitstatus_to_exitcode(self.close())})")
-        if not checks[0]:
-            return step, _step_checks(ops, cfg, step, stack)
-        e, h1, l2 = checks[1:].reshape(3, -1).tolist()
-        return step, (e, h1, l2 if cfg.eq_tol > 0.0 else None)
+        if not self.ahead:
+            if self.pid is not None:
+                self._stop(n)
+            return None
+        u, uvals, rhs, sol = self.ahead.popleft()
+        if self.pid is not None:
+            checks = np.frombuffer(self._poll(self.done, 8 * (3 * len(stack) + 1)))
+            if not checks.size:
+                raise RuntimeError(f"step checker ended before checking step {n} "
+                                   f"(exit code {os.waitstatus_to_exitcode(self.close())})")
+            if checks[0]:
+                self._pace()
+                e, h1, l2 = checks[1:].reshape(3, -1).tolist()
+                return u, uvals, (e, h1, l2 if cfg.eq_tol > 0.0 else None)
+            self._stop(n)   # the checker stopped at this step
+        ops._ch_verify(rhs, sol, cfg.dt, cfg.stabilization)
+        return u, uvals, _step_checks(ops, cfg, u, uvals, stack)
 
-    def _ahead(self, ops, cfg, stack, vals, n: int, mean0: list) -> Optional[_Step]:
-        """Step ``n`` from ``stack``, posted to the checker; None when it warns or raises."""
+    def _pace(self):
+        """Count a step checked aside.  A checker's first ``WINDOW`` steps warm it up; each
+        window after them that is slower per step than the inline steps before the checker
+        stalls the pipeline, and one that is faster ends a run of stalls."""
+        steps, start = self.window
+        steps += 1
+        if steps == self.WINDOW:
+            self.stalled = time.perf_counter() - start > self.WINDOW * self.inline_dt
+            self.pause = self.pause if self.stalled else self.WINDOW
+        self.window = (0, time.perf_counter()) if steps in (0, self.WINDOW) else (steps, start)
+
+    def _ahead(self, ops, cfg, stack, vals, n: int, mean0: list) -> Optional[tuple]:
+        """Step ``n`` from ``stack``, posted to the checker: its state, grid values, and the
+        solve's right-hand side and (n, 2B) columns in slots; None when it warns or raises."""
+        rhs, sol = self.slots[n % self.depth]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                step = _sweep(ops, cfg, stack, vals, out=self.slots[n % self.depth])
-                _settle(ops, step, mean0)
+                sol[...] = work = ops._ch_sweeps(_rhs(ops, cfg, stack, vals, out=rhs),
+                                                 cfg.dt, cfg.stabilization)
+                u = ops._unpack(work)
+                step = u, _settle(ops, u, mean0), rhs, sol
             except Exception:  # taken again when the step is decided, inline
                 return None
         with contextlib.suppress(BrokenPipeError):   # a dead checker: advance reports it
             os.write(self.todo, n.to_bytes(8, "little"))
         return step
+
+    def _stop(self, n: int):
+        """End the checker at step ``n``, and run inline for a pause twice the last one."""
+        self.close()
+        self.resume, self.pause = n + self.pause, 2 * self.pause
+        self.mark = time.perf_counter(), n
 
     def close(self) -> int:
         """Close the pipes, which ends the checker, and reap it: its wait status, once."""
@@ -367,6 +404,12 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _can_fork() -> bool:
+    """Whether this process may fork a checker or slices: "fork" is a start method here."""
+    import multiprocessing  # only runs that may fork load it
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 def _last_step(cfg: StepperConfig) -> int:
     """The step at which a run stops unless it reaches equilibrium first."""
     return int(math.floor(cfg.t_max / cfg.dt + 1e-9))
@@ -402,8 +445,9 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     StabilityError after that member's record is delivered.  ``stop`` is
     the shared value of _run_sliced, the earliest lockstep at which a slice
     aborted; the batch raises _SliceStopped instead of starting a later one.
-    One member with two ``cpus`` or more advances steps ahead, then decides each with the
-    checks a _Checker took meanwhile; stopped at step n, it returns the state of step n.
+    One member with two ``cpus`` or more decides its steps, where a _Checker
+    pays, with the checks it took meanwhile; stopped at step n, it returns
+    the state of step n.
     """
     states = _initial_states(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
@@ -447,8 +491,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                     else math.nan)
             emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b], res0)
 
-    checker = (_Checker(ops, cfg, stack, [mean0[0]])
-               if cpus >= 2 and len(states) == 1 and hasattr(os, "fork") else None)
+    checker = _Checker(stack) if cpus >= 2 and len(states) == 1 and _can_fork() else None
     active = list(range(len(states)))    # member index of each stack row
     poincare = None
     lockstep = 0    # steps the batch has taken together; orders the aborts of slices
@@ -475,17 +518,16 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
 
             prev = stack
             try:
-                if checker is None:
-                    new = _sweep(ops, cfg, prev, vals)
-                    e_new, h1_new, l2 = _step_checks(ops, cfg, new, prev,
-                                                     [mean0[b] for b in active])
-                else:
-                    new, (e_new, h1_new, l2) = checker.advance(
-                        ops, cfg, prev, vals, mean0, lockstep + 1, n_steps_max - steps[0])
+                taken = None if checker is None else checker.advance(
+                    ops, cfg, prev, vals, mean0, lockstep + 1, n_steps_max - steps[0])
+                if taken is None:   # inline
+                    u = ops.solve_ch_system(_rhs(ops, cfg, prev, vals), dt, cfg.stabilization)
+                    uvals = _settle(ops, u, [mean0[b] for b in active])
+                    taken = u, uvals, _step_checks(ops, cfg, u, uvals, prev)
             except SolverError as exc:
                 exc.lockstep = lockstep
                 raise
-            stack, vals = new.u, new.vals
+            stack, vals, (e_new, h1_new, l2) = taken
             for row, b in enumerate(active):
                 steps[b] += 1
                 step = steps[b]
@@ -529,33 +571,29 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 collect_snapshots: bool = False) -> list[SemiflowResult]:
     """_run_batch over contiguous slices of the members, one per usable CPU.
 
-    The calling process runs the first slice itself.  Every other slice runs
-    in a child forked from it, which inherits ``ops`` with its cached
-    factorizations, so nothing is pickled on the way in; the child sends back
-    plain data per member and the results are rebuilt on this process's
-    mesh, in member order.  Members are independent rows of the kernel, so
-    each member is bitwise its one-process result.
-
-    When slices fail, the error raised is the one the one-process batch
-    raises: the earliest lockstep first (errors raised before the first step
-    rank first, and a failed solve ranks before an energy rise in the same
-    step), then the lowest member.  A slice that aborts at lockstep n lowers
-    a shared stop value to n, and every other slice stops as soon as it has
-    finished lockstep n: by then it has raised any error of its own that
-    ranks before the abort.  A child that ends without sending its slice
-    raises RuntimeError.
-    Any exception here, interrupts included, terminates and reaps the
-    children.  With one usable CPU, one member, or no "fork" start method
-    this is a plain _run_batch call and starts no slice.  Members are checked
-    before any slice starts, so a bad one raises the one-process batch's error.
+    The calling process runs the first slice.  Every other slice runs in a
+    child forked from it, which inherits ``ops`` with its cached
+    factorizations and sends back plain data per member, rebuilt on this
+    process's mesh in member order; each member is bitwise its one-process
+    result.  When slices fail, the error raised is the one-process batch's:
+    the earliest lockstep first (errors before the first step rank first, and
+    a failed solve before an energy rise in the same step), then the lowest
+    member.  A slice that aborts at lockstep n lowers a shared stop value to
+    n, and every other slice stops once it has finished lockstep n, having
+    raised by then any error of its own that ranks first.  A child that ends
+    without sending its slice raises RuntimeError; any exception here,
+    interrupts included, terminates and reaps the children.  With one usable
+    CPU, one member or no "fork" start method this is a plain _run_batch
+    call.  Members are checked before any slice starts, so a bad one raises
+    the one-process batch's error.
     """
-    import multiprocessing  # only ensembles fork; single runs need not load it
+    import multiprocessing  # only ensembles fork slices; single runs need not load it
 
     initials = _initial_states(ops, initials)
 
     cpus = _usable_cpus()
     n_slices = min(cpus, len(initials))
-    if n_slices < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if n_slices < 2 or not _can_fork():
         return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots, cpus=cpus)
     cpus //= n_slices   # each slice's share: one member with two checks its steps aside
     bounds = [len(initials) * i // n_slices for i in range(n_slices + 1)]

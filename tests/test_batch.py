@@ -6,6 +6,7 @@ a forked slice is bitwise its one-process batch result.
 
 import contextlib
 import dataclasses
+import errno
 import multiprocessing
 import os
 import signal
@@ -107,8 +108,10 @@ def test_members_leave_the_batch_at_their_own_stop(small_sphere_ops):
 
 
 def usable_cpus(mp, count):
-    """Make the runner see ``count`` usable CPUs, whatever this machine has."""
+    """Make the runner see ``count`` usable CPUs, whatever this machine has, and fork a
+    checker for a single run's first step, however short the run."""
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    mp.setattr(conekit.dynamics._Checker, "FIRST", 0)
 
 
 @contextlib.contextmanager
@@ -174,6 +177,7 @@ def test_one_usable_cpu_starts_no_process(small_sphere_ops, monkeypatch):
         check_sliced(ops, members, cfg, 1)
         mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         check_sliced(ops, members, cfg, 4)            # no fork start method
+        check_sliced(ops, members[:1], cfg, 4)        # nor a checker for one member
 
     def no_slice(process):
         raise AssertionError("a slice was started")
@@ -395,10 +399,10 @@ def test_a_dead_checker_raises_with_its_exit_code(small_sphere_ops, monkeypatch)
     parent = os.getpid()
     real = conekit.dynamics._step_checks
 
-    def mortal(ops, cfg, step, prev, mean0=None):
+    def mortal(ops, cfg, stack, vals, prev):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(ops, cfg, step, prev, mean0)
+        return real(ops, cfg, stack, vals, prev)
 
     monkeypatch.setattr(conekit.dynamics, "_step_checks", mortal)
     usable_cpus(monkeypatch, 2)
@@ -408,21 +412,94 @@ def test_a_dead_checker_raises_with_its_exit_code(small_sphere_ops, monkeypatch)
     assert_no_child()
 
 
-def test_a_fault_in_the_checker_is_checked_again_inline(small_sphere_ops, monkeypatch):
+@pytest.mark.parametrize("eq_tol", [0.0, 1e-2])
+def test_a_fault_stops_the_checker_and_the_rest_is_checked_inline(small_sphere_ops,
+                                                                   monkeypatch, eq_tol):
     ops = small_sphere_ops
-    cfg = StepperConfig(dt=DT, t_max=30 * DT, eq_tol=1e-2, snapshot_stride=4)
+    cfg = StepperConfig(dt=DT, t_max=30 * DT, eq_tol=eq_tol, snapshot_stride=4)
     initial = sphere_member(ops)
     want = _run_batch(ops, [initial], cfg, collect_snapshots=True)[0]
     parent = os.getpid()
     real = conekit.dynamics._step_checks
+    checked = []   # each process counts its own calls
 
-    def flaky(ops, cfg, step, prev, mean0=None):
-        if os.getpid() != parent and np.random.default_rng().random() < 0.5:
+    def flaky(ops, cfg, stack, vals, prev):
+        checked.append(None)
+        if os.getpid() != parent and len(checked) == 5:
             raise FloatingPointError("a fault only the checker meets")
-        return real(ops, cfg, step, prev, mean0)
+        return real(ops, cfg, stack, vals, prev)
 
     monkeypatch.setattr(conekit.dynamics, "_step_checks", flaky)
     assert_same_run(lone_run(ops, initial, cfg, 2), want)
+    # steps 1-4 were checked aside; the checker stopped at step 5, and steps 5-30 ran inline
+    assert len(checked) == 26
+
+
+def test_a_failed_fork_runs_inline(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=10 * DT, eq_tol=1e-2, snapshot_stride=4)
+    initial = sphere_member(ops)
+    want = _run_batch(ops, [initial], cfg, collect_snapshots=True)[0]
+    open_fds = os.listdir("/proc/self/fd")
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert_same_run(lone_run(ops, initial, cfg, 2), want)
+    assert os.listdir("/proc/self/fd") == open_fds
+
+
+def test_a_pipeline_slower_than_the_inline_kernel_pauses(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=60 * DT, eq_tol=1e-2, snapshot_stride=4)
+    initial = sphere_member(ops)
+    want = _run_batch(ops, [initial], cfg, collect_snapshots=True)[0]
+    parent = os.getpid()
+    real_checks, real_fork = conekit.dynamics._step_checks, os.fork
+    inline, forks = [], []
+
+    def slow_aside(ops, cfg, stack, vals, prev):
+        if os.getpid() == parent:
+            inline.append(None)
+        else:
+            time.sleep(0.02)   # every step checked aside is slower than an inline one
+        return real_checks(ops, cfg, stack, vals, prev)
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(conekit.dynamics, "_step_checks", slow_aside)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(conekit.dynamics._Checker, "WINDOW", 3)
+    assert_same_run(lone_run(ops, initial, cfg, 2), want)
+    # each checker warms up for 3 steps, stalls after 3 more, and with 8 steps posted ahead at
+    # this shape takes 13: steps 1-13, 17-29 and 36-48 are checked aside, the pauses inline
+    assert len(forks) == 3
+    assert len(inline) == 3 + 6 + 12
+
+
+def test_a_run_forks_its_checker_after_its_first_steps(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    initial = sphere_member(ops)
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    first = conekit.dynamics._Checker.FIRST
+    for n_steps, n_forks in ((first, 0), (first + 10, 1)):
+        cfg = StepperConfig(dt=DT, t_max=n_steps * DT, eq_tol=0.0, snapshot_stride=50)
+        forks.clear()
+        with deadline(60):
+            got = run_semiflow(ops, initial, cfg, collect_snapshots=True)
+        assert len(forks) == n_forks
+        assert_same_run(got, _run_batch(ops, [initial], cfg, collect_snapshots=True)[0])
+    assert_no_child()
 
 
 def test_a_step_that_warns_ahead_ends_the_pipelining(small_sphere_ops, monkeypatch):
@@ -434,12 +511,13 @@ def test_a_step_that_warns_ahead_ends_the_pipelining(small_sphere_ops, monkeypat
     real = conekit.dynamics._settle
     settled = []
 
-    def noisy(ops, step, mean0):
-        real(ops, step, mean0)
+    def noisy(ops, stack, mean0):
+        vals = real(ops, stack, mean0)
         if os.getpid() == parent:
             settled.append(None)
             if len(settled) >= 6:
                 warnings.warn("a step that warns", UserWarning)
+        return vals
 
     monkeypatch.setattr(conekit.dynamics, "_settle", noisy)
     with warnings.catch_warnings(record=True) as warned:
