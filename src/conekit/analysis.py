@@ -249,15 +249,19 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
     """Evolve ensembles started on dual-norm spheres and locate a common
     absorbing level for the Dirichlet norm.
 
-    The entry level is level_margin times the largest final Dirichlet norm
-    over all runs; each run's entry time is the first record from which the
-    norm stays below that level, and kappa is the largest post-entry sup per
+    The entry level is level_margin (at least 1) times the largest final
+    Dirichlet norm over all runs; each run's entry time is the first record
+    from which the norm stays below that level, and kappa is the largest post-entry sup per
     starting radius.  The runs advance through the batched step kernel in
     slices, one per usable CPU, forked from this process; each is bitwise
     equal to its own run_semiflow.
     """
     if len(radii) == 0:
         raise ValueError("radii must hold at least one radius")
+    if not (all(r > 0 for r in radii) and len(set(radii)) == len(radii)):
+        raise ValueError(f"radii must be positive and distinct, got {tuple(radii)}")
+    if not level_margin >= 1:   # below 1, a run may never enter the level
+        raise ValueError(f"level_margin must be >= 1, got {level_margin}")
     if seeds_per_radius < 1:
         raise ValueError(f"seeds_per_radius must be >= 1, got {seeds_per_radius}")
     jobs = [(radius, base_seed + i) for radius in radii for i in range(seeds_per_radius)]
@@ -282,9 +286,7 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
         radius, _ = job
         series = norms[job]
         suffix = np.maximum.accumulate(series[::-1])[::-1]
-        idx = int(np.argmax(suffix <= level))
-        if suffix[idx] > level:  # never enters (cannot happen with this level)
-            idx = n_rec - 1
+        idx = int(np.argmax(suffix <= level))   # enters by its last record at the latest
         entry_idx[job] = idx
         entry_times[radius].append(float(times[idx]))
         post_sups[radius].append(float(suffix[idx]))

@@ -7,7 +7,8 @@ Every subcommand reads one INI configuration, creates a fresh directory
   [meta] block; feeding it back through --config reproduces the run,
 * one or more CSV files with the command's results (17 significant digits);
   ``simulate`` also writes ``snapshots/snap_<step>.txt`` as each is recorded,
-  so an aborted run keeps them and its memory does not grow with T_max,
+  so an aborted run keeps them (the aborting step's too) and its memory holds
+  no snapshot,
 * ``status`` — a single line, ``ok`` or ``error: <type>: <reason>``, written
   whatever ended the run.
 
@@ -33,8 +34,8 @@ from .analysis import (absorbing_set_experiment, lojasiewicz_probe,
                        smooth_random_field, tip_probe)
 from .config import (ConfigError, RunConfig, manifest_text, parse_config,
                      validate_gamma)
-from .dynamics import (DiagnosticsRecord, StabilityError, _last_step, _mean_free_dual_norm,
-                       energy, run_semiflow)
+from .dynamics import (DiagnosticsRecord, StabilityError, _mean_free_dual_norm, energy,
+                       run_semiflow)
 from .fields import Field, constant_field
 from .geometry import boundary_spectrum
 from .indicial import (asymptotic_space, bilaplacian_indicial_roots,
@@ -184,41 +185,25 @@ def _cmd_norms(cfg: RunConfig, outdir: Path):
 
 def _cmd_simulate(cfg: RunConfig, outdir: Path):
     ops = cfg.geometry.build_workspace()
-    state = _initial_field(cfg, ops)
+    u0 = _initial_field(cfg, ops)
     stepper = cfg.dynamics.stepper(cfg.norms.gamma)
     snap_dir = outdir / "snapshots"
     if cfg.experiment.snapshots:
         snap_dir.mkdir()
 
-    fh = open(outdir / "diagnostics.csv", "w", newline="")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(DiagnosticsRecord.CSV_FIELDS)
-    ends = []    # the first and the latest record, for the mass drift
+    with open(outdir / "diagnostics.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(DiagnosticsRecord.CSV_FIELDS)
 
-    def on_record(rec):
-        writer.writerow([_fmt(v) for v in rec.csv_values()])
-        fh.flush()
-        del ends[1:]
-        ends.append(rec)
+        def on_record(rec, coeffs):
+            # on disk as soon as recorded: an aborted run keeps them, and none stays in memory
+            writer.writerow([_fmt(v) for v in rec.csv_values()])
+            fh.flush()
+            if cfg.experiment.snapshots:
+                _write_snapshot(snap_dir / f"snap_{rec.step:08d}.txt", rec.step, rec.t, coeffs)
 
-    # One stride at a time, each resumed from the last state (bitwise the
-    # uninterrupted run), so snapshots reach the disk as they are recorded
-    # and memory does not grow with T_max.
-    end, last = 0, _last_step(stepper)
-    try:
-        while True:
-            end += stepper.snapshot_stride
-            chunk = stepper if end >= last else replace(stepper, t_max=(end + 0.5) * stepper.dt)
-            result = run_semiflow(ops, state, chunk, on_record=on_record,
-                                  collect_snapshots=cfg.experiment.snapshots)
-            for step, coeffs in result.snapshots:
-                _write_snapshot(snap_dir / f"snap_{step:08d}.txt", step,
-                                step * stepper.dt, coeffs)
-            state = result.state
-            if chunk is stepper or result.equilibrium_reached:
-                break
-    finally:
-        fh.close()
+        result = run_semiflow(ops, u0, stepper, on_record=on_record)
+    state = result.state
     _write_snapshot(outdir / "final_state.txt", state.step, state.step * stepper.dt,
                     state.u.coeffs)
     _write_csv(outdir / "summary.csv", ("quantity", "value"),
@@ -226,7 +211,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path):
                 ("final_residual", result.final_residual),
                 ("t_final", state.step * stepper.dt),
                 ("steps", state.step),
-                ("mass_drift", abs(ends[-1].mass - ends[0].mass))])
+                ("mass_drift", abs(result.records[-1].mass - result.records[0].mass))])
 
 
 def _cmd_attractor(cfg: RunConfig, outdir: Path):

@@ -258,6 +258,12 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[experiment] n_eigs must be >= 1")
     if not e.radii:
         raise ConfigError("[experiment] radii must not be empty")
+    if min(e.radii) <= 0 or len(set(e.radii)) < len(e.radii):
+        raise ConfigError(f"[experiment] radii must be positive and distinct, got {e.radii}")
+    if e.level_margin < 1:
+        raise ConfigError(f"[experiment] level_margin must be >= 1, got {e.level_margin:g}")
+    if not e.modes:
+        raise ConfigError("[experiment] modes must not be empty")
     if not (0 <= e.drop_last < 0.5):
         raise ConfigError("[experiment] drop_last must lie in [0, 0.5)")
     if not (0 < e.source_center < 1) or not (0 < e.source_width < 1):

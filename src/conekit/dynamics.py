@@ -105,9 +105,6 @@ class SemiflowState:
         if self.mean0 is None:
             self.mean0 = mean(self.u)
 
-    def time(self, cfg: StepperConfig) -> float:
-        return self.step * cfg.dt
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -381,11 +378,13 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
 
     ``initial`` is a Field (fresh run) or a SemiflowState (resume; time
     continues from state.step * dt).  Diagnostics are recorded every
-    ``snapshot_stride`` steps and at the final step; ``on_record`` receives
-    each DiagnosticsRecord as it is produced, so partial output survives an
-    abort.  Raises StabilityError when the energy rises beyond the per-step
-    tolerance or stops being finite (the records produced so far remain
-    delivered).
+    ``snapshot_stride`` steps and at the final step; ``on_record(record,
+    coeffs)`` receives each DiagnosticsRecord as it is produced, with the
+    coefficients of the state it describes, so partial output survives an
+    abort.  ``coeffs`` is the run's own array: do not modify it, and copy it
+    to keep it.  Raises StabilityError when the energy rises beyond the
+    per-step tolerance or stops being finite, after the record of that step
+    is delivered.
 
     Equilibrium is declared once the dual norm of the discrete time
     derivative drops below eq_tol.  Because that norm requires a solve over
@@ -396,7 +395,7 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
 
     This is the one-member case of the ensemble step kernel (_run_batch).
     """
-    deliver = None if on_record is None else (lambda _member, rec: on_record(rec))
+    deliver = None if on_record is None else (lambda _member, rec, coeffs: on_record(rec, coeffs))
     return _run_batch(ops, [initial], cfg, deliver, collect_snapshots, cpus=_usable_cpus())[0]
 
 
@@ -408,11 +407,6 @@ def _can_fork() -> bool:
     """Whether this process may fork a checker or slices: "fork" is a start method here."""
     import multiprocessing  # only runs that may fork load it
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _last_step(cfg: StepperConfig) -> int:
-    """The step at which a run stops unless it reaches equilibrium first."""
-    return int(math.floor(cfg.t_max / cfg.dt + 1e-9))
 
 
 def _initial_states(ops: ModeOperators, initials: list) -> list[SemiflowState]:
@@ -440,9 +434,10 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     records and snapshots -- is evaluated per member, on that member's slice
     and in the expression a lone run uses, so every member is bitwise equal
     to its own run_semiflow.  A member leaves the stack when it reaches
-    equilibrium or t_max.  ``on_record(member, record)`` receives every
-    record as it is produced; an energy violation in any member raises
-    StabilityError after that member's record is delivered.  ``stop`` is
+    equilibrium or t_max.  ``on_record(member, record, coeffs)`` receives
+    every record as it is produced, as for run_semiflow; an energy violation
+    in any member raises StabilityError after that member's record is
+    delivered.  ``stop`` is
     the shared value of _run_sliced, the earliest lockstep at which a slice
     aborted; the batch raises _SliceStopped instead of starting a later one.
     One member with two ``cpus`` or more decides its steps, where a _Checker
@@ -451,7 +446,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     """
     states = _initial_states(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
-    n_steps_max = _last_step(cfg)
+    n_steps_max = int(math.floor(cfg.t_max / cfg.dt + 1e-9))   # unless equilibrium comes first
     steps = [st.step for st in states]
     mean0 = [st.mean0 for st in states]
     records: list[list[DiagnosticsRecord]] = [[] for _ in states]
@@ -474,7 +469,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
             max_abs_u=float(np.abs(vals_m).max()))
         records[member].append(rec)
         if on_record is not None:
-            on_record(member, rec)
+            on_record(member, rec, coeffs)
         if collect_snapshots:
             snapshots[member].append((step, coeffs.copy()))
 

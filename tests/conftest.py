@@ -1,8 +1,13 @@
 """Shared fixtures: a few standard geometries and operator workspaces.
 
 Session-scoped because meshes and operator workspaces are immutable; building
-them once keeps the suite fast.
+them once keeps the suite fast.  Every test must also end without a child
+process: a single run longer than 128 steps forks a checker, and an ensemble
+forks slices.
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -46,3 +51,24 @@ def graded_cone_ops():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260815)
+
+
+def leftover_children() -> list[str]:
+    """The child processes of this process: live multiprocessing children, then any other
+    child, running or ended; an ended one is reaped, so it is reported once."""
+    found = [repr(proc) for proc in multiprocessing.active_children()]
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:   # no child at all
+        return found
+    return found + ["a running child" if pid == 0 else f"child {pid}, wait status {status}"]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    left = leftover_children()
+    for proc in multiprocessing.active_children():   # spare the tests after this one
+        proc.terminate()
+        proc.join()
+    assert left == [], f"the test left child processes: {left}"

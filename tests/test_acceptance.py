@@ -140,7 +140,7 @@ def test_criterion_04_gauss_defect_and_mass_conservation(sphere_ops,
     cfg = StepperConfig(dt=1e-3, stabilization=2.0, t_max=10.0, eq_tol=0.0,
                         snapshot_stride=100)
     masses = []
-    run_semiflow(ops, u0, cfg, on_record=lambda rec: masses.append(rec.mass))
+    run_semiflow(ops, u0, cfg, on_record=lambda rec, _coeffs: masses.append(rec.mass))
     assert len(masses) == 101  # 10^4 steps recorded every 100
     drift = max(abs(m - masses[0]) for m in masses)
     assert drift <= 1e-12

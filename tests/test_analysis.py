@@ -198,7 +198,13 @@ def test_absorbing_experiment_report_shape(small_sphere_ops):
 
 
 @pytest.mark.parametrize("kwargs, name", [({"radii": ()}, "radii"),
-                                          ({"seeds_per_radius": 0}, "seeds_per_radius")])
+                                          ({"seeds_per_radius": 0}, "seeds_per_radius"),
+                                          # nonsense too: repeated or non-positive radii,
+                                          # a level below the final norms
+                                          ({"radii": (0.5, 0.5)}, "radii"),
+                                          ({"radii": (0.0,)}, "radii"),
+                                          ({"radii": (-0.5,)}, "radii"),
+                                          ({"level_margin": 0.0}, "level_margin")])
 def test_an_empty_ensemble_names_its_argument(small_sphere_ops, kwargs, name):
     with pytest.raises(ValueError, match=name):
         absorbing_set_experiment(small_sphere_ops, StepperConfig(t_max=0.01), **kwargs)

@@ -23,6 +23,7 @@ from conekit.dynamics import (SemiflowState, StabilityError, StepperConfig, _run
 from conekit.fields import constant_field
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import ModeOperators, SolverError
+from conftest import leftover_children
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -43,14 +44,22 @@ def assert_same_run(got, want):
         assert np.array_equal(a, b)
 
 
+def assert_delivered(delivered, result):
+    """``delivered`` holds (record, coeffs copy) pairs: the records and snapshots of ``result``."""
+    assert [rec for rec, _ in delivered] == result.records
+    assert len(delivered) == len(result.snapshots)
+    for (rec, coeffs), (step, snap) in zip(delivered, result.snapshots):
+        assert rec.step == step and np.array_equal(coeffs, snap)
+
+
 def check_batch(ops, initials, cfg):
     delivered = [[] for _ in initials]
-    batch = _run_batch(ops, initials, cfg,
-                       on_record=lambda member, rec: delivered[member].append(rec),
-                       collect_snapshots=True)
+    batch = _run_batch(ops, initials, cfg, collect_snapshots=True,
+                       on_record=lambda member, rec, coeffs:
+                       delivered[member].append((rec, coeffs.copy())))
     assert len(batch) == len(initials)
     for initial, got, recs in zip(initials, batch, delivered):
-        assert recs == got.records
+        assert_delivered(recs, got)
         assert_same_run(got, run_semiflow(ops, initial, cfg, collect_snapshots=True))
     return batch
 
@@ -132,7 +141,7 @@ def check_sliced(ops, initials, cfg, cpus):
     with pytest.MonkeyPatch.context() as mp, deadline(120):
         usable_cpus(mp, cpus)
         sliced = _run_sliced(ops, initials, cfg, collect_snapshots=True)
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
     whole = _run_batch(ops, initials, cfg, collect_snapshots=True)
     assert len(sliced) == len(whole)
     for got, want in zip(sliced, whole):
@@ -215,7 +224,7 @@ def test_failing_slice_raises_the_one_process_error(layout, cpus, expected):
     with pytest.MonkeyPatch.context() as mp, deadline(120), pytest.raises(expected) as sliced:
         usable_cpus(mp, cpus)
         _run_sliced(ops, initials, cfg)
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
     if expected is StabilityError:
         assert str(sliced.value) == str(whole.value)
 
@@ -235,7 +244,7 @@ def test_an_abort_stops_the_other_slices(layout):
     with pytest.MonkeyPatch.context() as mp, deadline(3), pytest.raises(StabilityError) as sliced:
         usable_cpus(mp, 2)
         _run_sliced(ops, initials, cfg)
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
     assert str(sliced.value) == str(whole.value)
 
 
@@ -252,7 +261,7 @@ def test_non_finite_member_of_a_child_slice_raises_the_one_process_error(step):
     with pytest.MonkeyPatch.context() as mp, deadline(120), pytest.raises(ValueError) as sliced:
         usable_cpus(mp, 2)                     # slices: member 0 | members 1 and 2
         _run_sliced(ops, initials, cfg)
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
     assert str(sliced.value) == str(whole.value) \
         == f"member 2 has a non-finite state at step {step}"
 
@@ -277,7 +286,6 @@ def test_dead_child_raises_and_the_others_are_reaped(small_sphere_ops, monkeypat
     usable_cpus(monkeypatch, 3)
     with deadline(30), pytest.raises(RuntimeError, match="ended without sending its slice"):
         _run_sliced(ops, members, cfg)
-    assert multiprocessing.active_children() == []
 
 
 def test_interrupt_in_the_parent_reaps_the_children(small_sphere_ops, monkeypatch):
@@ -297,16 +305,27 @@ def test_interrupt_in_the_parent_reaps_the_children(small_sphere_ops, monkeypatc
     usable_cpus(monkeypatch, 2)
     with deadline(30), pytest.raises(KeyboardInterrupt):
         _run_sliced(ops, members, cfg)
-    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------- steps checked in a forked checker
 
 
-def assert_no_child():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_leftover_children_reports_a_running_child_until_it_is_reaped():
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(write)
+            os.read(read, 1)   # until the parent closes its end
+        finally:
+            os._exit(0)
+    os.close(read)
+    try:
+        assert leftover_children() == ["a running child"]
+    finally:
+        os.close(write)
+        os.waitpid(pid, 0)
+    assert leftover_children() == []
 
 
 def lone_run(ops, initial, cfg, cpus):
@@ -314,10 +333,10 @@ def lone_run(ops, initial, cfg, cpus):
     delivered = []
     with pytest.MonkeyPatch.context() as mp, deadline(120):
         usable_cpus(mp, cpus)
-        result = run_semiflow(ops, initial, cfg, on_record=delivered.append,
-                              collect_snapshots=True)
-    assert delivered == result.records
-    assert_no_child()
+        result = run_semiflow(ops, initial, cfg, collect_snapshots=True,
+                              on_record=lambda rec, coeffs: delivered.append((rec, coeffs.copy())))
+    assert_delivered(delivered, result)
+    assert leftover_children() == []
     return result
 
 
@@ -342,10 +361,11 @@ def failed_run(ops, initial, cfg, cpus, action):
             warnings.catch_warnings(record=True) as warned, pytest.raises(Exception) as err:
         warnings.simplefilter(action)
         usable_cpus(mp, cpus)
-        run_semiflow(ops, initial, cfg, on_record=seen.append)
-    assert_no_child()
+        run_semiflow(ops, initial, cfg,
+                     on_record=lambda rec, coeffs: seen.append((repr(rec), coeffs.tobytes())))
+    assert leftover_children() == []
     return (type(err.value), str(err.value), getattr(err.value, "lockstep", None),
-            [repr(rec) for rec in seen],   # exact for floats, and NaN equals NaN
+            seen,   # records and states, exact for floats, and NaN equals NaN
             [(w.category, str(w.message), w.filename, w.lineno) for w in warned])
 
 
@@ -380,7 +400,7 @@ def test_every_ending_reaps_the_checker(small_sphere_ops, ending):
         cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=0.0, snapshot_stride=5)
         initial, expected = failing_members(ops)["rise_late"], StabilityError
 
-    def on_record(rec):
+    def on_record(rec, _coeffs):
         if raised is not None and rec.step == 10:
             raise raised("stop here")
 
@@ -392,7 +412,6 @@ def test_every_ending_reaps_the_checker(small_sphere_ops, ending):
         else:
             result = run_semiflow(ops, initial, cfg, on_record=on_record)
             assert result.equilibrium_reached == (ending == "equilibrium")
-    assert_no_child()
 
 
 def test_a_dead_checker_raises_with_its_exit_code(small_sphere_ops, monkeypatch):
@@ -409,7 +428,6 @@ def test_a_dead_checker_raises_with_its_exit_code(small_sphere_ops, monkeypatch)
     cfg = StepperConfig(dt=DT, t_max=20 * DT, eq_tol=0.0)
     with deadline(30), pytest.raises(RuntimeError, match=r"step checker .*exit code -9"):
         run_semiflow(small_sphere_ops, sphere_member(small_sphere_ops), cfg)
-    assert_no_child()
 
 
 @pytest.mark.parametrize("eq_tol", [0.0, 1e-2])
@@ -499,7 +517,6 @@ def test_a_run_forks_its_checker_after_its_first_steps(small_sphere_ops, monkeyp
             got = run_semiflow(ops, initial, cfg, collect_snapshots=True)
         assert len(forks) == n_forks
         assert_same_run(got, _run_batch(ops, [initial], cfg, collect_snapshots=True)[0])
-    assert_no_child()
 
 
 def test_a_step_that_warns_ahead_ends_the_pipelining(small_sphere_ops, monkeypatch):

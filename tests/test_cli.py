@@ -10,6 +10,8 @@ import pytest
 import conekit.cli
 import conekit.dynamics
 from conekit.cli import main
+from conekit.config import parse_config
+from conekit.dynamics import DiagnosticsRecord, run_semiflow
 
 SPHERE_SMALL = "[geometry]\nkind = sphere\nM = 48\nK = 2\nq = 1.0\n"
 
@@ -159,6 +161,11 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("dynamics", "T_max", "inf"),
     ("dynamics", "eq_tol", "nan"),
     ("experiment", "radii", "1,-inf"),
+    ("experiment", "radii", "0.5,0.5"),
+    ("experiment", "radii", "0"),
+    ("experiment", "radii", "-0.5"),
+    ("experiment", "level_margin", "0"),
+    ("experiment", "modes", ""),
     ("experiment", "modes", "-1"),
     ("experiment", "n_eigs", "-3"),
     ("experiment", "seed", "-1"),
@@ -340,6 +347,43 @@ def test_snapshot_text_matches_per_value_format(tmp_path):
     lines = ["# t = 0.125", "# modes = 2", "# cells = 7"]
     lines += [" ".join(format(v, ".17g") for v in row) for row in coeffs.reshape(-1, 7)]
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_simulate_is_one_run_that_forks_one_checker_and_writes_what_it_records(tmp_path,
+                                                                               monkeypatch):
+    # 320 steps, recorded every 50: fewer than the steps a run takes before it forks a checker
+    ini = SPHERE_SMALL + "[dynamics]\nT_max = 0.32\neq_tol = 0\nsnapshot_stride = 50\n" \
+        + "[experiment]\namplitude = 0.3\nseed = 5\n"
+    assert 50 < conekit.dynamics._Checker.FIRST < 320
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rc, rundir = run_cli(tmp_path, "simulate", ini)
+    assert rc == 0
+    assert len(forks) == 1
+
+    # the same run on one CPU, its records and snapshots collected, then written out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg = parse_config(ini)
+    ops = cfg.geometry.build_workspace()
+    result = run_semiflow(ops, conekit.cli._initial_field(cfg, ops),
+                          cfg.dynamics.stepper(cfg.norms.gamma), collect_snapshots=True)
+    assert len(forks) == 1
+    want = tmp_path / "want"
+    want.mkdir()
+    conekit.cli._write_csv(want / "diagnostics.csv", DiagnosticsRecord.CSV_FIELDS,
+                           [rec.csv_values() for rec in result.records])
+    assert (rundir / "diagnostics.csv").read_bytes() == (want / "diagnostics.csv").read_bytes()
+    names = [f"snap_{step:08d}.txt" for step, _ in result.snapshots]
+    assert sorted(p.name for p in (rundir / "snapshots").iterdir()) == names
+    for name, (step, coeffs) in zip(names, result.snapshots):
+        conekit.cli._write_snapshot(want / name, step, step * cfg.dynamics.dt, coeffs)
+        assert (rundir / "snapshots" / name).read_bytes() == (want / name).read_bytes()
 
 
 def test_attractor_outputs_match_serial_runs(tmp_path, monkeypatch):

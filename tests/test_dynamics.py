@@ -172,7 +172,7 @@ def test_residual_decays_geometrically_in_linear_flow(small_sphere_ops):
     cfg = StepperConfig(dt=dt, stabilization=s, t_max=40 * dt, eq_tol=0.0,
                         snapshot_stride=1, linear_only=True)
     seen = []
-    run_semiflow(ops, u0, cfg, on_record=lambda rec: seen.append(rec.ut_h01dual))
+    run_semiflow(ops, u0, cfg, on_record=lambda rec, _coeffs: seen.append(rec.ut_h01dual))
     amp = (1.0 + dt * (1.0 + s) * mu) / (1.0 + dt * mu ** 2 + s * dt * mu)
     ratios = [b / a for a, b in zip(seen[2:], seen[3:])]
     assert all(abs(r - amp) <= 0.01 * amp for r in ratios), ratios[:5]
@@ -271,7 +271,7 @@ def test_oversized_step_aborts_with_stability_error(small_sphere_ops):
     cfg = StepperConfig(dt=10.0, t_max=1000.0, eq_tol=0.0, snapshot_stride=1)
     seen = []
     with pytest.raises(StabilityError, match="reduce dt or raise"):
-        run_semiflow(ops, u0, cfg, on_record=lambda rec: seen.append(rec))
+        run_semiflow(ops, u0, cfg, on_record=lambda rec, _coeffs: seen.append(rec))
     # the offending record is emitted before the abort
     assert len(seen) >= 2
     assert seen[-1].energy > seen[-2].energy
@@ -288,7 +288,7 @@ def test_non_finite_energy_trips_the_guard(monkeypatch):
     cfg = StepperConfig(dt=1e-3, t_max=0.01, eq_tol=0.0, snapshot_stride=100)
     seen = []
     with pytest.raises(StabilityError, match="reduce dt or raise"):
-        run_semiflow(ops, u0, cfg, on_record=seen.append)
+        run_semiflow(ops, u0, cfg, on_record=lambda rec, _coeffs: seen.append(rec))
     assert [rec.step for rec in seen] == [0, 1]
     assert math.isnan(seen[-1].energy)
 
@@ -305,7 +305,7 @@ def test_non_finite_state_is_rejected_before_any_record(small_sphere_ops, rng):
             seen = []
             step = getattr(initial, "step", 0)
             with pytest.raises(ValueError, match=f"member 0 has a non-finite state at step {step}"):
-                run_semiflow(ops, initial, cfg, on_record=seen.append)
+                run_semiflow(ops, initial, cfg, on_record=lambda rec, _coeffs: seen.append(rec))
             assert seen == []
 
 
@@ -319,7 +319,7 @@ def test_overflowing_fresh_state_fails_like_the_resumed_one():
     cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=0.0, snapshot_stride=5)
     seen = []
     with pytest.raises(SolverError, match="residual nan"):
-        run_semiflow(ops, big, cfg, on_record=seen.append)
+        run_semiflow(ops, big, cfg, on_record=lambda rec, _coeffs: seen.append(rec))
     assert [rec.step for rec in seen] == [0] and math.isnan(seen[0].ut_h01dual)
     with pytest.raises(SolverError, match="residual nan"):
         run_semiflow(ops, SemiflowState(big, step=3), cfg)
@@ -354,8 +354,3 @@ def test_stepper_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=name):
         StepperConfig(**{name: value})
 
-
-def test_state_time_is_step_times_dt(small_sphere_ops):
-    u = constant_field(small_sphere_ops.mesh, small_sphere_ops.max_mode, 0.0)
-    cfg = StepperConfig(dt=2e-3)
-    assert SemiflowState(u, step=7).time(cfg) == pytest.approx(0.014)

@@ -55,8 +55,8 @@ def test_simulate_memory_does_not_grow_with_t_max(tmp_path):
     assert abs(long - short) <= 0.1 * short
 
 
-def test_aborted_simulate_keeps_the_snapshots_of_completed_strides(tmp_path):
-    # the energy rises at the step to t = 0.03
+def test_aborted_simulate_keeps_the_snapshots_up_to_the_aborting_step(tmp_path):
+    # the energy rises at the step to t = 0.03, whose record and snapshot are written before the abort
     ini = sphere(24, 2) \
         + "[dynamics]\ndt = 0.01\nS = 0\nT_max = 0.5\neq_tol = 0\nsnapshot_stride = 1\n" \
         + "[experiment]\nic = random\namplitude = 8\nseed = 1\n"
@@ -64,5 +64,6 @@ def test_aborted_simulate_keeps_the_snapshots_of_completed_strides(tmp_path):
     assert rc == 3
     assert (rundir / "status").read_text().startswith("error: StabilityError")
     snaps = sorted(p.name for p in (rundir / "snapshots").iterdir())
-    assert snaps == [f"snap_{step:08d}.txt" for step in range(3)]
-    assert (rundir / "snapshots" / snaps[-1]).read_text().startswith("# t = 0.02")
+    assert snaps == [f"snap_{step:08d}.txt" for step in range(4)]
+    # t = 0.03 at 17 digits: 0.029999999999999999
+    assert (rundir / "snapshots" / snaps[-1]).read_text().startswith(f"# t = {0.03:.17g}\n")
