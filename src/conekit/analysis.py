@@ -251,10 +251,10 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
 
     The entry level is level_margin (at least 1) times the largest final
     Dirichlet norm over all runs; each run's entry time is the first record
-    from which the norm stays below that level, and kappa is the largest post-entry sup per
-    starting radius.  The runs advance through the batched step kernel in
-    slices, one per usable CPU, forked from this process; each is bitwise
-    equal to its own run_semiflow.
+    from which the norm stays below that level, and kappa is the largest
+    post-entry sup per starting radius.  The runs advance through the
+    batched step kernel in slices, one per usable CPU, forked from this
+    process; each is bitwise equal to its own run_semiflow.
     """
     if len(radii) == 0:
         raise ValueError("radii must hold at least one radius")

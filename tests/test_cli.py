@@ -351,7 +351,7 @@ def test_snapshot_text_matches_per_value_format(tmp_path):
 
 def test_simulate_is_one_run_that_forks_one_checker_and_writes_what_it_records(tmp_path,
                                                                                monkeypatch):
-    # 320 steps, recorded every 50: fewer than the steps a run takes before it forks a checker
+    # 320 steps recorded every 50, a stride shorter than the steps a run takes before its checker
     ini = SPHERE_SMALL + "[dynamics]\nT_max = 0.32\neq_tol = 0\nsnapshot_stride = 50\n" \
         + "[experiment]\namplitude = 0.3\nseed = 5\n"
     assert 50 < conekit.dynamics._Checker.FIRST < 320
