@@ -17,7 +17,7 @@ from types import ModuleType as _ModuleType
 from .geometry import (BoundarySpectrum, RadialMesh, SurfaceProfile,
                        boundary_spectrum, build_mesh, build_profile)
 from .fields import CutoffFunction, Field, constant_field, field_from_modes
-from .operators import ModeEigensystem, ModeOperators, SolverError
+from .operators import ModeOperators, SolverError
 from .spaces import (h01_dual_norm, h1_seminorm, l2_norm, lp_norm, mean,
                      mellin_norm, poincare_constant)
 from .indicial import (AsymptoticSpace, GammaWindow, IndicialRoot, Surd,

@@ -177,8 +177,7 @@ def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
             continue
         gaps.append(gap)
         grads.append(gradient_residual(Field(ops.mesh, coeffs.copy()), ops))
-    keep = len(gaps) - max(1, int(math.ceil(drop_last_fraction * len(gaps)))) \
-        if gaps else 0
+    keep = len(gaps) - int(math.ceil(drop_last_fraction * len(gaps)))
     gaps, grads = gaps[:keep], grads[:keep]
     if len(gaps) < MIN_LOJASIEWICZ_SAMPLES:
         raise ValueError(f"only {len(gaps)} usable samples (< {MIN_LOJASIEWICZ_SAMPLES}); "

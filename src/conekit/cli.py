@@ -154,7 +154,7 @@ def _cmd_spectrum(cfg: RunConfig, outdir: Path):
     n_eigs = min(cfg.experiment.n_eigs, ops.mesh.cells)
     rows = []
     for k in range(ops.max_mode + 1):
-        vals = ops.eigendecompose_mode(k).eigenvalues[:n_eigs]
+        vals = ops.eigenvalues(k)[:n_eigs]
         rows.extend((k, i, float(v)) for i, v in enumerate(vals))
     _write_csv(outdir / "spectrum.csv", ("mode", "index", "eigenvalue"), rows)
     mu1 = min(ops.smallest_eigenvalue(k) for k in range(ops.max_mode + 1))

@@ -28,7 +28,7 @@ import pickle
 import signal
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,7 +58,7 @@ class StabilityError(RuntimeError):
 
 
 class _SliceStopped(Exception):
-    """A slice of _run_sliced stopped: another slice aborted at a lockstep this one has finished."""
+    """A slice of _run_sliced stopped: another slice aborted at a step this one has finished."""
 
 
 @dataclass(frozen=True)
@@ -89,21 +89,10 @@ class StepperConfig:
 
 @dataclass
 class SemiflowState:
-    """Evolving field plus the integer step count and the conserved mean.
-
-    Time is always step * dt, so a run split into two resumed halves at a
-    record step reproduces the uninterrupted run bit for bit; so does any
-    split with eq_tol = 0.  Elsewhere the first half's closing record, which
-    tests for equilibrium exactly, can stop a run the whole one continues.
-    """
+    """The field a run ended with and the step it ended at; time is step * dt."""
 
     u: Field
-    step: int = 0
-    mean0: float = field(default=None)
-
-    def __post_init__(self):
-        if self.mean0 is None:
-            self.mean0 = mean(self.u)
+    step: int
 
 
 @dataclass(frozen=True)
@@ -376,9 +365,9 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
     """Run the semiflow until t_max or until the equilibrium residual drops
     below eq_tol.
 
-    ``initial`` is a Field (fresh run) or a SemiflowState (resume; time
-    continues from state.step * dt).  Diagnostics are recorded every
-    ``snapshot_stride`` steps and at the final step; ``on_record(record,
+    The run starts from the Field ``initial`` at step 0, and its result's
+    ``state`` holds the final field and its step.  Diagnostics are recorded
+    every ``snapshot_stride`` steps and at the final step; ``on_record(record,
     coeffs)`` receives each DiagnosticsRecord as it is produced, with the
     coefficients of the state it describes, so partial output survives an
     abort.  ``coeffs`` is the run's own array: do not modify it, and copy it
@@ -409,14 +398,16 @@ def _can_fork() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _initial_states(ops: ModeOperators, initials: list) -> list[SemiflowState]:
-    """The members as SemiflowStates; a foreign or non-finite one raises ValueError."""
-    states = [s if isinstance(s, SemiflowState) else SemiflowState(u=s) for s in initials]
-    for b, st in enumerate(states):
-        ops._check_field(st.u)
-        if not (np.isfinite(st.u.coeffs).all() and math.isfinite(st.mean0)):
-            raise ValueError(f"member {b} has a non-finite state at step {st.step}")
-    return states
+def _check_initials(ops: ModeOperators, initials: list):
+    """Raise TypeError for a member that is not a Field, ValueError for a foreign one or
+    one whose coefficients or conserved mean are not finite."""
+    for b, u in enumerate(initials):
+        if not isinstance(u, Field):
+            raise TypeError(f"member {b} is a {type(u).__name__}, not a Field: "
+                            "every run starts from a Field at step 0")
+        ops._check_field(u)
+        if not (np.isfinite(u.coeffs).all() and math.isfinite(mean(u))):
+            raise ValueError(f"member {b} has a non-finite state at step 0")
 
 
 def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
@@ -425,9 +416,9 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                cpus: int = 1) -> list[SemiflowResult]:
     """Run several trajectories through one step kernel; one result per member.
 
-    Each entry of ``initials`` is a Field (fresh run) or a SemiflowState
-    (resume), as for run_semiflow.  The active members form the leading axis
-    of one coefficient stack, so a step costs one cube transform pair, one
+    Each entry of ``initials`` is a Field, and every member starts at step 0,
+    so the batch keeps one step counter.  The active members form the leading
+    axis of one coefficient stack, so a step costs one cube transform pair, one
     Laplacian and one stacked implicit solve whatever the member count.
     Everything that decides or records a trajectory -- energy guard,
     Poincare screen, exact residual, equilibrium stop, mean restoration,
@@ -437,25 +428,24 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     equilibrium or t_max.  ``on_record(member, record, coeffs)`` receives
     every record as it is produced, as for run_semiflow; an energy violation
     in any member raises StabilityError after that member's record is
-    delivered.  ``stop`` is
-    the shared value of _run_sliced, the earliest lockstep at which a slice
-    aborted; the batch raises _SliceStopped instead of starting a later one.
+    delivered.  An error raised at step n carries n as ``lockstep``.  ``stop``
+    is the shared value of _run_sliced, the earliest step at which a slice
+    aborted; the batch raises _SliceStopped instead of taking a later one.
     One member with two ``cpus`` or more decides its steps, where a _Checker
     pays, with the checks it took meanwhile; stopped at step n, it returns
     the state of step n.
     """
-    states = _initial_states(ops, initials)
+    _check_initials(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
     n_steps_max = int(math.floor(cfg.t_max / cfg.dt + 1e-9))   # unless equilibrium comes first
-    steps = [st.step for st in states]
-    mean0 = [st.mean0 for st in states]
-    records: list[list[DiagnosticsRecord]] = [[] for _ in states]
-    snapshots: list[list] = [[] for _ in states]
-    residual = [math.inf] * len(states)
-    equilibrium = [False] * len(states)
-    results: list[Optional[SemiflowResult]] = [None] * len(states)
+    mean0 = [mean(u) for u in initials]
+    records: list[list[DiagnosticsRecord]] = [[] for _ in initials]
+    snapshots: list[list] = [[] for _ in initials]
+    residual = [math.inf] * len(initials)
+    equilibrium = [False] * len(initials)
+    results: list[Optional[SemiflowResult]] = [None] * len(initials)
 
-    stack = np.stack([st.u.coeffs for st in states])
+    stack = np.stack([u.coeffs for u in initials])
     vals = coeffs_to_values(stack)
     e_now, h1_now = _energies(mesh, stack, vals, cfg.linear_only)
 
@@ -473,32 +463,29 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
         if collect_snapshots:
             snapshots[member].append((step, coeffs.copy()))
 
-    for b, st in enumerate(states):
-        if st.step == 0:
-            u = Field(mesh, stack[b])
-            if cfg.linear_only:
-                rate0 = ops.apply_laplacian_coeffs(-ops.apply_laplacian_coeffs(u.coeffs) - u.coeffs)
-            else:
-                rate0 = ops.apply_laplacian(energy_gradient(u, ops)).coeffs
-            # the round trip through dt keeps the bits of the step-0 ut_h01dual;
-            # an overflowed rate has no dual residual, as for a step below
-            res0 = (_mean_free_dual_norm(ops, rate0 * dt / dt) if np.isfinite(rate0).all()
-                    else math.nan)
-            emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b], res0)
+    for b in range(len(initials)):
+        u = Field(mesh, stack[b])
+        if cfg.linear_only:
+            rate0 = ops.apply_laplacian_coeffs(-ops.apply_laplacian_coeffs(u.coeffs) - u.coeffs)
+        else:
+            rate0 = ops.apply_laplacian(energy_gradient(u, ops)).coeffs
+        # the round trip through dt keeps the bits of the step-0 ut_h01dual;
+        # an overflowed rate has no dual residual, as for a step below
+        res0 = (_mean_free_dual_norm(ops, rate0 * dt / dt) if np.isfinite(rate0).all()
+                else math.nan)
+        emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b], res0)
 
-    checker = _Checker(stack) if cpus >= 2 and len(states) == 1 and _can_fork() else None
-    active = list(range(len(states)))    # member index of each stack row
+    checker = _Checker(stack) if cpus >= 2 and len(initials) == 1 and _can_fork() else None
+    active = list(range(len(initials)))    # member index of each stack row
     poincare = None
-    lockstep = 0    # steps the batch has taken together; orders the aborts of slices
+    step = 0    # the step every active member has reached
     try:
         while True:
-            done = [row for row, b in enumerate(active)
-                    if equilibrium[b] or steps[b] >= n_steps_max]
+            done = [row for row, b in enumerate(active) if equilibrium[b] or step >= n_steps_max]
             for row in done:
                 b = active[row]
                 results[b] = SemiflowResult(
-                    records=records[b],
-                    state=SemiflowState(u=Field(mesh, stack[row]), step=steps[b], mean0=mean0[b]),
+                    records=records[b], state=SemiflowState(u=Field(mesh, stack[row]), step=step),
                     equilibrium_reached=equilibrium[b], final_residual=residual[b],
                     snapshots=snapshots[b])
             if done:
@@ -508,25 +495,24 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 stack, vals = stack[keep], vals[keep]
                 e_now = [e_now[row] for row in keep]
                 active = [active[row] for row in keep]
-            if stop is not None and stop.value < lockstep:
+            if stop is not None and stop.value <= step:
                 raise _SliceStopped
 
             prev = stack
+            step += 1
             try:
                 taken = None if checker is None else checker.advance(
-                    ops, cfg, prev, vals, mean0, lockstep + 1, n_steps_max - steps[0])
+                    ops, cfg, prev, vals, mean0, step, n_steps_max - step + 1)
                 if taken is None:   # inline
                     u = ops.solve_ch_system(_rhs(ops, cfg, prev, vals), dt, cfg.stabilization)
                     uvals = _settle(ops, u, [mean0[b] for b in active])
                     taken = u, uvals, _step_checks(ops, cfg, u, uvals, prev)
             except SolverError as exc:
-                exc.lockstep = lockstep
+                exc.lockstep = step
                 raise
             stack, vals, (e_new, h1_new, l2) = taken
+            is_record = step % cfg.snapshot_stride == 0 or step == n_steps_max
             for row, b in enumerate(active):
-                steps[b] += 1
-                step = steps[b]
-                is_record = step % cfg.snapshot_stride == 0 or step == n_steps_max
                 # written so that a NaN energy counts as a rise
                 energy_rose = not (e_new[row] <= e_now[row]
                                    + ENERGY_INCREASE_TOL * (1.0 + abs(e_now[row])))
@@ -552,10 +538,9 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                     err = StabilityError(
                         f"energy {what} in one step at t = {step * dt:g}; "
                         "reduce dt or raise the stabilization parameter")
-                    err.lockstep = lockstep
+                    err.lockstep = step
                     raise err
             e_now = e_new
-            lockstep += 1
     finally:
         if checker is not None:
             checker.close()
@@ -571,11 +556,11 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     factorizations and sends back plain data per member, rebuilt on this
     process's mesh in member order; each member is bitwise its one-process
     result.  When slices fail, the error raised is the one-process batch's:
-    the earliest lockstep first (errors before the first step rank first, and
+    the earliest step first (errors before the first step rank first, and
     a failed solve before an energy rise in the same step), then the lowest
-    member.  A slice that aborts at lockstep n lowers a shared stop value to
-    n, and every other slice stops once it has finished lockstep n, having
-    raised by then any error of its own that ranks first.  A child that ends
+    member.  A slice that aborts at step n lowers a shared stop value to n,
+    and every other slice stops once it has finished step n, having raised
+    by then any error of its own that ranks first.  A child that ends
     without sending its slice raises RuntimeError; any exception here,
     interrupts included, terminates and reaps the children.  With one usable
     CPU, one member or no "fork" start method this is a plain _run_batch
@@ -584,7 +569,7 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     """
     import multiprocessing  # only ensembles fork slices; single runs need not load it
 
-    initials = _initial_states(ops, initials)
+    _check_initials(ops, initials)
 
     cpus = _usable_cpus()
     n_slices = min(cpus, len(initials))
@@ -634,7 +619,7 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
 
 
 def _lower_slice_stop(stop, exc: Exception):
-    """Make the other slices stop after the lockstep at which ``exc`` aborted this one."""
+    """Make the other slices stop after the step at which ``exc`` aborted this one."""
     if not isinstance(exc, _SliceStopped):
         with stop.get_lock():
             stop.value = min(stop.value, getattr(exc, "lockstep", -1))
@@ -650,7 +635,7 @@ def _slice_worker(writer, ops: ModeOperators, initials: list, cfg: StepperConfig
     """
     try:
         try:
-            message = (True, [(r.records, r.state.u.coeffs, r.state.step, r.state.mean0,
+            message = (True, [(r.records, r.state.u.coeffs, r.state.step,
                                r.equilibrium_reached, r.final_residual, r.snapshots)
                               for r in _run_batch(ops, initials, cfg,
                                                   collect_snapshots=collect_snapshots,
@@ -667,8 +652,7 @@ def _slice_worker(writer, ops: ModeOperators, initials: list, cfg: StepperConfig
 
 
 def _plain_to_result(mesh, plain: tuple) -> SemiflowResult:
-    records, coeffs, step, mean0, equilibrium, residual, snapshots = plain
-    return SemiflowResult(records=records,
-                          state=SemiflowState(u=Field(mesh, coeffs), step=step, mean0=mean0),
+    records, coeffs, step, equilibrium, residual, snapshots = plain
+    return SemiflowResult(records=records, state=SemiflowState(u=Field(mesh, coeffs), step=step),
                           equilibrium_reached=equilibrium, final_residual=residual,
                           snapshots=snapshots)

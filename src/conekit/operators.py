@@ -21,7 +21,7 @@ per-mode solve.  It also keeps the implicit step's LU pair and the implicit
 solve's work array (a complex right-hand-side stack, replaced when the
 member count changes); the solve runs in it, so it is not reentrant.  Its
 two halves, the sweeps and their verification, may run in different
-processes.  Eigensystems are computed on demand and not kept.  The tip
+processes.  Eigenvalues are computed on demand and not kept.  The tip
 probes' pivoted LU (solve_neglap_pivoted) stays outside the Cholesky factor:
 it takes modes above the truncation, and the Cholesky solve moves the pinned
 fits.csv and profiles.csv bits (3e-14 relative at the default configuration).
@@ -45,7 +45,6 @@ relative test is what is enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,7 +58,6 @@ from .geometry import RadialMesh
 
 __all__ = [
     "ModeOperators",
-    "ModeEigensystem",
     "SolverError",
 ]
 
@@ -94,25 +92,6 @@ def _stage_roots(dt: float, stabilization: float) -> tuple[complex, complex]:
 
 class SolverError(RuntimeError):
     """A linear solve failed its residual check (or the system is incompatible)."""
-
-
-@dataclass(frozen=True)
-class ModeEigensystem:
-    """Full eigensystem of -L_k: ascending eigenvalues and vol-orthonormal vectors."""
-
-    mode: int
-    eigenvalues: np.ndarray      # (M,), ascending; >= 0 up to roundoff
-    vectors_sym: np.ndarray      # (M, M), orthonormal columns in symmetrized coords
-    sqrt_volumes: np.ndarray
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Eigenvectors as radial profiles, orthonormal in the volume inner product."""
-        return self.vectors_sym / self.sqrt_volumes[:, None]
-
-    def coefficients(self, radial: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of a radial profile in the eigenbasis."""
-        return self.vectors_sym.T @ (self.sqrt_volumes * radial)
 
 
 class ModeOperators:
@@ -418,16 +397,16 @@ class ModeOperators:
 
     # ------------------------------------------------------------ eigensystems
 
-    def eigendecompose_mode(self, mode: int) -> ModeEigensystem:
-        """Full symmetric eigendecomposition of -L_k.
+    def eigenvalues(self, mode: int) -> np.ndarray:
+        """All eigenvalues of -L_k, ascending, from a full symmetric eigendecomposition.
 
         Intended for uniform or mildly graded meshes; on deeply graded meshes
         the smallest eigenvalues should be taken from smallest_eigenvalue(),
         which works through solves.
         """
-        vals, vecs = eigh_tridiagonal(*self.neglap_bands(mode))
-        return ModeEigensystem(mode=mode, eigenvalues=vals, vectors_sym=vecs,
-                               sqrt_volumes=self.sqrt_volumes)
+        # With eigenvectors: eigvals_only=True moves the last bits of the eigenvalues, and
+        # the SHA-256 of the spectrum command's spectrum.csv pins them.
+        return eigh_tridiagonal(*self.neglap_bands(mode))[0]
 
     def smallest_eigenvalue(self, mode: int) -> float:
         """Smallest nonzero eigenvalue of -L_k via inverse power iteration.

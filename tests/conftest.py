@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from conekit import build_mesh, build_profile
 from conekit.operators import ModeOperators
@@ -51,6 +52,13 @@ def graded_cone_ops():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260815)
+
+
+def eigensystem(ops, mode):
+    """Ascending eigenvalues of -L_k and its eigenvectors as radial profiles, orthonormal in
+    the volume inner product (columns)."""
+    vals, vecs = eigh_tridiagonal(*ops.neglap_bands(mode))
+    return vals, vecs / ops.sqrt_volumes[:, None]
 
 
 def leftover_children() -> list[str]:

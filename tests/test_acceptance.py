@@ -105,7 +105,7 @@ def test_criterion_02_gamma_window_arithmetic_and_inclusion():
 def test_criterion_03_sphere_spectrum_oracle_and_convergence_order(sphere_ops):
     pooled = []
     for k in range(sphere_ops.max_mode + 1):
-        vals = sphere_ops.eigendecompose_mode(k).eigenvalues
+        vals = sphere_ops.eigenvalues(k)
         pooled.extend(vals.tolist() if k == 0 else np.repeat(vals, 2).tolist())
     pooled = np.sort(np.asarray(pooled))[:25]
     expected = np.array([ell * (ell + 1) for ell in range(5)

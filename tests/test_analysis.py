@@ -1,5 +1,6 @@
 """Measurement tools: tip fits, decay-exponent probes, ensembles."""
 
+import math
 import os
 
 import numpy as np
@@ -14,6 +15,7 @@ from conekit.fields import Field, constant_field, field_from_modes
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import ModeOperators
 from conekit.spaces import h01_dual_norm, mean
+from conftest import eigensystem
 
 
 # ----------------------------------------------------------------- tip fits
@@ -100,18 +102,34 @@ def test_fit_lojasiewicz_is_invariant_under_unit_changes():
         fit_lojasiewicz(gaps[:1], grads[:1])
 
 
-def test_lojasiewicz_probe_near_stable_equilibrium(small_sphere_ops):
-    # linear decay toward a nondegenerate minimum has exponent 1/2
+@pytest.fixture(scope="module")
+def mode_one_relaxation(small_sphere_ops):
+    """A run that decays linearly toward u = 0 from a small mode-1 eigenfunction."""
     ops = small_sphere_ops
-    sys = ops.eigendecompose_mode(1)
-    u0 = field_from_modes(ops.mesh, ops.max_mode, 1e-3 * sys.vectors[:, 0], mode=1)
+    u0 = field_from_modes(ops.mesh, ops.max_mode, 1e-3 * eigensystem(ops, 1)[1][:, 0], mode=1)
     cfg = StepperConfig(dt=1e-3, eq_tol=1e-8, snapshot_stride=50)
-    result = run_semiflow(ops, u0, cfg, collect_snapshots=True)
-    probe = lojasiewicz_probe(ops, result)
+    return run_semiflow(ops, u0, cfg, collect_snapshots=True)
+
+
+def test_lojasiewicz_probe_near_stable_equilibrium(small_sphere_ops, mode_one_relaxation):
+    # linear decay toward a nondegenerate minimum has exponent 1/2
+    probe = lojasiewicz_probe(small_sphere_ops, mode_one_relaxation)
     assert 0.45 <= probe.theta_hat <= 0.55
     assert probe.r_squared >= 0.999
     assert probe.n_samples >= 10
     assert probe.in_bracket is True
+
+
+def test_lojasiewicz_probe_drops_exactly_its_final_fraction(small_sphere_ops,
+                                                          mode_one_relaxation):
+    result = mode_one_relaxation
+    energies = {rec.step: rec.energy for rec in result.records}
+    e_inf = result.records[-1].energy
+    above = sum(energies[step] - e_inf > 10.0 * np.finfo(float).eps * abs(e_inf)
+                for step, _ in result.snapshots)
+    for fraction in (0.0, 0.05, 0.2):
+        probe = lojasiewicz_probe(small_sphere_ops, result, drop_last_fraction=fraction)
+        assert probe.n_samples == above - math.ceil(fraction * above)
 
 
 def test_lojasiewicz_probe_rejects_unfinished_runs(small_sphere_ops, rng):

@@ -257,7 +257,7 @@ def test_spectrum_output_matches_sphere(tmp_path):
     assert float(summary["mu_1"]) == pytest.approx(2.0, rel=0.01)
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND: eigendecompose_mode's eigh_tridiagonal with "
+@pytest.mark.xfail(strict=True, reason="FOUND: ModeOperators.eigenvalues' eigh_tridiagonal with "
                    "eigenvectors gives 9 negative eigenvalues of -L_k at the default config")
 def test_default_spectrum_is_nonnegative_and_starts_at_mu_1(tmp_path):
     rc, rundir = run_cli(tmp_path, "spectrum", "")

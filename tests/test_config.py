@@ -1,5 +1,8 @@
 """INI configuration parsing, validation, defaulting, manifest round-trip."""
 
+import configparser
+from pathlib import Path
+
 import pytest
 
 from conekit.config import (ConfigError, RunConfig, default_config_text,
@@ -119,3 +122,17 @@ def test_comments_and_meta_sections_are_ignored():
                        "[geometry]\nkind = sphere  # a comment\nM = 128\n")
     assert cfg.geometry.kind == "sphere"
     assert cfg.geometry.M == 128
+
+
+def test_readme_configuration_block_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+    def keys(text):
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        cp.optionxform = str
+        cp.read_string(text)
+        return {(section, key) for section in cp.sections() for key in cp[section]}
+
+    assert keys(block) == keys(default_config_text())
+    assert parse_config(block) == RunConfig()

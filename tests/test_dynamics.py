@@ -1,4 +1,4 @@
-"""Semiflow stepper: energy, gradient, fixed points, stability, resumability."""
+"""Semiflow stepper: energy, gradient, fixed points, stability, initial checks."""
 
 import math
 
@@ -7,13 +7,14 @@ import pytest
 
 from conekit.analysis import smooth_random_field
 from conekit.dynamics import (ENERGY_INCREASE_TOL, DiagnosticsRecord,
-                              SemiflowState, StabilityError, StepperConfig,
+                              StabilityError, StepperConfig,
                               energy, energy_gradient, gradient_residual,
                               run_semiflow)
 from conekit.fields import Field, channel_weights, constant_field, field_from_modes
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import ModeOperators, SolverError
-from conekit.spaces import h1_seminorm, l2_norm
+from conekit.spaces import h1_seminorm, l2_norm, mean
+from conftest import eigensystem
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -35,9 +36,9 @@ def pairing(a, b):
 
 
 def eigenmode_field(ops, mode, index, amplitude=1.0):
-    sys = ops.eigendecompose_mode(mode)
-    mu = float(sys.eigenvalues[index])
-    phi = sys.vectors[:, index]
+    vals, vecs = eigensystem(ops, mode)
+    mu = float(vals[index])
+    phi = vecs[:, index]
     return mu, field_from_modes(ops.mesh, ops.max_mode, amplitude * phi, mode=mode)
 
 
@@ -240,29 +241,6 @@ def test_record_stream_starts_at_step_zero(small_sphere_ops, rng):
     assert all(np.isfinite(v) for v in first.csv_values())
 
 
-def test_interrupted_run_resumes_bitwise(small_sphere_ops, rng):
-    ops = small_sphere_ops
-    u0 = mean_zero(random_field(ops.mesh, ops.max_mode, rng, 0.3))
-    stride = 50
-
-    cfg_full = StepperConfig(dt=1e-3, t_max=0.4, eq_tol=0.0, snapshot_stride=stride)
-    full = run_semiflow(ops, u0, cfg_full, collect_snapshots=True)
-
-    cfg_half = StepperConfig(dt=1e-3, t_max=0.2, eq_tol=0.0, snapshot_stride=stride)
-    first = run_semiflow(ops, u0, cfg_half, collect_snapshots=True)
-    second = run_semiflow(ops, first.state, cfg_full, collect_snapshots=True)
-
-    assert full.state.step == second.state.step == 400
-    assert np.array_equal(full.state.u.coeffs, second.state.u.coeffs)
-    stitched = first.records + second.records
-    assert [r.step for r in stitched] == [r.step for r in full.records]
-    for a, b in zip(stitched, full.records):
-        assert a.csv_values() == b.csv_values()
-    stitched_snaps = dict(first.snapshots + second.snapshots)
-    for step, coeffs in full.snapshots:
-        assert np.array_equal(stitched_snaps[step], coeffs)
-
-
 def test_oversized_step_aborts_with_stability_error(small_sphere_ops):
     ops = small_sphere_ops
     c = np.zeros((ops.max_mode + 1, 2, ops.mesh.cells))
@@ -300,17 +278,37 @@ def test_non_finite_state_is_rejected_before_any_record(small_sphere_ops, rng):
     for value in (math.nan, math.inf):
         bad = good.copy()
         bad.coeffs[1, 0, 3] = value
-        for initial in (bad, SemiflowState(bad, step=3, mean0=0.0),
-                        SemiflowState(good, step=3, mean0=value)):
-            seen = []
-            step = getattr(initial, "step", 0)
-            with pytest.raises(ValueError, match=f"member 0 has a non-finite state at step {step}"):
-                run_semiflow(ops, initial, cfg, on_record=lambda rec, _coeffs: seen.append(rec))
-            assert seen == []
+        seen = []
+        with pytest.raises(ValueError, match="member 0 has a non-finite state at step 0"):
+            run_semiflow(ops, bad, cfg, on_record=lambda rec, _coeffs: seen.append(rec))
+        assert seen == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the mean's sum overflows
+def test_finite_state_whose_mean_overflows_is_rejected_before_any_record(small_sphere_ops):
+    ops = small_sphere_ops
+    c = np.zeros((ops.max_mode + 1, 2, ops.mesh.cells))
+    c[0, 0] = 1e308
+    huge = Field(ops.mesh, c)
+    assert np.isfinite(huge.coeffs).all() and math.isinf(mean(huge))
+    seen = []
+    with pytest.raises(ValueError, match="member 0 has a non-finite state at step 0"):
+        run_semiflow(ops, huge, StepperConfig(dt=1e-3, t_max=5e-3, eq_tol=0.0),
+                     on_record=lambda rec, _coeffs: seen.append(rec))
+    assert seen == []
+
+
+def test_a_run_starts_from_a_field_not_from_a_state(small_sphere_ops, rng):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=1e-3, t_max=2e-3, eq_tol=0.0)
+    result = run_semiflow(ops, random_field(ops.mesh, ops.max_mode, rng, 0.1), cfg)
+    assert result.state.step == 2
+    with pytest.raises(TypeError, match="member 0 is a SemiflowState, not a Field"):
+        run_semiflow(ops, result.state, cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_fresh_state_fails_like_the_resumed_one():
+def test_overflowing_state_records_step_0_then_fails_the_solve():
     # a finite field whose cube overflows: no dual residual at step 0, then a failed solve
     ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
     with np.errstate(all="ignore"):
@@ -321,8 +319,6 @@ def test_overflowing_fresh_state_fails_like_the_resumed_one():
     with pytest.raises(SolverError, match="residual nan"):
         run_semiflow(ops, big, cfg, on_record=lambda rec, _coeffs: seen.append(rec))
     assert [rec.step for rec in seen] == [0] and math.isnan(seen[0].ut_h01dual)
-    with pytest.raises(SolverError, match="residual nan"):
-        run_semiflow(ops, SemiflowState(big, step=3), cfg)
 
 
 def test_stepper_config_validation():

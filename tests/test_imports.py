@@ -1,4 +1,4 @@
-"""Every module-level import and private function in the package is used.
+"""Every module-level import, private function and private class in the package is used.
 
 Deleting a function tends to leave its imports and helpers behind, and no
 linter runs on this tree, so this walks the syntax tree of each module instead.
@@ -42,7 +42,7 @@ def test_checker_flags_an_unused_import():
 
 
 def unused_private_functions(sources: dict) -> list[str]:
-    """Module-level ``def _name`` of any module that no module references."""
+    """Module-level ``def _name`` and ``class _Name`` of any module that no module references."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     referenced = set()
     for tree in trees.values():
@@ -54,7 +54,7 @@ def unused_private_functions(sources: dict) -> list[str]:
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     return [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
             and node.name not in referenced]
 
 
@@ -66,7 +66,8 @@ def test_checker_flags_an_unused_private_function():
     assert unused_private_functions({
         "a.py": "def _dead():\n    pass\ndef _imported():\n    pass\n"
                 "def _called():\n    pass\ndef _attribute():\n    pass\n"
-                "def public():\n    return _called()\n",
+                "def public():\n    return _called()\n"
+                "class _DeadClass:\n    pass\nclass _RaisedClass(Exception):\n    pass\n",
         "b.py": "import a\nfrom a import _imported\nclass C:\n    def _method(self):\n"
-                "        return a._attribute\n",
-    }) == ["a.py: _dead"]
+                "        raise a._RaisedClass(a._attribute)\n",
+    }) == ["a.py: _dead", "a.py: _DeadClass"]

@@ -12,6 +12,7 @@ from conekit.fields import Field, channel_weights, constant_field, field_from_mo
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import EIGEN_MAX_ITER, ModeOperators, SolverError, _stage_roots
 from conekit.spaces import h01_dual_norm, poincare_constant
+from conftest import eigensystem
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -113,9 +114,9 @@ def test_slope_one_cone_mode_one_exact_harmonic():
 
 
 def test_eigenfunction_reproduced_by_applies(sphere_ops):
-    sys = sphere_ops.eigendecompose_mode(1)
+    vals, vecs = eigensystem(sphere_ops, 1)
     idx = 3
-    mu, phi = sys.eigenvalues[idx], sys.vectors[:, idx]
+    mu, phi = vals[idx], vecs[:, idx]
     lap = mode_laplacian(sphere_ops, 1, phi)
     assert np.allclose(lap, -mu * phi, atol=1e-9 * mu * np.abs(phi).max())
     u = field_from_modes(sphere_ops.mesh, sphere_ops.max_mode, phi, mode=1)
@@ -256,8 +257,8 @@ def test_ch_solve_keeps_constants(sphere_ops):
 
 def test_ch_solve_eigenfunction_oracle(sphere_ops):
     dt, s = 1e-3, 2.0
-    sys = sphere_ops.eigendecompose_mode(1)
-    mu, phi = sys.eigenvalues[4], sys.vectors[:, 4]
+    vals, vecs = eigensystem(sphere_ops, 1)
+    mu, phi = vals[4], vecs[:, 4]
     rhs = field_from_modes(sphere_ops.mesh, sphere_ops.max_mode, phi, mode=1)
     u = sphere_ops.solve_ch_system(rhs, dt, s)
     expected = phi / (1.0 + dt * mu * mu + s * dt * mu)
@@ -345,9 +346,8 @@ def test_ch_solve_real_root_branch_matches_dense(small_sphere_ops, rng):
 
 def test_ch_solve_small_dt_perturbs_identity(sphere_ops):
     # on a smooth field the solve differs from its input by O(dt)
-    sys = sphere_ops.eigendecompose_mode(1)
     rhs = field_from_modes(sphere_ops.mesh, sphere_ops.max_mode,
-                           sys.vectors[:, 2], mode=1)
+                           eigensystem(sphere_ops, 1)[1][:, 2], mode=1)
     errs = {}
     for dt in (1e-4, 1e-5):
         u = sphere_ops.solve_ch_system(rhs, dt, 2.0)
@@ -458,15 +458,15 @@ def test_dual_norm_contraction_under_laplacian(sphere_ops, rng):
 
 
 def test_mode_zero_has_constant_kernel(sphere_ops):
-    sys = sphere_ops.eigendecompose_mode(0)
-    assert abs(sys.eigenvalues[0]) <= 1e-10
-    phi0 = sys.vectors[:, 0]
+    vals, vecs = eigensystem(sphere_ops, 0)
+    assert abs(vals[0]) <= 1e-10
+    phi0 = vecs[:, 0]
     assert np.allclose(phi0, phi0.mean(), atol=1e-8 * abs(phi0.mean()))
 
 
 def test_sphere_spectrum_pools_to_harmonic_values(sphere_ops):
     pooled = np.sort(np.concatenate(
-        [sphere_ops.eigendecompose_mode(k).eigenvalues[:6]
+        [sphere_ops.eigenvalues(k)[:6]
          for k in range(3)]))
     expected = sorted([0.0] + [2.0] * 2 + [6.0] * 3)  # modes 0..2 see l <= 2 fully
     for got, want in zip(pooled[:6], expected):
@@ -478,16 +478,15 @@ def test_sphere_spectrum_pools_to_harmonic_values(sphere_ops):
 
 def test_eigenvectors_vol_orthonormal(sphere_ops, cone_ops):
     for ops in (sphere_ops, cone_ops):
-        sys = ops.eigendecompose_mode(1)
-        v = sys.vectors
+        v = eigensystem(ops, 1)[1]
         gram = (ops.volumes[:, None] * v).T @ v
         assert np.abs(gram - np.eye(ops.mesh.cells)).max() <= 1e-10
 
 
 def test_smallest_eigenvalue_matches_full_decomposition(sphere_ops):
     for k in range(3):
-        sys = sphere_ops.eigendecompose_mode(k)
-        dense = sys.eigenvalues[1] if k == 0 else sys.eigenvalues[0]
+        vals = sphere_ops.eigenvalues(k)
+        dense = vals[1] if k == 0 else vals[0]
         assert sphere_ops.smallest_eigenvalue(k) == pytest.approx(dense, rel=1e-8)
 
 
@@ -538,7 +537,7 @@ def test_semigroup_scalar_decay_is_bounded_by_calculus_oracle(small_sphere_ops):
     alpha = 0.5
     tgrid = np.geomspace(0.01, 10.0, 200)
     for k in range(ops.max_mode + 1):
-        for mu in ops.eigendecompose_mode(k).eigenvalues[:5]:
+        for mu in ops.eigenvalues(k)[:5]:
             lam = (1.0 + max(mu, 0.0)) ** 2
             vals = tgrid ** alpha * np.exp(tgrid) * lam ** alpha * np.exp(-lam * tgrid)
             rate = lam - 1.0

@@ -6,16 +6,13 @@ truncations 0 to 4.
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from conekit.analysis import smooth_random_field
-from conekit.dynamics import StepperConfig, run_semiflow
-from conekit.fields import (Field, channel_weights, coeffs_to_values, constant_field,
-                            values_to_coeffs)
+from conekit.fields import Field, channel_weights, coeffs_to_values, values_to_coeffs
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import (EIGEN_MAX_ITER, EIGEN_TOL, RESIDUAL_NOISE_FACTOR,
                                SOLVE_RESIDUAL_TOL, ModeOperators)
@@ -259,48 +256,6 @@ def test_residual_floor_is_live_on_a_deeply_graded_mesh():
     resid, b_norm, _ = ch_residual_terms(ops, ops.solve_ch_system(rhs, 1e-3, 2.0)[0],
                                          rhs[0], 1e-3, 2.0)
     assert resid > 100 * SOLVE_RESIDUAL_TOL * b_norm
-
-
-@settings(max_examples=50, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.data())
-def test_a_run_split_at_any_step_resumes_bit_for_bit(data):
-    ops, _ = data.draw(workspaces())
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-    u0 = smooth_random_field(ops, rng, sup_amplitude=data.draw(st.floats(1e-3, 0.5))) \
-        + constant_field(ops.mesh, ops.max_mode, data.draw(st.sampled_from((0.0, 0.25, -0.4))))
-    dt = data.draw(st.sampled_from((1e-3, 1e-2)))
-    stride = data.draw(st.integers(1, 10))
-    n_steps = data.draw(st.integers(stride + 1, 40))
-    cfg = StepperConfig(dt=dt, t_max=n_steps * dt, snapshot_stride=stride,
-                        eq_tol=data.draw(st.sampled_from((0.0, 1e-2, 1e-1, 1.0))))
-    if cfg.eq_tol:
-        # the head's closing record tests for equilibrium exactly, which the
-        # whole run does only at its records and where the Poincare screen lets it
-        split = stride * data.draw(st.integers(1, (n_steps - 1) // stride))
-    else:
-        split = data.draw(st.integers(1, n_steps - 1))
-    full = run_semiflow(ops, u0, cfg, collect_snapshots=True)
-    head = run_semiflow(ops, u0, replace(cfg, t_max=(split + 0.5) * dt), collect_snapshots=True)
-    if head.equilibrium_reached:
-        parts = [head]
-    else:
-        tail = run_semiflow(ops, head.state, cfg, collect_snapshots=True)
-        # the head closes with a record at the split, which the whole run has
-        # only at a stride
-        if split % stride:
-            head.records.pop()
-            head.snapshots.pop()
-        parts = [head, tail]
-    assert [rec for p in parts for rec in p.records] == full.records
-    snaps = [snap for p in parts for snap in p.snapshots]
-    assert [step for step, _ in snaps] == [step for step, _ in full.snapshots]
-    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(snaps, full.snapshots))
-    last = parts[-1]
-    assert last.state.step == full.state.step and last.state.mean0 == full.state.mean0
-    assert last.state.u.coeffs.tobytes() == full.state.u.coeffs.tobytes()
-    assert last.equilibrium_reached == full.equilibrium_reached
-    assert last.final_residual == full.final_residual
 
 
 # ------------------------------------------- the step's Laplacian and transforms

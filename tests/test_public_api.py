@@ -1,10 +1,13 @@
 """The public surface, pinned as literal lists.
 
-A change to the package's exports or to ModeOperators' public methods has to
-edit these lists on purpose.
+A change to the package's exports, to ModeOperators' public methods or to the
+fields of the run results has to edit these lists on purpose.
 """
 
+import dataclasses
+
 import conekit
+from conekit.dynamics import DiagnosticsRecord, SemiflowResult, SemiflowState
 from conekit.operators import ModeOperators
 
 
@@ -12,7 +15,7 @@ def test_package_exports():
     assert sorted(conekit.__all__) == [
         "AbsorbingReport", "AsymptoticSpace", "BoundarySpectrum", "CutoffFunction",
         "DiagnosticsRecord", "Field", "GammaWindow", "IndicialRoot",
-        "LojasiewiczProbe", "ModeEigensystem", "ModeOperators",
+        "LojasiewiczProbe", "ModeOperators",
         "RadialMesh", "SemiflowResult", "SemiflowState", "SolverError",
         "StabilityError", "StepperConfig", "Surd", "SurfaceProfile", "TipFit",
         "absorbing_set_experiment", "asymptotic_space", "bilaplacian_indicial_roots",
@@ -30,6 +33,17 @@ def test_package_exports():
 def test_mode_operators_public_methods():
     assert sorted(name for name in vars(ModeOperators) if not name.startswith("_")) == [
         "apply_laplacian", "apply_laplacian_coeffs", "ch_factorization",
-        "eigendecompose_mode", "gauss_defect", "neglap_bands", "smallest_eigenvalue",
+        "eigenvalues", "gauss_defect", "neglap_bands", "smallest_eigenvalue",
         "solve_ch_system", "solve_neglap", "solve_neglap_field", "solve_neglap_pivoted",
     ]
+
+
+def test_run_result_fields():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(SemiflowState) == ["u", "step"]
+    assert names(SemiflowResult) == ["records", "state", "equilibrium_reached",
+                                     "final_residual", "snapshots"]
+    assert names(DiagnosticsRecord) == ["step", "t", "mass", "energy", "h1_seminorm",
+                                        "ut_h01dual", "mellin_s0", "mellin_s1", "max_abs_u"]
