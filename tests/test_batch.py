@@ -187,14 +187,15 @@ def test_one_usable_cpu_starts_no_process(small_sphere_ops, monkeypatch):
 
 
 def failing_members(ops):
-    """Members that pass, abort with an energy rise at step 3 or 1, or fail the solve at step 1
-    (its cube overflows)."""
+    """Members that pass, abort with an energy rise at step 3 or 1, abort when the energy
+    overflows to inf at step 1, or fail the solve at step 1 (its cube overflows)."""
     def field(amplitude, seed=1):
         return smooth_random_field(ops, np.random.default_rng(seed), sup_amplitude=amplitude)
     with np.errstate(all="ignore"):
         overflowing = field(1e200)
     return {"ok": field(0.5, 2), "ok2": field(0.3, 3), "rise_late": field(8.0),
-            "rise": field(9.0), "rise2": field(10.0, 4), "solve": overflowing}
+            "rise": field(9.0), "rise2": field(10.0, 4), "overflow": field(1e50),
+            "solve": overflowing}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -239,12 +240,13 @@ def test_an_abort_stops_the_other_slices(layout):
     assert str(sliced.value) == str(whole.value)
 
 
-def test_non_finite_member_of_a_child_slice_raises_the_one_process_error():
+@pytest.mark.parametrize("mode", [0, 2])   # mode 2 leaves the conserved mean finite
+def test_non_finite_member_of_a_child_slice_raises_the_one_process_error(mode):
     ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
     cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=0.0, snapshot_stride=5)
     members = failing_members(ops)
     bad = members["ok"].copy()
-    bad.coeffs[0, 0, 5] = np.nan
+    bad.coeffs[mode, 0, 5] = np.nan
     initials = [members["ok"], members["ok2"], bad]
     with pytest.raises(ValueError) as whole:
         _run_batch(ops, initials, cfg)
@@ -361,7 +363,7 @@ def failed_run(ops, initial, cfg, cpus, action):
 
 @pytest.mark.parametrize("action", ["always", "error"])
 @pytest.mark.parametrize("eq_tol", [0.0, 1e-8])
-@pytest.mark.parametrize("name", ["rise_late", "rise", "solve"])
+@pytest.mark.parametrize("name", ["rise_late", "rise", "solve", "overflow"])
 def test_failures_checked_aside_are_the_inline_ones(name, eq_tol, action):
     ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
     cfg = StepperConfig(dt=1e-2, stabilization=0.0, t_max=0.5, eq_tol=eq_tol,
