@@ -215,27 +215,44 @@ class _Checker:
     """Forked processes that check steps, from a ring of shared slots, behind the caller.
 
     The caller posts step numbers on one pipe and reads checks from another; both busy-poll,
-    since a blocking read would wake the checker on the caller's CPU.  The checker verifies
-    each solve and settles its state as the caller does, so its results have the inline bits.
+    since a blocking read would wake the checker on the caller's CPU.  For each step the
+    caller puts the solve's right-hand side and columns, and the settled state with its grid
+    values, in slots; the checker verifies the solve and takes the energies and screen norm
+    from the caller's own state, so its results have the inline bits.
     A checker stops at a step it cannot check.  The caller stops posting after a step that
     warns or raises ahead, or after a window of steps that took longer per step than the
     inline steps before the checker (another process holds a CPU, or the two share one).
     The steps from there run inline, and a new checker is forked after a pause that doubles
     with each stall in a row."""
 
-    FIRST = 128    # steps a run takes inline before its first checker: fewer lose by the fork
-    WINDOW = 128   # steps per timed window of the pipeline, and the first pause
+    FIRST = 2 ** 19   # state values a run steps inline before its first checker, see first()
+    WINDOW = 128      # steps per timed window of the pipeline, and the first pause
 
-    def __init__(self, stack: np.ndarray):
-        self.depth = max(2, min(8, 2 ** 20 // (40 * stack.size)))   # steps in ~1 MB, 5 arrays each
-        flat = np.frombuffer(mmap.mmap(-1, 16 * self.depth * stack.size), dtype=float)
+    @classmethod
+    def first(cls, size: int) -> int:
+        """Steps a run of ``size`` state values per step takes inline before its first checker,
+        fewer the costlier its steps: a run of short steps loses by the fork."""
+        return -(-cls.FIRST // size)
+
+    def __init__(self, ops: ModeOperators, stack: np.ndarray):
+        size = stack.size
+        self.depth = d = max(2, min(8, 2 ** 20 // (40 * size)))   # steps in ~1 MB, 5 arrays each
+        flat = np.frombuffer(mmap.mmap(-1, 8 * size * (2 * d + 3 * (d + 1))), dtype=float)
         self.slots = [(rhs.reshape(stack.shape), sol.reshape(2 * len(stack), -1).T)
-                      for rhs, sol in flat.reshape(self.depth, 2, -1)]   # step n's in n % depth
+                      for rhs, sol in flat[:2 * d * size].reshape(d, 2, -1)]   # n's in n % d
+        # step n's settled state and grid values in n % (d + 1): the caller and the checker
+        # still read step n - 1 while the caller fills step n + d - 1.  The state has the
+        # strides of a fresh _unpack, which fix the bits of every reduction over it.
+        strides = ops._unpack(self.slots[0][1]).strides
+        self.states = [(np.ndarray(stack.shape, buffer=state[:size], strides=strides),
+                        state[size:].reshape(len(stack), stack.shape[-1], -1))   # (B, M, N)
+                       for state in flat[2 * d * size:].reshape(d + 1, -1)]
         self.ahead = collections.deque()   # steps posted, not decided
-        self.pid, self.pause, self.resume = None, self.WINDOW, self.FIRST + 1   # inline < resume
+        self.pid, self.pause = None, self.WINDOW
+        self.resume = self.first(size) + 1   # steps before resume run inline
         self.mark = time.perf_counter(), 1   # clock and step where the inline steps began
 
-    def _start(self, ops, cfg, stack: np.ndarray, mean0: list, n: int):
+    def _start(self, ops, cfg, stack: np.ndarray, n: int):
         """Fork a checker whose first step is ``n``; on failure, pause."""
         self.inline_dt = (time.perf_counter() - self.mark[0]) / max(1, n - self.mark[1])
         self.stalled, self.window = False, (-self.WINDOW, 0.0)   # steps timed, clock at start
@@ -255,7 +272,7 @@ class _Checker:
                 os.close(self.done)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller ends the checker
                 time.sleep(0.001)   # forked onto the caller's CPU, it wakes on an idle one
-                self._serve(ops, cfg, stack, mean0, todo, done)
+                self._serve(ops, cfg, stack, todo, done)
                 os._exit(0)
             finally:
                 os._exit(1)
@@ -271,16 +288,16 @@ class _Checker:
             except BlockingIOError:
                 os.sched_yield()   # a peer that shares the CPU runs at once
 
-    def _serve(self, ops, cfg, prev: np.ndarray, mean0: list, todo: int, done: int):
+    def _serve(self, ops, cfg, prev: np.ndarray, todo: int, done: int):
         """Check each posted step: (ok, energies, seminorms, screen norms) back."""
         while msg := self._poll(todo):
-            rhs, sol = self.slots[int.from_bytes(msg, "little") % self.depth]
-            u = ops._unpack(sol)
+            n = int.from_bytes(msg, "little")
+            (rhs, sol), (u, uvals) = self.slots[n % self.depth], self.states[n % (self.depth + 1)]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
                     ops._ch_verify(rhs, sol, cfg.dt, cfg.stabilization)
-                    e, h1, l2 = _step_checks(ops, cfg, u, _settle(ops, u, mean0), prev)
+                    e, h1, l2 = _step_checks(ops, cfg, u, uvals, prev)
                 except Exception:
                     os.write(done, bytes(8 * (3 * len(u) + 1)))   # not ok
                     return
@@ -292,7 +309,7 @@ class _Checker:
         """Step ``n`` from ``stack``: its state, grid values and checks, once up to ``depth`` of
         the ``left`` steps are posted; None when step ``n`` runs inline."""
         if self.pid is None and not self.ahead and n >= self.resume:
-            self._start(ops, cfg, stack, mean0, n)
+            self._start(ops, cfg, stack, n)
         while self.pid is not None and not self.stalled and len(self.ahead) < min(self.depth, left):
             step = self._ahead(ops, cfg, *(self.ahead[-1][:2] if self.ahead else (stack, vals)),
                                n + len(self.ahead), mean0)
@@ -330,20 +347,19 @@ class _Checker:
 
     def _ahead(self, ops, cfg, stack, vals, n: int, mean0: list) -> Optional[tuple]:
         """Step ``n`` from ``stack``, posted to the checker: its state, grid values, and the
-        solve's right-hand side and (n, 2B) columns in slots; None when it warns or raises."""
-        rhs, sol = self.slots[n % self.depth]
+        solve's right-hand side and (n, 2B) columns, all in slots; None when it warns or raises."""
+        (rhs, sol), (u, uvals) = self.slots[n % self.depth], self.states[n % (self.depth + 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 sol[...] = work = ops._ch_sweeps(_rhs(ops, cfg, stack, vals, out=rhs),
                                                  cfg.dt, cfg.stabilization)
-                u = ops._unpack(work)
-                step = u, _settle(ops, u, mean0), rhs, sol
+                uvals[...] = _settle(ops, ops._unpack(work, out=u), mean0)
             except Exception:  # taken again when the step is decided, inline
                 return None
         with contextlib.suppress(BrokenPipeError):   # a dead checker: advance reports it
             os.write(self.todo, n.to_bytes(8, "little"))
-        return step
+        return u, uvals, rhs, sol
 
     def _stop(self, n: int):
         """End the checker at step ``n``, and run inline for a pause twice the last one."""
@@ -406,7 +422,9 @@ def _check_initials(ops: ModeOperators, initials: list):
             raise TypeError(f"member {b} is a {type(u).__name__}, not a Field: "
                             "every run starts from a Field at step 0")
         ops._check_field(u)
-        if not (np.isfinite(u.coeffs).all() and math.isfinite(mean(u))):
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflowing mean is named below
+            finite = np.isfinite(u.coeffs).all() and math.isfinite(mean(u))
+        if not finite:
             raise ValueError(f"member {b} has a non-finite state at step 0")
 
 
@@ -475,7 +493,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 else math.nan)
         emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b], res0)
 
-    checker = _Checker(stack) if cpus >= 2 and len(initials) == 1 and _can_fork() else None
+    checker = _Checker(ops, stack) if cpus >= 2 and len(initials) == 1 and _can_fork() else None
     active = list(range(len(initials)))    # member index of each stack row
     poincare = None
     step = 0    # the step every active member has reached
@@ -484,8 +502,10 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
             done = [row for row, b in enumerate(active) if equilibrium[b] or step >= n_steps_max]
             for row in done:
                 b = active[row]
+                # a checker's state slots are reused: the final state leaves the ring, strides kept
+                u = stack[row] if checker is None else np.copy(stack[row], order="K")
                 results[b] = SemiflowResult(
-                    records=records[b], state=SemiflowState(u=Field(mesh, stack[row]), step=step),
+                    records=records[b], state=SemiflowState(u=Field(mesh, u), step=step),
                     equilibrium_reached=equilibrium[b], final_residual=residual[b],
                     snapshots=snapshots[b])
             if done:

@@ -66,10 +66,12 @@ def h1_seminorm(u: Field) -> float:
 def h01_dual_norm(v: Field, ops: ModeOperators) -> float:
     """Dual Dirichlet norm of a mean-zero field: sqrt(<v, (-Lap)^{-1} v>).
 
-    Rejects inputs whose mean is not zero (relative to the sup of the field);
-    project the mean off first if needed.
+    Rejects inputs that are not finite or whose mean is not zero (relative to
+    the sup of the field); project the mean off first if needed.
     """
     ops._check_field(v)
+    if not np.isfinite(v.coeffs).all():   # NaN passes the mean check below
+        raise ValueError("h01_dual_norm needs a finite field")
     sup = v.max_abs()
     vmean = mean(v)
     if abs(vmean) > 1e-10 * max(sup, 1e-300):

@@ -2,8 +2,8 @@
 
 Session-scoped because meshes and operator workspaces are immutable; building
 them once keeps the suite fast.  Every test must also end without a child
-process: a single run longer than 128 steps forks a checker, and an ensemble
-forks slices.
+process: a single run longer than its first steps (`_Checker.first`) forks a
+checker, and an ensemble forks slices.
 """
 
 import multiprocessing

@@ -19,7 +19,7 @@ import pytest
 import conekit.dynamics
 from conekit.analysis import smooth_random_field
 from conekit.dynamics import StabilityError, StepperConfig, _run_batch, _run_sliced, run_semiflow
-from conekit.fields import constant_field
+from conekit.fields import coeffs_to_values, constant_field
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import ModeOperators, SolverError
 from conftest import leftover_children
@@ -109,9 +109,10 @@ def test_members_leave_the_batch_at_their_own_stop(small_sphere_ops):
 
 def usable_cpus(mp, count):
     """Make the runner see ``count`` usable CPUs, whatever this machine has, and fork a
-    checker for a single run's first step, however short the run."""
+    checker for a single run's first step, however short the run and small its steps."""
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    mp.setattr(conekit.dynamics._Checker, "FIRST", 0)
+    mp.setattr(conekit.dynamics._Checker, "FIRST", 0)   # no state values stepped inline first
+    assert conekit.dynamics._Checker.first(1) == 0
 
 
 @contextlib.contextmanager
@@ -346,6 +347,32 @@ def test_runs_checked_aside_equal_the_inline_kernel(case, cpus, detect):
             == want.state.u.coeffs.strides
 
 
+@pytest.mark.parametrize("max_mode", range(5))
+def test_state_slots_have_the_inline_layout_and_the_result_leaves_the_ring(max_mode,
+                                                                           monkeypatch):
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 8, 1.0), max_mode)
+    cfg = StepperConfig(dt=DT, t_max=12 * DT, eq_tol=1e-2, snapshot_stride=5)
+    initial = smooth_random_field(ops, np.random.default_rng(max_mode), sup_amplitude=0.3)
+    checkers, real_init = [], conekit.dynamics._Checker.__init__
+
+    def kept(self, *args):
+        real_init(self, *args)
+        checkers.append(self)
+
+    monkeypatch.setattr(conekit.dynamics._Checker, "__init__", kept)
+    got = lone_run(ops, initial, cfg, 2)
+    assert_same_run(got, _run_batch(ops, [initial], cfg, collect_snapshots=True)[0])
+    (checker,) = checkers
+    fresh = ops.solve_ch_system(initial.coeffs[None], DT, cfg.stabilization)   # a fresh _unpack
+    assert len(checker.states) == checker.depth + 1
+    for u, uvals in checker.states:
+        assert u.shape == fresh.shape and u.strides == fresh.strides
+        assert uvals.strides == coeffs_to_values(fresh).strides
+    assert got.state.u.coeffs.strides == fresh[0].strides
+    assert not any(np.shares_memory(got.state.u.coeffs, slot)
+                   for pair in checker.slots + checker.states for slot in pair)
+
+
 def failed_run(ops, initial, cfg, cpus, action):
     """(type, message, lockstep, records, warnings) of a failing run, warnings under ``action``."""
     seen = []
@@ -500,7 +527,8 @@ def test_a_run_forks_its_checker_after_its_first_steps(small_sphere_ops, monkeyp
 
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    first = conekit.dynamics._Checker.FIRST
+    first = conekit.dynamics._Checker.first(initial.coeffs.size)
+    assert first == 304   # 2^19 state values over 1728 per step
     for n_steps, n_forks in ((first, 0), (first + 10, 1)):
         cfg = StepperConfig(dt=DT, t_max=n_steps * DT, eq_tol=0.0, snapshot_stride=50)
         forks.clear()

@@ -351,10 +351,13 @@ def test_snapshot_text_matches_per_value_format(tmp_path):
 
 def test_simulate_is_one_run_that_forks_one_checker_and_writes_what_it_records(tmp_path,
                                                                                monkeypatch):
-    # 320 steps recorded every 50, a stride shorter than the steps a run takes before its checker
-    ini = SPHERE_SMALL + "[dynamics]\nT_max = 0.32\neq_tol = 0\nsnapshot_stride = 50\n" \
-        + "[experiment]\namplitude = 0.3\nseed = 5\n"
-    assert 50 < conekit.dynamics._Checker.FIRST < 320
+    # 100 steps past those the run takes before its checker, recorded every 50, a stride
+    # shorter than the steps before the checker; 100 steps aside are fewer than a checker's
+    # warm-up, so no timed window can stall it
+    first = conekit.dynamics._Checker.first(3 * 2 * 48)   # (K+1) * 2 * M values per step
+    assert 50 < first and 100 < conekit.dynamics._Checker.WINDOW
+    ini = SPHERE_SMALL + f"[dynamics]\nT_max = {(first + 100) / 1000}\neq_tol = 0\n" \
+        + "snapshot_stride = 50\n[experiment]\namplitude = 0.3\nseed = 5\n"
     forks, real_fork = [], os.fork
 
     def counted_fork():

@@ -1,6 +1,7 @@
 """Semiflow stepper: energy, gradient, fixed points, stability, initial checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -284,15 +285,17 @@ def test_non_finite_state_is_rejected_before_any_record(small_sphere_ops, rng):
         assert seen == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the mean's sum overflows
 def test_finite_state_whose_mean_overflows_is_rejected_before_any_record(small_sphere_ops):
     ops = small_sphere_ops
     c = np.zeros((ops.max_mode + 1, 2, ops.mesh.cells))
     c[0, 0] = 1e308
     huge = Field(ops.mesh, c)
-    assert np.isfinite(huge.coeffs).all() and math.isinf(mean(huge))
+    with np.errstate(over="ignore"):   # the mean's sum overflows
+        assert np.isfinite(huge.coeffs).all() and math.isinf(mean(huge))
     seen = []
-    with pytest.raises(ValueError, match="member 0 has a non-finite state at step 0"):
+    with warnings.catch_warnings(), \
+            pytest.raises(ValueError, match="member 0 has a non-finite state at step 0"):
+        warnings.simplefilter("error")   # the overflow is the error, not a warning before it
         run_semiflow(ops, huge, StepperConfig(dt=1e-3, t_max=5e-3, eq_tol=0.0),
                      on_record=lambda rec, _coeffs: seen.append(rec))
     assert seen == []

@@ -1,6 +1,7 @@
 """Norms and function-space quantities: means, tip-weighted norms, duals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,23 @@ def test_dual_norm_rejects_nonzero_mean(sphere_ops):
     u = constant_field(sphere_ops.mesh, sphere_ops.max_mode, 1.0)
     with pytest.raises(ValueError, match="mean-zero"):
         h01_dual_norm(u, sphere_ops)
+
+
+@pytest.mark.parametrize("where, value", [((0, 0, 3), math.nan), ((1, 1, 3), math.nan),
+                                          ((1, 0, 0), math.inf)])
+def test_dual_norm_rejects_a_non_finite_field_before_the_solve(small_sphere_ops, rng,
+                                                              monkeypatch, where, value):
+    ops = small_sphere_ops
+    v = mean_zero(random_field(ops.mesh, ops.max_mode, rng))
+    v.coeffs[where] = value
+
+    def no_solve(coeffs):
+        raise AssertionError("solved a non-finite field")
+
+    monkeypatch.setattr(ops, "solve_neglap_field", no_solve)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="needs a finite field"):
+        warnings.simplefilter("error")
+        h01_dual_norm(v, ops)
 
 
 def test_dual_norm_of_eigenfunction_is_inverse_sqrt_eigenvalue(sphere_ops):
