@@ -219,6 +219,8 @@ def _validate(cfg: RunConfig):
         c = exact_number(g.c)
         if not (0 < c <= 1):
             raise ConfigError(f"[geometry] c must lie in (0, 1], got {g.c}")
+    if g.c2 and not (0 < exact_number(g.c2) <= 1):
+        raise ConfigError(f"[geometry] c2 must lie in (0, 1], got {g.c2}")
     if g.kind == "sphere" and g.radius <= 0:
         raise ConfigError("[geometry] radius must be positive")
     if g.kind != "sphere" and g.L <= 0:

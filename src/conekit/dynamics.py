@@ -15,6 +15,8 @@ a conserved quantity; after each solve the mode-0 mean is restored to its
 initial value exactly, which removes the slow mass leak that solver roundoff
 would otherwise produce.  A single run busy-polls a second CPU when one is
 free: a forked checker verifies each step and takes its energy meanwhile.
+An ensemble runs in slices, one per usable CPU, forked the same way, with
+os.fork, a pipe per process and shared memory from an anonymous mmap.
 """
 
 from __future__ import annotations
@@ -177,9 +179,17 @@ def _weighted_l2(coeffs: np.ndarray, mesh) -> float:
 
 
 def _mean_free_dual_norm(ops: ModeOperators, coeffs: np.ndarray) -> float:
-    """h01_dual_norm after removing the mean in place, so mean roundoff cannot trip its check."""
+    """h01_dual_norm after removing the mean in place, so mean roundoff cannot trip its check.
+    Near a constant c one removal leaves a mean of about eps |c|, too large for the check
+    beside a far smaller mean-free part: then the field is shifted by its angular mean in the
+    first cell, exactly near a constant, and its mean is removed again."""
     coeffs[0, 0, :] -= (ops.volumes @ coeffs[0, 0]) / ops.mesh.area
-    return h01_dual_norm(Field(ops.mesh, coeffs), ops)
+    try:
+        return h01_dual_norm(Field(ops.mesh, coeffs), ops)
+    except ValueError:   # raised again below if the mean was not the cause
+        coeffs[0, 0, :] -= coeffs[0, 0, 0]
+        coeffs[0, 0, :] -= (ops.volumes @ coeffs[0, 0]) / ops.mesh.area
+        return h01_dual_norm(Field(ops.mesh, coeffs), ops)
 
 
 def _rhs(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals: np.ndarray,
@@ -408,12 +418,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _can_fork() -> bool:
-    """Whether this process may fork a checker or slices: "fork" is a start method here."""
-    import multiprocessing  # only runs that may fork load it
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def _check_initials(ops: ModeOperators, initials: list):
     """Raise TypeError for a member that is not a Field, ValueError for a foreign one or
     one whose coefficients or conserved mean are not finite."""
@@ -447,8 +451,8 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     every record as it is produced, as for run_semiflow; an energy violation
     in any member raises StabilityError after that member's record is
     delivered.  An error raised at step n carries n as ``lockstep``.  ``stop``
-    is the shared value of _run_sliced, the earliest step at which a slice
-    aborted; the batch raises _SliceStopped instead of taking a later one.
+    is the shared array of _run_sliced, each slice's abort step; the batch
+    raises _SliceStopped instead of taking a step after its least entry.
     One member with two ``cpus`` or more decides its steps, where a _Checker
     pays, with the checks it took meanwhile; stopped at step n, it returns
     the state of step n.
@@ -493,7 +497,8 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 else math.nan)
         emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b], res0)
 
-    checker = _Checker(ops, stack) if cpus >= 2 and len(initials) == 1 and _can_fork() else None
+    checker = (_Checker(ops, stack) if cpus >= 2 and len(initials) == 1 and hasattr(os, "fork")
+               else None)
     active = list(range(len(initials)))    # member index of each stack row
     poincare = None
     step = 0    # the step every active member has reached
@@ -515,7 +520,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 stack, vals = stack[keep], vals[keep]
                 e_now = [e_now[row] for row in keep]
                 active = [active[row] for row in keep]
-            if stop is not None and stop.value <= step:
+            if stop is not None and stop.min() <= step:
                 raise _SliceStopped
 
             prev = stack
@@ -572,107 +577,98 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     """_run_batch over contiguous slices of the members, one per usable CPU.
 
     The calling process runs the first slice.  Every other slice runs in a
-    child forked from it, which inherits ``ops`` with its cached
-    factorizations and sends back plain data per member, rebuilt on this
-    process's mesh in member order; each member is bitwise its one-process
-    result.  When slices fail, the error raised is the one-process batch's:
-    the earliest step first (errors before the first step rank first, and
-    a failed solve before an energy rise in the same step), then the lowest
-    member.  A slice that aborts at step n lowers a shared stop value to n,
-    and every other slice stops once it has finished step n, having raised
-    by then any error of its own that ranks first.  A child that ends
-    without sending its slice raises RuntimeError; any exception here,
-    interrupts included, terminates and reaps the children.  With one usable
-    CPU, one member or no "fork" start method this is a plain _run_batch
+    child forked from it, the last slice first, which inherits ``ops`` with
+    its cached factorizations and pickles plain data per member to a pipe;
+    it is rebuilt on this process's mesh in member order, and each member is
+    bitwise its one-process result.  A slice whose fork fails joins the
+    caller's, which runs every member below the lowest forked slice.  When
+    slices fail, the error raised is the one-process batch's: the earliest
+    step first (errors before the first step rank first, and a failed solve
+    before an energy rise in the same step), then the lowest member.  A
+    slice that aborts at step n writes n to its entry of a shared array of
+    stop steps, and every other slice stops once it has finished the least
+    entry's step, having raised by then any error of its own that ranks
+    first.  A child that ends without sending its slice raises RuntimeError;
+    any exception here, interrupts included, kills and reaps the children.
+    With one usable CPU, one member or no os.fork this is a plain _run_batch
     call.  Members are checked before any slice starts, so a bad one raises
     the one-process batch's error.
     """
-    import multiprocessing  # only ensembles fork slices; single runs need not load it
-
     _check_initials(ops, initials)
 
     cpus = _usable_cpus()
     n_slices = min(cpus, len(initials))
-    if n_slices < 2 or not _can_fork():
+    if n_slices < 2 or not hasattr(os, "fork"):
         return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots, cpus=cpus)
     cpus //= n_slices   # each slice's share: one member with two checks its steps aside
     bounds = [len(initials) * i // n_slices for i in range(n_slices + 1)]
-    ctx = multiprocessing.get_context("fork")
-    stop = ctx.Value("q", 2 ** 62)   # created before the fork: shared by every slice
-    children = []
+    stops = np.frombuffer(mmap.mmap(-1, 8 * n_slices), np.int64)   # made before the fork: shared
+    stops[:] = 2 ** 62
+    children = {}   # the reader of each forked slice's pipe by pid, the last slice first
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_slice_worker, args=(writer, ops, initials[lo:hi], cfg,
-                               collect_snapshots, stop, cpus), daemon=True)
-            proc.start()
-            children.append((proc, reader))
-            writer.close()  # so that a dead child reads as EOF, not as a hang
-        try:
-            outcomes = [(True, _run_batch(ops, initials[:bounds[1]], cfg, stop=stop, cpus=cpus,
-                                          collect_snapshots=collect_snapshots))]
-        except Exception as exc:  # ranked against the children's aborts below
-            _lower_slice_stop(stop, exc)
-            outcomes = [(False, exc)]
-        for proc, reader in children:
+        for i in range(n_slices - 1, 0, -1):
+            reader, writer = os.pipe()
             try:
-                ok, value = reader.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"ensemble worker {proc.pid} ended without sending "
-                                   f"its slice (exit code {proc.exitcode})") from None
-            outcomes.append((ok, [_plain_to_result(ops.mesh, p) for p in value] if ok else value))
-    except BaseException:
-        for proc, _ in children:
-            proc.terminate()
-        raise
+                pid = os.fork()
+            except OSError:   # no process or memory to spare: this process runs the rest
+                os.close(reader)
+                os.close(writer)
+                break
+            if pid == 0:
+                try:
+                    for fd in (reader, *children.values()):
+                        os.close(fd)
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller ends its slices
+                    ok, value = _slice_outcome(ops, initials[bounds[i]:bounds[i + 1]], cfg,
+                                               collect_snapshots, stops, i, cpus)
+                    try:
+                        message = pickle.dumps((ok, value))
+                    except (pickle.PicklingError, TypeError, AttributeError):   # unpicklable
+                        message = pickle.dumps(
+                            (False, RuntimeError(f"ensemble worker failed: {value!r}")))
+                    with open(writer, "wb") as pipe:
+                        pipe.write(message)
+                    os._exit(0)   # not the caller's atexit handlers and stdio buffers again
+                finally:
+                    os._exit(1)
+            os.close(writer)   # so that a dead child reads as EOF, not as a hang
+            children[pid] = reader
+        outcomes = [_slice_outcome(ops, initials[:bounds[n_slices - len(children)]], cfg,
+                                   collect_snapshots, stops, 0, cpus)]
+        for pid in reversed(list(children)):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                message = pipe.read()   # until the child ends
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code or not message:
+                raise RuntimeError(f"ensemble worker {pid} ended without sending "
+                                   f"its slice (exit code {code})")
+            outcomes.append(pickle.loads(message))
     finally:
-        for proc, reader in children:
-            proc.join()
-            reader.close()
+        for pid, reader in children.items():   # left by an exception
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(reader)
     aborts = [(getattr(exc, "lockstep", -1), not isinstance(exc, SolverError), i, exc)
               for i, (ok, exc) in enumerate(outcomes)
               if not ok and not isinstance(exc, _SliceStopped)]
     if aborts:
         raise min(aborts, key=lambda a: a[:3])[3]
-    return [res for _, results in outcomes for res in results]
+    return [SemiflowResult(records, SemiflowState(Field(ops.mesh, u), step), *rest)
+            for _, plain in outcomes for records, u, step, *rest in plain]
 
 
-def _lower_slice_stop(stop, exc: Exception):
-    """Make the other slices stop after the step at which ``exc`` aborted this one."""
-    if not isinstance(exc, _SliceStopped):
-        with stop.get_lock():
-            stop.value = min(stop.value, getattr(exc, "lockstep", -1))
-
-
-def _slice_worker(writer, ops: ModeOperators, initials: list, cfg: StepperConfig,
-                  collect_snapshots: bool, stop, cpus: int):
-    """Forked child of _run_sliced: run one slice, send it back, end with os._exit.
-
-    Results travel as plain data, never as a Field: a mesh holds its
-    profile's closure, which does not pickle.  os._exit keeps the parent's
-    atexit handlers and stdio buffers from running a second time here.
-    """
+def _slice_outcome(ops: ModeOperators, initials: list, cfg: StepperConfig,
+                   collect_snapshots: bool, stops: np.ndarray, i: int, cpus: int) -> tuple:
+    """(True, plain results) or (False, error) of slice ``i`` of _run_sliced; an abort at
+    step n writes n to the slice's entry of ``stops``.  Results are plain data, never a
+    Field, which does not pickle: a mesh holds its profile's closure."""
     try:
-        try:
-            message = (True, [(r.records, r.state.u.coeffs, r.state.step,
-                               r.equilibrium_reached, r.final_residual, r.snapshots)
-                              for r in _run_batch(ops, initials, cfg,
-                                                  collect_snapshots=collect_snapshots,
-                                                  stop=stop, cpus=cpus)])
-        except Exception as exc:
-            _lower_slice_stop(stop, exc)
-            message = (False, exc)
-        try:
-            writer.send(message)
-        except (pickle.PicklingError, TypeError, AttributeError):  # an unpicklable error
-            writer.send((False, RuntimeError(f"ensemble worker failed: {message[1]!r}")))
-    finally:
-        os._exit(0)
-
-
-def _plain_to_result(mesh, plain: tuple) -> SemiflowResult:
-    records, coeffs, step, equilibrium, residual, snapshots = plain
-    return SemiflowResult(records=records, state=SemiflowState(u=Field(mesh, coeffs), step=step),
-                          equilibrium_reached=equilibrium, final_residual=residual,
-                          snapshots=snapshots)
+        return True, [(r.records, r.state.u.coeffs, r.state.step, r.equilibrium_reached,
+                       r.final_residual, r.snapshots)
+                      for r in _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots,
+                                          stop=stops, cpus=cpus)]
+    except Exception as exc:
+        if not isinstance(exc, _SliceStopped):
+            stops[i] = getattr(exc, "lockstep", -1)
+        return False, exc

@@ -3,10 +3,11 @@
 Session-scoped because meshes and operator workspaces are immutable; building
 them once keeps the suite fast.  Every test must also end without a child
 process: a single run longer than its first steps (`_Checker.first`) forks a
-checker, and an ensemble forks slices.
+checker, and an ensemble forks slices, both with `os.fork`.  The check reaps
+an ended child; it cannot end a running one, so a child left running also
+fails the tests after this one, until it ends.
 """
 
-import multiprocessing
 import os
 
 import numpy as np
@@ -62,21 +63,17 @@ def eigensystem(ops, mode):
 
 
 def leftover_children() -> list[str]:
-    """The child processes of this process: live multiprocessing children, then any other
-    child, running or ended; an ended one is reaped, so it is reported once."""
-    found = [repr(proc) for proc in multiprocessing.active_children()]
+    """The child processes of this process, running or ended; an ended one is reaped, so it
+    is reported once."""
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:   # no child at all
-        return found
-    return found + ["a running child" if pid == 0 else f"child {pid}, wait status {status}"]
+        return []
+    return ["a running child" if pid == 0 else f"child {pid}, wait status {status}"]
 
 
 @pytest.fixture(autouse=True)
 def no_child_left():
     yield
     left = leftover_children()
-    for proc in multiprocessing.active_children():   # spare the tests after this one
-        proc.terminate()
-        proc.join()
     assert left == [], f"the test left child processes: {left}"

@@ -7,7 +7,6 @@ a forked slice is bitwise its one-process batch result.
 import contextlib
 import dataclasses
 import errno
-import multiprocessing
 import os
 import signal
 import time
@@ -168,23 +167,45 @@ def test_one_usable_cpu_starts_no_process(small_sphere_ops, monkeypatch):
     cfg = StepperConfig(dt=DT, t_max=5 * DT, eq_tol=0.0, snapshot_stride=2)
     rng = np.random.default_rng(11)
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(3)]
+    forks, real_fork = [], os.fork
 
-    def no_fork():
-        raise AssertionError("a process was started")
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
 
     with monkeypatch.context() as mp:
-        mp.setattr(os, "fork", no_fork)
+        mp.setattr(os, "fork", counted_fork)
         check_sliced(ops, members, cfg, 1)
-        mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        check_sliced(ops, members, cfg, 4)            # no fork start method
+        assert forks == []
+        mp.delattr(os, "fork")                        # no fork on this platform
+        check_sliced(ops, members, cfg, 4)
         check_sliced(ops, members[:1], cfg, 4)        # nor a checker for one member
 
-    def no_slice(process):
-        raise AssertionError("a slice was started")
-
-    # one member: one slice, which may check its steps in a forked process
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_slice)
+    # one member: one slice, which may check its steps in a forked process, and only that
+    monkeypatch.setattr(os, "fork", counted_fork)
     check_sliced(ops, members[:1], cfg, 4)
+    assert len(forks) == 1
+
+
+def test_a_failed_slice_fork_runs_that_slice_here(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=5 * DT, eq_tol=1e-2, snapshot_stride=2)
+    rng = np.random.default_rng(12)
+    members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(5)]
+    open_fds = os.listdir("/proc/self/fd")
+    forks, real_fork = [], os.fork
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    # slices: members 0 | 1-2 | 3-4; the last is forked, the middle one runs here
+    check_sliced(ops, members, cfg, 3)
+    assert len(forks) == 2
+    assert os.listdir("/proc/self/fd") == open_fds
 
 
 def failing_members(ops):

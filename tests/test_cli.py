@@ -169,6 +169,9 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("experiment", "modes", "-1"),
     ("experiment", "n_eigs", "-3"),
     ("experiment", "seed", "-1"),
+    ("geometry", "c2", "2"),
+    ("geometry", "c2", "0"),
+    pytest.param("geometry", "c2", "2\nkind = spindle", id="geometry-c2-2-spindle"),
 ])
 def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(tmp_path, capsys,
                                                                  section, key, value):
@@ -210,6 +213,14 @@ def test_default_ls_probe_fits_the_decay_exponent_reproducibly(tmp_path):
     assert rc == 0
     for name in ("trajectory.csv", "ls_summary.csv"):
         assert (again / name).read_bytes() == (rundir / name).read_bytes()
+
+
+def test_ls_probe_around_a_nonzero_mean_runs(tmp_path):
+    # the relaxed field is within 1e-6 of the constant 0.5, so removing the mean of its
+    # gradient leaves a mean the dual norm's check once rejected
+    rc, rundir = run_cli(tmp_path, "ls-probe", SPHERE_SMALL + "[experiment]\nic = random\nmean = 0.5\n")
+    assert rc == 0
+    assert (rundir / "status").read_text().strip() == "ok"
 
 
 def test_mean_with_a_mean_zero_initial_field_exits_2_naming_it(tmp_path, capsys):
@@ -276,17 +287,22 @@ def test_default_attractor_runs(tmp_path):
 
 
 def test_norms_output_closed_forms(tmp_path):
-    rc, rundir = run_cli(tmp_path, "norms", SMOKE_CONFIGS["norms"])
-    assert rc == 0
-    header, rows = read_csv(rundir / "field_norms.csv")
-    vals = {r[0]: float(r[-1]) for r in rows if r[0] != "mellin_norm"}
-    area = vals["mass"] / 0.5
-    assert vals["mean"] == pytest.approx(0.5, rel=1e-12)
-    assert vals["sup"] == pytest.approx(0.5, rel=1e-12)
-    assert vals["l2_norm"] == pytest.approx(0.5 * area ** 0.5, rel=1e-12)
-    assert vals["energy"] == pytest.approx(area * (0.5 ** 4 / 4 - 0.5 ** 2 / 2), rel=1e-12)
-    assert vals["h1_seminorm"] == pytest.approx(0.0, abs=1e-10)
-    assert vals["h01_dual_norm_meanfree"] == pytest.approx(0.0, abs=1e-10)
+    # at M = 24 the dual norm's mean check rejected the constant of one ulp left by
+    # removing the mean
+    for m, c in ((48, 0.5), (24, 1.0), (24, -1.0), (24, 0.5)):
+        ini = SPHERE_SMALL.replace("M = 48", f"M = {m}") \
+            + f"[experiment]\nic = constant\nmean = {c}\n"
+        rc, rundir = run_cli(tmp_path, "norms", ini)
+        assert rc == 0
+        header, rows = read_csv(rundir / "field_norms.csv")
+        vals = {r[0]: float(r[-1]) for r in rows if r[0] != "mellin_norm"}
+        area = vals["mass"] / c
+        assert vals["mean"] == pytest.approx(c, rel=1e-12)
+        assert vals["sup"] == pytest.approx(abs(c), rel=1e-12)
+        assert vals["l2_norm"] == pytest.approx(abs(c) * area ** 0.5, rel=1e-12)
+        assert vals["energy"] == pytest.approx(area * (c ** 4 / 4 - c ** 2 / 2), rel=1e-12)
+        assert vals["h1_seminorm"] == pytest.approx(0.0, abs=1e-10)
+        assert vals["h01_dual_norm_meanfree"] == pytest.approx(0.0, abs=1e-10)
 
 
 # ------------------------------------------------------------ reproducibility
