@@ -269,29 +269,22 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
                 for radius, seed in jobs]
     results = _run_sliced(ops, initials, cfg, collect_snapshots=True)
 
-    # align records across runs (equilibrium stops can shorten a run)
-    n_rec = min(len(r.records) for r in results)
-    times = np.array([rec.t for rec in results[0].records[:n_rec]])
-    norms = {job: np.array([rec.h1_seminorm for rec in res.records[:n_rec]])
-             for job, res in zip(jobs, results)}
-    level = level_margin * max(series[-1] for series in norms.values())
+    # each member's own records: an equilibrium stop ends a member at its own step
+    times = [np.array([rec.t for rec in res.records]) for res in results]
+    norms = [np.array([rec.h1_seminorm for rec in res.records]) for res in results]
+    level = level_margin * max(series[-1] for series in norms)
 
     entry_times = {r: [] for r in radii}
     post_sups = {r: [] for r in radii}
     tip_sup = {r: 0.0 for r in radii}
     tip_sup_lap = {r: 0.0 for r in radii}
-    entry_idx = {}
-    for job, res in zip(jobs, results):
-        radius, _ = job
-        series = norms[job]
+    for (radius, _), res, t, series in zip(jobs, results, times, norms):
         suffix = np.maximum.accumulate(series[::-1])[::-1]
         idx = int(np.argmax(suffix <= level))   # enters by its last record at the latest
-        entry_idx[job] = idx
-        entry_times[radius].append(float(times[idx]))
+        entry_times[radius].append(float(t[idx]))
         post_sups[radius].append(float(suffix[idx]))
-        t_entry = times[idx]
         for step, coeffs in res.snapshots:
-            if step * cfg.dt >= t_entry:
+            if step * cfg.dt >= t[idx]:
                 u = Field(ops.mesh, coeffs)
                 tip_sup[radius] = max(tip_sup[radius],
                                       mellin_norm(u, 0, mellin_gamma))

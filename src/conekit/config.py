@@ -221,6 +221,9 @@ def _validate(cfg: RunConfig):
             raise ConfigError(f"[geometry] c must lie in (0, 1], got {g.c}")
     if g.c2 and not (0 < exact_number(g.c2) <= 1):
         raise ConfigError(f"[geometry] c2 must lie in (0, 1], got {g.c2}")
+    if g.c2 and g.kind != "spindle":   # the other kinds have one tip, or none
+        raise ConfigError(f"[geometry] c2 is the second tip's slope of kind = spindle, "
+                          f"got it with kind = {g.kind}")
     if g.kind == "sphere" and g.radius <= 0:
         raise ConfigError("[geometry] radius must be positive")
     if g.kind != "sphere" and g.L <= 0:

@@ -14,7 +14,8 @@ relative to sup|u| (S >= 2 covers |u| <= 1 with margin).  The angular mean is
 a conserved quantity; after each solve the mode-0 mean is restored to its
 initial value exactly, which removes the slow mass leak that solver roundoff
 would otherwise produce.  A single run busy-polls a second CPU when one is
-free: a forked checker verifies each step and takes its energy meanwhile.
+free: past its first steps it forks one checker, which verifies each step and
+takes its energy meanwhile.
 An ensemble runs in slices, one per usable CPU, forked the same way, with
 os.fork, a pipe per process and shared memory from an anonymous mmap.
 """
@@ -222,25 +223,22 @@ def _step_checks(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals
 
 
 class _Checker:
-    """Forked processes that check steps, from a ring of shared slots, behind the caller.
+    """A forked process that checks steps, from a ring of shared slots, behind the caller.
 
     The caller posts step numbers on one pipe and reads checks from another; both busy-poll,
     since a blocking read would wake the checker on the caller's CPU.  For each step the
     caller puts the solve's right-hand side and columns, and the settled state with its grid
     values, in slots; the checker verifies the solve and takes the energies and screen norm
     from the caller's own state, so its results have the inline bits.
-    A checker stops at a step it cannot check.  The caller stops posting after a step that
-    warns or raises ahead, or after a window of steps that took longer per step than the
-    inline steps before the checker (another process holds a CPU, or the two share one).
-    The steps from there run inline, and a new checker is forked after a pause that doubles
-    with each stall in a row."""
+    A run forks its checker once, after its first steps (see first()).  The checker stops at
+    a step it cannot check, and the caller stops posting at a step that warns or raises
+    ahead; from there the run steps inline to its end, as it does when the fork fails."""
 
-    FIRST = 2 ** 19   # state values a run steps inline before its first checker, see first()
-    WINDOW = 128      # steps per timed window of the pipeline, and the first pause
+    FIRST = 2 ** 19   # state values a run steps inline before its checker, see first()
 
     @classmethod
     def first(cls, size: int) -> int:
-        """Steps a run of ``size`` state values per step takes inline before its first checker,
+        """Steps a run of ``size`` state values per step takes inline before its checker,
         fewer the costlier its steps: a run of short steps loses by the fork."""
         return -(-cls.FIRST // size)
 
@@ -258,14 +256,11 @@ class _Checker:
                         state[size:].reshape(len(stack), stack.shape[-1], -1))   # (B, M, N)
                        for state in flat[2 * d * size:].reshape(d + 1, -1)]
         self.ahead = collections.deque()   # steps posted, not decided
-        self.pid, self.pause = None, self.WINDOW
-        self.resume = self.first(size) + 1   # steps before resume run inline
-        self.mark = time.perf_counter(), 1   # clock and step where the inline steps began
+        self.pid, self.posting = None, False
+        self.start = self.first(size) + 1   # the step the checker is forked at
 
-    def _start(self, ops, cfg, stack: np.ndarray, n: int):
-        """Fork a checker whose first step is ``n``; on failure, pause."""
-        self.inline_dt = (time.perf_counter() - self.mark[0]) / max(1, n - self.mark[1])
-        self.stalled, self.window = False, (-self.WINDOW, 0.0)   # steps timed, clock at start
+    def _start(self, ops, cfg, stack: np.ndarray):
+        """Fork the checker and start posting; on failure the run stays inline."""
         (todo, self.todo), (self.done, done) = os.pipe(), os.pipe()
         for fd in (todo, self.done):
             os.set_blocking(fd, False)
@@ -275,7 +270,7 @@ class _Checker:
         except OSError:   # no process or memory to spare
             for fd in (todo, self.todo, self.done, done):
                 os.close(fd)
-            return self._stop(n)
+            return
         if self.pid == 0:
             try:
                 os.close(self.todo)
@@ -288,6 +283,7 @@ class _Checker:
                 os._exit(1)
         os.close(todo)
         os.close(done)
+        self.posting = True
 
     @staticmethod
     def _poll(fd: int, size: int = 8) -> bytes:
@@ -318,17 +314,16 @@ class _Checker:
     def advance(self, ops, cfg, stack, vals, mean0: list, n: int, left: int) -> Optional[tuple]:
         """Step ``n`` from ``stack``: its state, grid values and checks, once up to ``depth`` of
         the ``left`` steps are posted; None when step ``n`` runs inline."""
-        if self.pid is None and not self.ahead and n >= self.resume:
-            self._start(ops, cfg, stack, n)
-        while self.pid is not None and not self.stalled and len(self.ahead) < min(self.depth, left):
+        if n == self.start:
+            self._start(ops, cfg, stack)
+        while self.posting and len(self.ahead) < min(self.depth, left):
             step = self._ahead(ops, cfg, *(self.ahead[-1][:2] if self.ahead else (stack, vals)),
                                n + len(self.ahead), mean0)
-            self.stalled = step is None
+            self.posting = step is not None
             if step is not None:
                 self.ahead.append(step)
         if not self.ahead:
-            if self.pid is not None:
-                self._stop(n)
+            self.close()
             return None
         u, uvals, rhs, sol = self.ahead.popleft()
         if self.pid is not None:
@@ -337,23 +332,11 @@ class _Checker:
                 raise RuntimeError(f"step checker ended before checking step {n} "
                                    f"(exit code {os.waitstatus_to_exitcode(self.close())})")
             if checks[0]:
-                self._pace()
                 e, h1, l2 = checks[1:].reshape(3, -1).tolist()
                 return u, uvals, (e, h1, l2 if cfg.eq_tol > 0.0 else None)
-            self._stop(n)   # the checker stopped at this step
+            self.close()   # the checker stopped at this step
         ops._ch_verify(rhs, sol, cfg.dt, cfg.stabilization)
         return u, uvals, _step_checks(ops, cfg, u, uvals, stack)
-
-    def _pace(self):
-        """Count a step checked aside.  A checker's first ``WINDOW`` steps warm it up; each
-        window after them that is slower per step than the inline steps before the checker
-        stalls the pipeline, and one that is faster ends a run of stalls."""
-        steps, start = self.window
-        steps += 1
-        if steps == self.WINDOW:
-            self.stalled = time.perf_counter() - start > self.WINDOW * self.inline_dt
-            self.pause = self.pause if self.stalled else self.WINDOW
-        self.window = (0, time.perf_counter()) if steps in (0, self.WINDOW) else (steps, start)
 
     def _ahead(self, ops, cfg, stack, vals, n: int, mean0: list) -> Optional[tuple]:
         """Step ``n`` from ``stack``, posted to the checker: its state, grid values, and the
@@ -371,15 +354,10 @@ class _Checker:
             os.write(self.todo, n.to_bytes(8, "little"))
         return u, uvals, rhs, sol
 
-    def _stop(self, n: int):
-        """End the checker at step ``n``, and run inline for a pause twice the last one."""
-        self.close()
-        self.resume, self.pause = n + self.pause, 2 * self.pause
-        self.mark = time.perf_counter(), n
-
     def close(self) -> int:
-        """Close the pipes, which ends the checker, and reap it: its wait status, once."""
-        pid, self.pid = self.pid, None
+        """Stop posting, close the pipes, which ends the checker, and reap it: its wait
+        status, once."""
+        pid, self.pid, self.posting = self.pid, None, False
         for fd in (self.todo, self.done) if pid else ():
             os.close(fd)
         return os.waitpid(pid, 0)[1] if pid else 0
@@ -453,9 +431,9 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     delivered.  An error raised at step n carries n as ``lockstep``.  ``stop``
     is the shared array of _run_sliced, each slice's abort step; the batch
     raises _SliceStopped instead of taking a step after its least entry.
-    One member with two ``cpus`` or more decides its steps, where a _Checker
-    pays, with the checks it took meanwhile; stopped at step n, it returns
-    the state of step n.
+    One member with two ``cpus`` or more decides its steps past its first
+    ones with the checks a forked _Checker took meanwhile; stopped at step n,
+    it returns the state of step n.
     """
     _check_initials(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol

@@ -144,6 +144,9 @@ def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> fl
 
     # ---- collar term on cells inside the collar
     idx = np.nonzero(in_collar)[0]
+    if s and 0 < idx.size < 3:   # too few for the second-order one-sided ends of a derivative
+        raise ValueError(f"mellin_norm of order {s} needs at least 3 cells in the collar "
+                         f"x < {collar_len:g}, which has {idx.size}")
     total_collar = 0.0
     if idx.size:
         xc = x[idx]

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import conekit.analysis
 import conekit.dynamics
 from conekit.analysis import (absorbing_set_experiment, fit_lojasiewicz,
                               fit_tip_asymptotics, lojasiewicz_probe,
@@ -213,6 +214,26 @@ def test_absorbing_experiment_report_shape(small_sphere_ops):
         assert np.all(np.isfinite(report.diameters[r]))
     assert 0.0 <= report.kappa_spread < 1.0
     assert report.level >= max(report.kappa.values()) / 1.05 * 0.999
+
+
+def test_members_that_stop_at_equilibrium_enter_at_their_own_record_times(monkeypatch):
+    # the four members stop at steps 733, 735, 765 and 767, recorded every 50 steps
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 48, 1.0), 2)
+    cfg = StepperConfig(dt=1e-2, t_max=10.0, eq_tol=1e-6, snapshot_stride=50)
+    runs, real = [], conekit.analysis._run_sliced
+
+    def kept(*args, **kwargs):
+        runs.extend(real(*args, **kwargs))
+        return runs
+
+    monkeypatch.setattr(conekit.analysis, "_run_sliced", kept)
+    report = absorbing_set_experiment(ops, cfg, radii=(0.5, 1.0), seeds_per_radius=2,
+                                      base_seed=3)
+    assert sorted(run.state.step for run in runs) == [733, 735, 765, 767]
+    entries = report.entry_times[0.5] + report.entry_times[1.0]
+    for run, t in zip(runs, entries):
+        assert t in [rec.t for rec in run.records]
+    assert report.level == 1.05 * max(run.records[-1].h1_seminorm for run in runs)
 
 
 @pytest.mark.parametrize("kwargs, name", [({"radii": ()}, "radii"),

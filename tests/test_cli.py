@@ -115,6 +115,18 @@ def test_simulate_zero_initial_data_reports_equilibrium(tmp_path):
     assert (rundir / "final_state.txt").read_text().startswith("# t = ")
 
 
+@pytest.mark.parametrize("cells, in_collar", [(4, 1), (6, 2)])
+def test_a_collar_too_short_for_a_derivative_exits_3_naming_it(tmp_path, capsys, cells,
+                                                              in_collar):
+    # the first-order Mellin norm of every record differentiates across the collar x < 1
+    ini = f"[geometry]\nkind = sphere\nM = {cells}\nK = 1\nq = 1.0\n"
+    rc, rundir = run_cli(tmp_path, "simulate", ini)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"3 cells in the collar x < 1, which has {in_collar}" in err
+    assert "Traceback" not in err
+
+
 def test_unstable_simulate_exits_3_with_partial_outputs(tmp_path):
     ini = SPHERE_SMALL \
         + "[dynamics]\ndt = 10\neq_tol = 0\nsnapshot_stride = 1\n" \
@@ -172,6 +184,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("geometry", "c2", "2"),
     ("geometry", "c2", "0"),
     pytest.param("geometry", "c2", "2\nkind = spindle", id="geometry-c2-2-spindle"),
+    pytest.param("geometry", "c2", "1/3\nkind = cone_capped", id="geometry-c2-cone_capped"),
+    pytest.param("geometry", "c2", "1/3\nkind = sphere", id="geometry-c2-sphere"),
 ])
 def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(tmp_path, capsys,
                                                                  section, key, value):
@@ -368,10 +382,9 @@ def test_snapshot_text_matches_per_value_format(tmp_path):
 def test_simulate_is_one_run_that_forks_one_checker_and_writes_what_it_records(tmp_path,
                                                                                monkeypatch):
     # 100 steps past those the run takes before its checker, recorded every 50, a stride
-    # shorter than the steps before the checker; 100 steps aside are fewer than a checker's
-    # warm-up, so no timed window can stall it
+    # shorter than the steps before the checker
     first = conekit.dynamics._Checker.first(3 * 2 * 48)   # (K+1) * 2 * M values per step
-    assert 50 < first and 100 < conekit.dynamics._Checker.WINDOW
+    assert 50 < first
     ini = SPHERE_SMALL + f"[dynamics]\nT_max = {(first + 100) / 1000}\neq_tol = 0\n" \
         + "snapshot_stride = 50\n[experiment]\namplitude = 0.3\nseed = 5\n"
     forks, real_fork = [], os.fork
