@@ -48,10 +48,6 @@ from .spaces import h1_seminorm, l2_norm, lp_norm, mean, mellin_norm, poincare_c
 #: Exceptions that end a run as a numerical abort (exit code 3).
 NUMERICAL_ABORTS = (StabilityError, SolverError, ValueError, ArithmeticError)
 
-COMMANDS = ("indicial", "spectrum", "norms", "simulate", "attractor",
-            "fit-asymptotics", "ls-probe")
-
-
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -295,7 +291,7 @@ def main(argv=None) -> int:
                     "surfaces of revolution with conical points.")
     parser.add_argument("--version", action="version", version=f"conekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", "-c", default=None,
                        help="INI configuration file (defaults apply when omitted)")

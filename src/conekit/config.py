@@ -13,12 +13,12 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
 from .dynamics import StepperConfig
-from .geometry import SurfaceProfile, build_mesh, build_profile, exact_number
+from .geometry import PROFILE_KINDS, SurfaceProfile, build_mesh, build_profile, exact_number
 from .indicial import ch_gamma_window
 from .operators import ModeOperators
 
@@ -97,12 +97,11 @@ class DynamicsSection:
     T_max: float = 1000.0
     eq_tol: float = 1.0e-8
     snapshot_stride: int = 100
-    linear_only: bool = False
 
     def stepper(self, gamma: float) -> StepperConfig:
         return StepperConfig(dt=self.dt, stabilization=self.S, t_max=self.T_max,
                              eq_tol=self.eq_tol, snapshot_stride=self.snapshot_stride,
-                             linear_only=self.linear_only, mellin_gamma=gamma)
+                             mellin_gamma=gamma)
 
 
 @dataclass
@@ -137,44 +136,24 @@ class RunConfig:
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
 
 
-_FLOAT = (_parse_finite, lambda v: format(v, ".17g"))
+_SECTIONS = tuple(f.name for f in fields(RunConfig))
 
-# (section, key) -> (parser, formatter); parsers raise ValueError on bad input
-_FIELDS = {
-    ("geometry", "kind"): (str, str),
-    ("geometry", "c"): (lambda s: str(Fraction(s)), str),
-    ("geometry", "c2"): (lambda s: str(Fraction(s)) if s.strip() else "", str),
-    ("geometry", "radius"): _FLOAT,
-    ("geometry", "L"): _FLOAT,
-    ("geometry", "M"): (int, str),
-    ("geometry", "q"): _FLOAT,
-    ("geometry", "K"): (int, str),
-    ("dynamics", "dt"): _FLOAT,
-    ("dynamics", "S"): _FLOAT,
-    ("dynamics", "T_max"): _FLOAT,
-    ("dynamics", "eq_tol"): _FLOAT,
-    ("dynamics", "snapshot_stride"): (int, str),
-    ("dynamics", "linear_only"): (_parse_bool, lambda v: "true" if v else "false"),
-    ("norms", "gamma"): _FLOAT,
-    ("norms", "pairs"): (_parse_pairs, lambda v: ";".join(f"{s},{format(g, '.17g')}" for s, g in v)),
-    ("experiment", "seed"): (int, str),
-    ("experiment", "ic"): (str, str),
-    ("experiment", "amplitude"): _FLOAT,
-    ("experiment", "mean"): _FLOAT,
-    ("experiment", "snapshots"): (_parse_bool, lambda v: "true" if v else "false"),
-    ("experiment", "radii"): (_parse_float_list, lambda v: ",".join(format(x, ".17g") for x in v)),
-    ("experiment", "seeds_per_radius"): (int, str),
-    ("experiment", "level_margin"): _FLOAT,
-    ("experiment", "mode_decay"): _FLOAT,
-    ("experiment", "modes"): (_parse_int_list, lambda v: ",".join(str(x) for x in v)),
-    ("experiment", "source_center"): _FLOAT,
-    ("experiment", "source_width"): _FLOAT,
-    ("experiment", "n_eigs"): (int, str),
-    ("experiment", "drop_last"): _FLOAT,
+# the codec, (parser, formatter), of a key by its field's annotation or, where its text is not
+# its type's, by its name; parsers raise ValueError on bad input
+_CODECS = {
+    "float": (_parse_finite, lambda v: format(v, ".17g")),
+    "int": (int, str),
+    "str": (str, str),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "c": (lambda s: str(Fraction(s)), str),
+    "c2": (lambda s: str(Fraction(s)) if s.strip() else "", str),
+    "pairs": (_parse_pairs, lambda v: ";".join(f"{s},{format(g, '.17g')}" for s, g in v)),
+    "radii": (_parse_float_list, lambda v: ",".join(format(x, ".17g") for x in v)),
+    "modes": (_parse_int_list, lambda v: ",".join(str(x) for x in v)),
 }
-
-_SECTIONS = ("geometry", "dynamics", "norms", "experiment")
-_VALID_KINDS = ("cone_capped", "sphere", "spindle")
+# (section, key) -> codec, in section and field order
+_FIELDS = {(sec.name, f.name): _CODECS.get(f.name) or _CODECS[f.type]
+           for sec in fields(RunConfig) for f in fields(sec.default_factory)}
 _VALID_ICS = ("random_mean_zero", "random", "constant")
 
 
@@ -213,8 +192,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     g = cfg.geometry
-    if g.kind not in _VALID_KINDS:
-        raise ConfigError(f"[geometry] kind must be one of {_VALID_KINDS}, got {g.kind!r}")
+    if g.kind not in PROFILE_KINDS:
+        raise ConfigError(f"[geometry] kind must be one of {PROFILE_KINDS}, got {g.kind!r}")
     if g.kind != "sphere":
         c = exact_number(g.c)
         if not (0 < c <= 1):
@@ -304,10 +283,8 @@ def _render(cfg: RunConfig, extra_meta: dict | None = None) -> str:
             cp.set("meta", k, str(v))
     for section in _SECTIONS:
         cp.add_section(section)
-        target = getattr(cfg, section)
-        for (sec, key), (_p, fmt) in _FIELDS.items():
-            if sec == section:
-                cp.set(section, key, fmt(getattr(target, key)))
+    for (section, key), (_p, fmt) in _FIELDS.items():
+        cp.set(section, key, fmt(getattr(getattr(cfg, section), key)))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

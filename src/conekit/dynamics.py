@@ -73,7 +73,6 @@ class StepperConfig:
     t_max: float = 1000.0
     eq_tol: float = 1.0e-8          # equilibrium threshold; 0 disables detection
     snapshot_stride: int = 100
-    linear_only: bool = False
     mellin_gamma: float = -0.75
 
     def __post_init__(self):
@@ -129,8 +128,7 @@ class SemiflowResult:
     snapshots: list  # (step, coeffs copy) pairs when collected
 
 
-def _energies(mesh, stack: np.ndarray, vals: np.ndarray,
-              linear_only: bool) -> tuple[list[float], list[float]]:
+def _energies(mesh, stack: np.ndarray, vals: np.ndarray) -> tuple[list[float], list[float]]:
     """Free energy and Dirichlet seminorm of each member of a coefficient stack.
 
     ``stack`` is (B, K+1, 2, M) and ``vals`` its grid values (B, M, N).  The
@@ -139,20 +137,17 @@ def _energies(mesh, stack: np.ndarray, vals: np.ndarray,
     the last bits of each member's energy.
     """
     h1 = [h1_seminorm(Field(mesh, coeffs)) for coeffs in stack]
-    if linear_only:
-        pot = [-0.5 * mesh.integrate_radial(row) for row in (vals ** 2).mean(axis=-1)]
-    else:
-        sq = vals * vals
-        dens = np.multiply(0.25, sq)   # 0.25 sq sq - 0.5 sq, in place
-        dens *= sq
-        dens -= np.multiply(0.5, sq, out=sq)
-        pot = [mesh.integrate_radial(row) for row in dens.mean(axis=-1)]
+    sq = vals * vals
+    dens = np.multiply(0.25, sq)   # 0.25 sq sq - 0.5 sq, in place
+    dens *= sq
+    dens -= np.multiply(0.5, sq, out=sq)
+    pot = [mesh.integrate_radial(row) for row in dens.mean(axis=-1)]
     return [0.5 * g ** 2 + p for g, p in zip(h1, pot)], h1
 
 
-def energy(u: Field, linear_only: bool = False) -> float:
-    """Free energy of a field; quadratic part only when ``linear_only``."""
-    return _energies(u.mesh, u.coeffs[None], u.grid_values()[None], linear_only)[0][0]
+def energy(u: Field) -> float:
+    """Free energy of a field."""
+    return _energies(u.mesh, u.coeffs[None], u.grid_values()[None])[0][0]
 
 
 def energy_gradient(u: Field, ops: ModeOperators) -> Field:
@@ -197,11 +192,8 @@ def _rhs(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals: np.nda
          out: Optional[np.ndarray] = None) -> np.ndarray:
     """The implicit solve's right-hand side for the step after ``stack``, in ``out`` if given."""
     dt, s = cfg.dt, cfg.stabilization
-    if cfg.linear_only:
-        nl = -(1.0 + s) * stack
-    else:
-        nl = values_to_coeffs(vals * vals * vals, ops.max_mode)
-        nl -= (1.0 + s) * stack
+    nl = values_to_coeffs(vals * vals * vals, ops.max_mode)
+    nl -= (1.0 + s) * stack
     lap = ops.apply_laplacian_coeffs(nl)   # stack + dt * lap, operands in that order
     return np.add(stack, np.multiply(dt, lap, out=lap), out=lap if out is None else out)
 
@@ -218,7 +210,7 @@ def _step_checks(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals
                  prev: np.ndarray) -> tuple:
     """Each member's energy, Dirichlet seminorm and Poincare-screen L2 norm of its change
     (None if eq_tol = 0), for a settled step."""
-    return (*_energies(ops.mesh, stack, vals, cfg.linear_only),
+    return (*_energies(ops.mesh, stack, vals),
             [_weighted_l2(u - p, ops.mesh) for u, p in zip(stack, prev)] if cfg.eq_tol else None)
 
 
@@ -447,7 +439,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
 
     stack = np.stack([u.coeffs for u in initials])
     vals = coeffs_to_values(stack)
-    e_now, h1_now = _energies(mesh, stack, vals, cfg.linear_only)
+    e_now, h1_now = _energies(mesh, stack, vals)
 
     def emit(member: int, coeffs, vals_m, step: int, e: float, h1: float, res: float):
         u = Field(mesh, coeffs)
@@ -464,11 +456,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
             snapshots[member].append((step, coeffs.copy()))
 
     for b in range(len(initials)):
-        u = Field(mesh, stack[b])
-        if cfg.linear_only:
-            rate0 = ops.apply_laplacian_coeffs(-ops.apply_laplacian_coeffs(u.coeffs) - u.coeffs)
-        else:
-            rate0 = ops.apply_laplacian(energy_gradient(u, ops)).coeffs
+        rate0 = ops.apply_laplacian(energy_gradient(Field(mesh, stack[b]), ops)).coeffs
         # the round trip through dt keeps the bits of the step-0 ut_h01dual;
         # an overflowed rate has no dual residual, as for a step below
         res0 = (_mean_free_dual_norm(ops, rate0 * dt / dt) if np.isfinite(rate0).all()

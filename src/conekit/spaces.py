@@ -124,7 +124,7 @@ def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> fl
     where the angular factor per mode k is (k x / f(x))^b, plus the ordinary
     order-s Sobolev norm of the remainder (1-omega) u, with omega the mesh's
     default cutoff.  The two contributions are added (collar + interior).
-    With ``collar_only=True`` omega is taken identically 1 on x <= min(1, L)
+    With ``collar_only=True`` omega is taken identically 1 on x < min(1, L)
     and the interior term is dropped; this is the convention used by
     closed-form checks on model fields supported in the collar.
     """
@@ -144,24 +144,23 @@ def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> fl
 
     # ---- collar term on cells inside the collar
     idx = np.nonzero(in_collar)[0]
-    if s and 0 < idx.size < 3:   # too few for the second-order one-sided ends of a derivative
-        raise ValueError(f"mellin_norm of order {s} needs at least 3 cells in the collar "
-                         f"x < {collar_len:g}, which has {idx.size}")
+    if idx.size < (3 if s else 1):   # a derivative's second-order one-sided ends take 3 cells
+        raise ValueError(f"mellin_norm of order {s} needs at least {'3 cells' if s else '1 cell'} "
+                         f"in the collar x < {collar_len:g}, which has {idx.size}")
+    xc = x[idx]
+    fc = mesh.f_centers[idx]
+    dxc = mesh.widths[idx]
+    weight = xc ** (2.0 * (1.0 - gamma)) * (fc / xc) * (dxc / xc)
+    base = (omega_vals[idx] * u.coeffs[..., idx])  # (K+1, 2, nc)
+    ang_scale = kvec[:, None, None] * xc / fc      # one angular derivative, x-scaled
     total_collar = 0.0
-    if idx.size:
-        xc = x[idx]
-        fc = mesh.f_centers[idx]
-        dxc = mesh.widths[idx]
-        weight = xc ** (2.0 * (1.0 - gamma)) * (fc / xc) * (dxc / xc)
-        base = (omega_vals[idx] * u.coeffs[..., idx])  # (K+1, 2, nc)
-        ang_scale = kvec[:, None, None] * xc / fc      # one angular derivative, x-scaled
-        for a in range(s + 1):
-            for b in range(s + 1 - a):
-                term = base
-                for _ in range(a):
-                    term = _xlog_derivative(term, xc)
-                term = term * ang_scale ** b
-                total_collar += float(np.einsum("kci,i,kc->", term ** 2, weight, w))
+    for a in range(s + 1):
+        for b in range(s + 1 - a):
+            term = base
+            for _ in range(a):
+                term = _xlog_derivative(term, xc)
+            term = term * ang_scale ** b
+            total_collar += float(np.einsum("kci,i,kc->", term ** 2, weight, w))
 
     # ---- interior term: plain Sobolev norm of (1 - omega) u
     total_interior = 0.0

@@ -127,6 +127,17 @@ def test_a_collar_too_short_for_a_derivative_exits_3_naming_it(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_a_collar_without_cells_exits_3_naming_it(tmp_path, capsys):
+    # cell centres 1.25, 3.75, 6.25, 8.75: the tip term of every record's norm has no cell
+    ini = "[geometry]\nkind = cone_capped\nL = 10\nM = 4\nq = 1\nK = 2\n"
+    rc, rundir = run_cli(tmp_path, "simulate", ini)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "1 cell in the collar x < 1, which has 0" in err
+    assert "Traceback" not in err
+    assert (rundir / "status").read_text().startswith("error: ValueError")
+
+
 def test_unstable_simulate_exits_3_with_partial_outputs(tmp_path):
     ini = SPHERE_SMALL \
         + "[dynamics]\ndt = 10\neq_tol = 0\nsnapshot_stride = 1\n" \
@@ -197,11 +208,12 @@ def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(tmp_path, capsy
     assert "Traceback" not in err
 
 
-def test_removed_conserve_mean_key_exits_2_naming_it(tmp_path, capsys):
-    rc, rundir = run_cli(tmp_path, "simulate", "[dynamics]\nconserve_mean = false\n")
+@pytest.mark.parametrize("key", ["conserve_mean", "linear_only"])
+def test_removed_key_exits_2_naming_it(tmp_path, capsys, key):
+    rc, rundir = run_cli(tmp_path, "simulate", f"[dynamics]\n{key} = false\n")
     assert rc == 2
     assert rundir is None
-    assert "conserve_mean" in capsys.readouterr().err
+    assert f"unknown key '{key}' in section [dynamics]" in capsys.readouterr().err
 
 
 def test_rejected_ls_probe_still_writes_its_trajectory(tmp_path):

@@ -41,6 +41,23 @@ def test_default_config_text_parses_back():
     assert parse_config(text) == RunConfig()
 
 
+DEFAULT_TEXT = (
+    "[geometry]\nkind = cone_capped\nc = 1/2\nc2 = \nradius = 1\nL = 2\nM = 256\n"
+    "q = 0.84999999999999998\nK = 32\n\n"
+    "[dynamics]\ndt = 0.001\nS = 2\nT_max = 1000\neq_tol = 1e-08\nsnapshot_stride = 100\n\n"
+    "[norms]\ngamma = -0.75\npairs = 0,-0.75;1,-0.75\n\n"
+    "[experiment]\nseed = 0\nic = random_mean_zero\namplitude = 0.10000000000000001\n"
+    "mean = 0\nsnapshots = true\nradii = 0.5,1\nseeds_per_radius = 4\nlevel_margin = 1.05\n"
+    "mode_decay = 2\nmodes = 1,2\nsource_center = 0.75\nsource_width = 0.080000000000000002\n"
+    "n_eigs = 8\ndrop_last = 0.050000000000000003\n\n")
+
+
+def test_default_config_text_is_pinned():
+    # each key's text in order: a codec that wrote S as 2.0 or eq_tol as 1e-8 would show here,
+    # where the key-set and round-trip tests cannot see it
+    assert default_config_text() == DEFAULT_TEXT
+
+
 def test_gamma_inside_window_is_accepted():
     cfg = parse_config("[geometry]\nkind = cone_capped\nc = 1\n\n"
                        "[norms]\ngamma = -0.75\n")
@@ -99,7 +116,7 @@ def test_a_mean_zero_initial_field_takes_no_mean():
 def test_manifest_roundtrip_preserves_overrides():
     cfg = parse_config(
         "[geometry]\nkind = cone_capped\nc = 1/2\nL = 3\nM = 64\nq = 0.8\nK = 4\n\n"
-        "[dynamics]\ndt = 0.0005\neq_tol = 1e-09\nlinear_only = true\n\n"
+        "[dynamics]\ndt = 0.0005\neq_tol = 1e-09\nsnapshot_stride = 7\n\n"
         "[norms]\ngamma = -0.6\npairs = 0,-0.6;1,-0.55\n\n"
         "[experiment]\nseed = 9\namplitude = 0.75\nradii = 0.5,2\nmodes = 1,2,3\n")
     again = parse_config(manifest_text(cfg, "simulate", "2026-01-01T00:00:00"))
@@ -107,6 +124,7 @@ def test_manifest_roundtrip_preserves_overrides():
     assert again.geometry.c == "1/2"
     assert again.norms.pairs == ((0, -0.6), (1, -0.55))
     assert again.experiment.modes == (1, 2, 3)
+    assert again.dynamics.snapshot_stride == 7
 
 
 def test_manifests_differ_only_in_timestamp():

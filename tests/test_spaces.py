@@ -102,6 +102,17 @@ def test_tip_norm_interior_term_covers_cap_region(long_cone_mesh):
     assert full == pytest.approx(l2_norm(u), rel=1e-6)
 
 
+@pytest.mark.parametrize("s, collar_only", [(0, False), (1, False), (2, False), (0, True)])
+def test_tip_norm_rejects_a_collar_without_cells(rng, s, collar_only):
+    # cell centres 1.25, 3.75, 6.25, 8.75: none lies in the collar x < 1
+    mesh = build_mesh(build_profile("cone_capped", c="1/2", length=10.0), 4, 1.0)
+    u = random_field(mesh, 2, rng)
+    need = "3 cells" if s else "1 cell"
+    with pytest.raises(ValueError, match=f"order {s} needs at least {need} in the collar "
+                                         r"x < 1, which has 0"):
+        mellin_norm(u, s, -0.75, collar_only=collar_only)
+
+
 # -------------------------------------------------------------- seminorms
 
 
