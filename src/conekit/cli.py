@@ -69,12 +69,15 @@ def _write_csv(path: Path, header, rows):
 def _make_run_dir(root: str, command: str) -> Path:
     stamp = time.strftime("%Y%m%dT%H%M%S")
     base = Path(root) / f"{stamp}-{command}"
+    base.parent.mkdir(parents=True, exist_ok=True)
     candidate, n = base, 1
-    while candidate.exists():
-        n += 1
-        candidate = base.with_name(f"{base.name}-{n}")
-    candidate.mkdir(parents=True)
-    return candidate
+    while True:
+        try:
+            candidate.mkdir()
+            return candidate
+        except FileExistsError:   # taken by another run started in the same second
+            n += 1
+            candidate = base.with_name(f"{base.name}-{n}")
 
 
 def _write_snapshot(path: Path, step: int, t: float, coeffs: np.ndarray):
@@ -315,10 +318,14 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    outdir = _make_run_dir(args.run_root, args.command)
-    (outdir / "manifest.ini").write_text(
-        manifest_text(cfg, args.command, time.strftime("%Y-%m-%dT%H:%M:%S")))
     try:
+        outdir = _make_run_dir(args.run_root, args.command)
+    except OSError as exc:
+        print(f"error: cannot create run directory: {exc}", file=sys.stderr)
+        return 2
+    try:
+        (outdir / "manifest.ini").write_text(
+            manifest_text(cfg, args.command, time.strftime("%Y-%m-%dT%H:%M:%S")))
         _RUNNERS[args.command](cfg, outdir)
     except BaseException as exc:
         # every run directory ends with a status, whatever stopped the run

@@ -236,8 +236,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[experiment] seeds_per_radius must be >= 1")
     if e.seed < 0:
         raise ConfigError("[experiment] seed must be >= 0")
-    if any(k < 0 for k in e.modes):
-        raise ConfigError(f"[experiment] modes must be >= 0, got {e.modes}")
+    if any(k < 0 for k in e.modes) or len(set(e.modes)) < len(e.modes):
+        raise ConfigError(f"[experiment] modes must be >= 0 and distinct, got {e.modes}")
     if e.n_eigs < 1:
         raise ConfigError("[experiment] n_eigs must be >= 1")
     if not e.radii:

@@ -16,8 +16,8 @@ initial value exactly, which removes the slow mass leak that solver roundoff
 would otherwise produce.  A single run busy-polls a second CPU when one is
 free: past its first steps it forks one checker, which verifies each step and
 takes its energy meanwhile.
-An ensemble runs in slices, one per usable CPU, forked the same way, with
-os.fork, a pipe per process and shared memory from an anonymous mmap.
+An ensemble runs in slices, one per usable CPU, each in a forked child; a slice
+that fails has the whole ensemble run again in one process, to raise its error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import time
 import warnings
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import Field, channel_weights, coeffs_to_values, values_to_coeffs
-from .operators import ModeOperators, SolverError
+from .operators import ModeOperators
 from .spaces import h01_dual_norm, h1_seminorm, mean, mellin_norm, poincare_constant
 
 __all__ = [
@@ -58,10 +59,6 @@ ENERGY_INCREASE_TOL = 1.0e-9
 
 class StabilityError(RuntimeError):
     """The discrete energy rose beyond tolerance; reduce dt or raise S."""
-
-
-class _SliceStopped(Exception):
-    """A slice of _run_sliced stopped: another slice aborted at a step this one has finished."""
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,7 @@ class _Checker:
 
     def __init__(self, ops: ModeOperators, stack: np.ndarray):
         size = stack.size
-        self.depth = d = max(2, min(8, 2 ** 20 // (40 * size)))   # steps in ~1 MB, 5 arrays each
+        self.depth = d = 2   # steps posted ahead of their checks
         flat = np.frombuffer(mmap.mmap(-1, 8 * size * (2 * d + 3 * (d + 1))), dtype=float)
         self.slots = [(rhs.reshape(stack.shape), sol.reshape(2 * len(stack), -1).T)
                       for rhs, sol in flat[:2 * d * size].reshape(d, 2, -1)]   # n's in n % d
@@ -404,8 +401,7 @@ def _check_initials(ops: ModeOperators, initials: list):
 
 def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                on_record: Optional[Callable] = None,
-               collect_snapshots: bool = False, stop=None,
-               cpus: int = 1) -> list[SemiflowResult]:
+               collect_snapshots: bool = False, cpus: int = 1) -> list[SemiflowResult]:
     """Run several trajectories through one step kernel; one result per member.
 
     Each entry of ``initials`` is a Field, and every member starts at step 0,
@@ -420,12 +416,9 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     equilibrium or t_max.  ``on_record(member, record, coeffs)`` receives
     every record as it is produced, as for run_semiflow; an energy violation
     in any member raises StabilityError after that member's record is
-    delivered.  An error raised at step n carries n as ``lockstep``.  ``stop``
-    is the shared array of _run_sliced, each slice's abort step; the batch
-    raises _SliceStopped instead of taking a step after its least entry.
-    One member with two ``cpus`` or more decides its steps past its first
-    ones with the checks a forked _Checker took meanwhile; stopped at step n,
-    it returns the state of step n.
+    delivered.  One member with two ``cpus`` or more decides its steps past
+    its first ones with the checks a forked _Checker took meanwhile; stopped
+    at step n, it returns the state of step n.
     """
     _check_initials(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
@@ -486,21 +479,15 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 stack, vals = stack[keep], vals[keep]
                 e_now = [e_now[row] for row in keep]
                 active = [active[row] for row in keep]
-            if stop is not None and stop.min() <= step:
-                raise _SliceStopped
 
             prev = stack
             step += 1
-            try:
-                taken = None if checker is None else checker.advance(
-                    ops, cfg, prev, vals, mean0, step, n_steps_max - step + 1)
-                if taken is None:   # inline
-                    u = ops.solve_ch_system(_rhs(ops, cfg, prev, vals), dt, cfg.stabilization)
-                    uvals = _settle(ops, u, [mean0[b] for b in active])
-                    taken = u, uvals, _step_checks(ops, cfg, u, uvals, prev)
-            except SolverError as exc:
-                exc.lockstep = step
-                raise
+            taken = None if checker is None else checker.advance(
+                ops, cfg, prev, vals, mean0, step, n_steps_max - step + 1)
+            if taken is None:   # inline
+                u = ops.solve_ch_system(_rhs(ops, cfg, prev, vals), dt, cfg.stabilization)
+                uvals = _settle(ops, u, [mean0[b] for b in active])
+                taken = u, uvals, _step_checks(ops, cfg, u, uvals, prev)
             stack, vals, (e_new, h1_new, l2) = taken
             is_record = step % cfg.snapshot_stride == 0 or step == n_steps_max
             for row, b in enumerate(active):
@@ -526,11 +513,9 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                     change = e_new[row] - e_now[row]
                     what = (f"rose by {change:.3e}" if math.isfinite(change)
                             else f"went from {e_now[row]:g} to {e_new[row]:g}")
-                    err = StabilityError(
+                    raise StabilityError(
                         f"energy {what} in one step at t = {step * dt:g}; "
                         "reduce dt or raise the stabilization parameter")
-                    err.lockstep = step
-                    raise err
             e_now = e_new
     finally:
         if checker is not None:
@@ -542,99 +527,72 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 collect_snapshots: bool = False) -> list[SemiflowResult]:
     """_run_batch over contiguous slices of the members, one per usable CPU.
 
-    The calling process runs the first slice.  Every other slice runs in a
-    child forked from it, the last slice first, which inherits ``ops`` with
-    its cached factorizations and pickles plain data per member to a pipe;
-    it is rebuilt on this process's mesh in member order, and each member is
-    bitwise its one-process result.  A slice whose fork fails joins the
-    caller's, which runs every member below the lowest forked slice.  When
-    slices fail, the error raised is the one-process batch's: the earliest
-    step first (errors before the first step rank first, and a failed solve
-    before an energy rise in the same step), then the lowest member.  A
-    slice that aborts at step n writes n to its entry of a shared array of
-    stop steps, and every other slice stops once it has finished the least
-    entry's step, having raised by then any error of its own that ranks
-    first.  A child that ends without sending its slice raises RuntimeError;
-    any exception here, interrupts included, kills and reaps the children.
-    With one usable CPU, one member or no os.fork this is a plain _run_batch
-    call.  Members are checked before any slice starts, so a bad one raises
-    the one-process batch's error.
+    Each slice runs in a child forked from this process, which inherits ``ops``
+    with its cached factorizations and pickles plain data per member to a pipe,
+    or None if its batch raised; each member is rebuilt on this process's mesh
+    in member order, bitwise its one-process result.  Once a slice sends None
+    or a fork fails, the other children are killed and the whole ensemble runs
+    here as one batch, which raises the one-process error.  A child that ends
+    without sending its slice raises RuntimeError; any exception here,
+    interrupts included, kills and reaps the children.  With one usable CPU,
+    one member or no os.fork this is a plain _run_batch call.
     """
-    _check_initials(ops, initials)
-
     cpus = _usable_cpus()
     n_slices = min(cpus, len(initials))
     if n_slices < 2 or not hasattr(os, "fork"):
         return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots, cpus=cpus)
     cpus //= n_slices   # each slice's share: one member with two checks its steps aside
     bounds = [len(initials) * i // n_slices for i in range(n_slices + 1)]
-    stops = np.frombuffer(mmap.mmap(-1, 8 * n_slices), np.int64)   # made before the fork: shared
-    stops[:] = 2 ** 62
-    children = {}   # the reader of each forked slice's pipe by pid, the last slice first
+    children = {}   # the pid and slice index of each forked slice by its pipe's reader
+    sent = {}       # each slice's plain results by slice index, None for a failed slice
     try:
-        for i in range(n_slices - 1, 0, -1):
+        for i in range(n_slices):
             reader, writer = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:   # no process or memory to spare: this process runs the rest
+            except OSError:   # no process or memory to spare: the ensemble runs here
                 os.close(reader)
                 os.close(writer)
+                sent[i] = None
                 break
             if pid == 0:
                 try:
-                    for fd in (reader, *children.values()):
+                    for fd in (reader, *children):
                         os.close(fd)
                     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller ends its slices
-                    ok, value = _slice_outcome(ops, initials[bounds[i]:bounds[i + 1]], cfg,
-                                               collect_snapshots, stops, i, cpus)
-                    try:
-                        message = pickle.dumps((ok, value))
-                    except (pickle.PicklingError, TypeError, AttributeError):   # unpicklable
-                        message = pickle.dumps(
-                            (False, RuntimeError(f"ensemble worker failed: {value!r}")))
+                    try:   # plain data, never a Field, which does not pickle
+                        message = [(r.records, r.state.u.coeffs, r.state.step,
+                                    r.equilibrium_reached, r.final_residual, r.snapshots)
+                                   for r in _run_batch(ops, initials[bounds[i]:bounds[i + 1]],
+                                                       cfg, collect_snapshots=collect_snapshots,
+                                                       cpus=cpus)]
+                    except Exception:   # raised again when the caller runs the ensemble
+                        message = None
                     with open(writer, "wb") as pipe:
-                        pipe.write(message)
+                        pipe.write(pickle.dumps(message))
                     os._exit(0)   # not the caller's atexit handlers and stdio buffers again
                 finally:
                     os._exit(1)
             os.close(writer)   # so that a dead child reads as EOF, not as a hang
-            children[pid] = reader
-        outcomes = [_slice_outcome(ops, initials[:bounds[n_slices - len(children)]], cfg,
-                                   collect_snapshots, stops, 0, cpus)]
-        for pid in reversed(list(children)):
-            with open(children[pid], "rb", closefd=False) as pipe:
-                message = pipe.read()   # until the child ends
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(children.pop(pid))
-            if code or not message:
-                raise RuntimeError(f"ensemble worker {pid} ended without sending "
-                                   f"its slice (exit code {code})")
-            outcomes.append(pickle.loads(message))
+            children[reader] = pid, i
+        while children and None not in sent.values():
+            for reader in select.select(list(children), [], [])[0]:
+                with open(reader, "rb", closefd=False) as pipe:
+                    message = pipe.read()   # until the child ends
+                pid, i = children[reader]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[reader]
+                os.close(reader)
+                if code or not message:
+                    raise RuntimeError(f"ensemble worker {pid} ended without sending "
+                                       f"its slice (exit code {code})")
+                sent[i] = pickle.loads(message)
     finally:
-        for pid, reader in children.items():   # left by an exception
+        for reader, (pid, _) in children.items():   # left by a failed slice or an exception
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(reader)
-    aborts = [(getattr(exc, "lockstep", -1), not isinstance(exc, SolverError), i, exc)
-              for i, (ok, exc) in enumerate(outcomes)
-              if not ok and not isinstance(exc, _SliceStopped)]
-    if aborts:
-        raise min(aborts, key=lambda a: a[:3])[3]
+    if None in sent.values():
+        return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots)
     return [SemiflowResult(records, SemiflowState(Field(ops.mesh, u), step), *rest)
-            for _, plain in outcomes for records, u, step, *rest in plain]
-
-
-def _slice_outcome(ops: ModeOperators, initials: list, cfg: StepperConfig,
-                   collect_snapshots: bool, stops: np.ndarray, i: int, cpus: int) -> tuple:
-    """(True, plain results) or (False, error) of slice ``i`` of _run_sliced; an abort at
-    step n writes n to the slice's entry of ``stops``.  Results are plain data, never a
-    Field, which does not pickle: a mesh holds its profile's closure."""
-    try:
-        return True, [(r.records, r.state.u.coeffs, r.state.step, r.equilibrium_reached,
-                       r.final_residual, r.snapshots)
-                      for r in _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots,
-                                          stop=stops, cpus=cpus)]
-    except Exception as exc:
-        if not isinstance(exc, _SliceStopped):
-            stops[i] = getattr(exc, "lockstep", -1)
-        return False, exc
+            for i in range(n_slices) for records, u, step, *rest in sent[i]]

@@ -175,7 +175,7 @@ def test_absorbing_experiment_is_deterministic(small_sphere_ops, monkeypatch):
     ops = small_sphere_ops
     cfg = StepperConfig(dt=1e-3, t_max=0.2, eq_tol=0.0, snapshot_stride=20)
     kwargs = dict(radii=(0.5, 1.0), seeds_per_radius=2, base_seed=7)
-    # three slices of the four members, two of them in forked children
+    # three slices of the four members, each in a forked child
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     first = absorbing_set_experiment(ops, cfg, **kwargs)
     second = absorbing_set_experiment(ops, cfg, **kwargs)

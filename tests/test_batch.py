@@ -187,7 +187,23 @@ def test_one_usable_cpu_starts_no_process(small_sphere_ops, monkeypatch):
     assert len(forks) == 1
 
 
-def test_a_failed_slice_fork_runs_that_slice_here(small_sphere_ops, monkeypatch):
+def test_an_ensemble_forks_one_child_per_slice(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=5 * DT, eq_tol=1e-2, snapshot_stride=2)
+    rng = np.random.default_rng(13)
+    members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(4)]
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    check_sliced(ops, members, cfg, 2)   # slices: members 0-1 | 2-3, both forked
+    assert len(forks) == 2
+
+
+def test_a_failed_slice_fork_runs_the_ensemble_here(small_sphere_ops, monkeypatch):
     ops = small_sphere_ops
     cfg = StepperConfig(dt=DT, t_max=5 * DT, eq_tol=1e-2, snapshot_stride=2)
     rng = np.random.default_rng(12)
@@ -202,7 +218,8 @@ def test_a_failed_slice_fork_runs_that_slice_here(small_sphere_ops, monkeypatch)
         return real_fork()
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
-    # slices: members 0 | 1-2 | 3-4; the last is forked, the middle one runs here
+    # slices: members 0 | 1-2 | 3-4; the first is forked, the second fork fails, and the
+    # first slice is killed while the whole ensemble runs here
     check_sliced(ops, members, cfg, 3)
     assert len(forks) == 2
     assert os.listdir("/proc/self/fd") == open_fds
@@ -254,7 +271,7 @@ def test_an_abort_stops_the_other_slices(layout):
     initials = [members[name] for name in layout]
     with pytest.raises(StabilityError) as whole:
         _run_batch(ops, initials, cfg)
-    # the healthy slice is the child in the first layout and this process's own in the second
+    # the healthy slice is the second child in the first layout and the first in the second
     with pytest.MonkeyPatch.context() as mp, deadline(3), pytest.raises(StabilityError) as sliced:
         usable_cpus(mp, 2)
         _run_sliced(ops, initials, cfg)
@@ -288,13 +305,13 @@ def test_dead_child_raises_and_the_others_are_reaped(small_sphere_ops, monkeypat
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(3)]
     real = conekit.dynamics._run_batch
 
-    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, stop=None, cpus=1):
+    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, cpus=1):
         fate = dict(zip((id(m) for m in members[1:]), fates)).get(id(initials[0]))
         if fate == "dies":
             os.kill(os.getpid(), signal.SIGKILL)
         if fate == "sleeps":
             time.sleep(60)
-        return real(ops, initials, cfg, on_record, collect_snapshots, stop, cpus)
+        return real(ops, initials, cfg, on_record, collect_snapshots, cpus)
 
     monkeypatch.setattr(conekit.dynamics, "_run_batch", fragile)
     usable_cpus(monkeypatch, 3)
@@ -309,15 +326,37 @@ def test_interrupt_in_the_parent_reaps_the_children(small_sphere_ops, monkeypatc
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(2)]
     parent = os.getpid()
 
-    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False, stop=None,
-                   cpus=1):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
+    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False, cpus=1):
+        assert os.getpid() != parent   # the parent only waits on its children
+        if initials[0] is members[0]:   # the first slice's child interrupts it, once
+            time.sleep(0.2)
+            os.kill(parent, signal.SIGINT)
         time.sleep(60)
 
     monkeypatch.setattr(conekit.dynamics, "_run_batch", slow_child)
     usable_cpus(monkeypatch, 2)
     with deadline(30), pytest.raises(KeyboardInterrupt):
+        _run_sliced(ops, members, cfg)
+
+
+def test_an_unpicklable_error_of_a_slice_reaches_the_caller(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=3 * DT, eq_tol=0.0)
+    rng = np.random.default_rng(14)
+    members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(3)]
+    real = conekit.dynamics._run_batch
+
+    class Unpicklable(Exception):   # a local class does not pickle
+        pass
+
+    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, cpus=1):
+        if any(u is members[-1] for u in initials):
+            raise Unpicklable("a failure that only this process can hold")
+        return real(ops, initials, cfg, on_record, collect_snapshots, cpus)
+
+    monkeypatch.setattr(conekit.dynamics, "_run_batch", fragile)
+    usable_cpus(monkeypatch, 2)   # slices: member 0 | members 1-2
+    with deadline(30), pytest.raises(Unpicklable, match="only this process"):
         _run_sliced(ops, members, cfg)
 
 
@@ -395,7 +434,7 @@ def test_state_slots_have_the_inline_layout_and_the_result_leaves_the_ring(max_m
 
 
 def failed_run(ops, initial, cfg, cpus, action):
-    """(type, message, lockstep, records, warnings) of a failing run, warnings under ``action``."""
+    """(type, message, records, warnings) of a failing run, warnings under ``action``."""
     seen = []
     with pytest.MonkeyPatch.context() as mp, deadline(120), \
             warnings.catch_warnings(record=True) as warned, pytest.raises(Exception) as err:
@@ -404,7 +443,7 @@ def failed_run(ops, initial, cfg, cpus, action):
         run_semiflow(ops, initial, cfg,
                      on_record=lambda rec, coeffs: seen.append((repr(rec), coeffs.tobytes())))
     assert leftover_children() == []
-    return (type(err.value), str(err.value), getattr(err.value, "lockstep", None),
+    return (type(err.value), str(err.value),
             seen,   # records and states, exact for floats, and NaN equals NaN
             [(w.category, str(w.message), w.filename, w.lineno) for w in warned])
 

@@ -3,6 +3,7 @@
 import csv
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ def test_run_directories_are_never_reused(tmp_path):
     _, second = run_cli(tmp_path, "norms", SMOKE_CONFIGS["norms"])
     assert first != second
     assert first.exists() and second.exists()
+
+
+def test_a_run_directory_taken_after_the_check_gets_the_next_suffix(tmp_path, monkeypatch):
+    monkeypatch.setattr(conekit.cli.time, "strftime", lambda fmt: "20260101T000000")
+    (tmp_path / "20260101T000000-norms").mkdir()
+    monkeypatch.setattr(Path, "exists", lambda self: False)   # as if made after a check
+    assert conekit.cli._make_run_dir(str(tmp_path), "norms") \
+        == tmp_path / "20260101T000000-norms-2"
+
+
+def test_an_unusable_run_root_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    cfg = tmp_path / "norms.ini"
+    cfg.write_text(SMOKE_CONFIGS["norms"])
+    assert main(["norms", "--config", str(cfg), "--run-root", str(blocker / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot create run directory: " in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------ exit code 0/2/3
@@ -197,6 +217,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     pytest.param("geometry", "c2", "2\nkind = spindle", id="geometry-c2-2-spindle"),
     pytest.param("geometry", "c2", "1/3\nkind = cone_capped", id="geometry-c2-cone_capped"),
     pytest.param("geometry", "c2", "1/3\nkind = sphere", id="geometry-c2-sphere"),
+    ("experiment", "modes", "1,1"),
 ])
 def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(tmp_path, capsys,
                                                                  section, key, value):
@@ -432,7 +453,7 @@ def test_simulate_is_one_run_that_forks_one_checker_and_writes_what_it_records(t
 
 def test_attractor_outputs_match_serial_runs(tmp_path, monkeypatch):
     ini = SMOKE_CONFIGS["attractor"].replace("seeds_per_radius = 1", "seeds_per_radius = 2")
-    # two slices of the four members, one of them in a forked child
+    # two slices of the four members, each in a forked child
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _, batched = run_cli(tmp_path, "attractor", ini)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
