@@ -15,7 +15,7 @@ with nullspace exactly the constants for k = 0 and trivial for k >= 1.
 All solves go through the symmetrized tridiagonal form
 B_k = D^{1/2} (-L_k) D^{-1/2}, D = diag(volumes).  The workspace keeps one
 banded Cholesky factor of B over the stacked modes, and every -L_k solve is
-one block solve on it (_solve_blocks): a single cho_solve_banded call over a
+one block solve on it (_solve_blocks): a single dpbtrs call over a
 run of consecutive modes, which gives each block the bits of its own
 per-mode solve.  It also keeps the implicit step's LU pair and the implicit
 solve's work array (a complex right-hand-side stack, replaced when the
@@ -40,18 +40,25 @@ of the fourth-order system reach ~1/width^4, so even the residual of the
 exact solution cannot be measured below that floor in double precision.
 On uniform and mildly graded meshes the floor is negligible and the plain
 relative test is what is enforced.
+
+LAPACK is reached through scipy's compiled module scipy.linalg._flapack,
+loaded without running the scipy.linalg package, whose import takes most of
+a fresh process's import time and 25 MB.  Each call is the routine that
+scipy.linalg's wrapper would call (dpbtrf, dpbtrs, dstevd, dgtsv for
+cholesky_banded, cho_solve_banded, eigh_tridiagonal, solve_banded) on the
+same arrays, with the same bits and the wrapper's errors.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import (cho_solve_banded, cholesky_banded, eigh_tridiagonal,
-                          solve_banded)
-
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .fields import Field, channel_weights
 from .geometry import RadialMesh
@@ -73,6 +80,30 @@ EIGEN_TOL = 1.0e-13
 EIGEN_MAX_ITER = 200
 
 _EPS = float(np.finfo(float).eps)
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, shared with scipy.linalg whichever of the two loads it first."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "linalg")])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_flapack = _load_flapack()
+dgtsv, dpbtrf, dpbtrs, dstevd = _flapack.dgtsv, _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dstevd
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
+
+
+def _lapack(routine, *arrays, **options) -> list:
+    """routine's outputs without info, checked and raising as scipy.linalg's wrappers do."""
+    *out, info = routine(*map(np.asarray_chkfinite, arrays), **options)
+    if info:
+        raise (np.linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK returned info={info}")
+    return out
 
 
 def _stage_roots(dt: float, stabilization: float) -> tuple[complex, complex]:
@@ -188,7 +219,7 @@ class ModeOperators:
         ab = np.stack([diag, np.append(sub, 0.0)])  # lower band layout
         ab[0, m - 1] = 1.0
         ab[1, m - 2] = 0.0
-        return cholesky_banded(ab, lower=True)
+        return _lapack(dpbtrf, ab, lower=1)[0]
 
     def _solve_blocks(self, first: int, rhs: np.ndarray) -> np.ndarray:
         """Solve -L_k psi = rhs, rhs of shape (blocks, M, columns), for k = first, first+1, ...
@@ -207,7 +238,7 @@ class ModeOperators:
             r0[-1] = 0.0  # the pinned row: its solution entry is 0
             r[0] = r0
         fac = self._neglap_factor[:, first * m:(first + nb) * m]
-        w = cho_solve_banded((fac, True), r.reshape(nb * m, -1))
+        w = _lapack(dpbtrs, fac, r.reshape(nb * m, -1), lower=1)[0]
         psi = w.reshape(rhs.shape) / self.sqrt_volumes[:, None]
         if first == 0:
             psi0 = np.ascontiguousarray(psi[0])  # the mean's bits depend on the layout
@@ -249,8 +280,7 @@ class ModeOperators:
         if rhs.shape != (self.mesh.cells,):
             raise ValueError(f"rhs must have shape ({self.mesh.cells},)")
         diag, sub = self.neglap_bands(mode)
-        ab = np.stack([np.append(0.0, sub), diag, np.append(sub, 0.0)])  # (1, 1) band layout
-        u = solve_banded((1, 1), ab, self.sqrt_volumes * rhs) / self.sqrt_volumes
+        u = _lapack(dgtsv, sub, diag, sub, self.sqrt_volumes * rhs)[3] / self.sqrt_volumes
         vol = self.volumes
         resid = (mode * mode) * self.inv_f_sq * u - self._flux_divergence(u) - rhs
         tol = SOLVE_RESIDUAL_TOL * max(float(np.sqrt(vol @ rhs ** 2)), 1e-300)
@@ -404,9 +434,9 @@ class ModeOperators:
         the smallest eigenvalues should be taken from smallest_eigenvalue(),
         which works through solves.
         """
-        # With eigenvectors: eigvals_only=True moves the last bits of the eigenvalues, and
-        # the SHA-256 of the spectrum command's spectrum.csv pins them.
-        return eigh_tridiagonal(*self.neglap_bands(mode))[0]
+        # With eigenvectors: without them (eigh_tridiagonal's eigvals_only=True) the last bits
+        # of the eigenvalues move, and the SHA-256 of the spectrum command's spectrum.csv pins them.
+        return _lapack(dstevd, *self.neglap_bands(mode))[0]
 
     def smallest_eigenvalue(self, mode: int) -> float:
         """Smallest nonzero eigenvalue of -L_k via inverse power iteration.

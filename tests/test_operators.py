@@ -1,9 +1,14 @@
 """Flux-form mode operators: applies, solves, eigensystems."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conekit import operators
 from conekit.analysis import smooth_random_field
@@ -210,10 +215,12 @@ def test_neglap_pivoted_residual_check_fails_loudly(sphere_ops, rng, monkeypatch
     u = sphere_ops.solve_neglap_pivoted(2, rhs)
     assert vol_norm(sphere_ops, -mode_laplacian(sphere_ops, 2, u) - rhs) \
         <= 1e-10 * vol_norm(sphere_ops, rhs)
-    solve = operators.solve_banded
+    solve = operators.dgtsv
     for spoil in (lambda w: w * (1.0 + 1e-6), lambda w: np.full_like(w, np.nan)):
-        monkeypatch.setattr(operators, "solve_banded",
-                            lambda *args, spoil=spoil: spoil(solve(*args)))
+        def spoiled(*args, spoil=spoil):
+            *factors, x, info = solve(*args)
+            return (*factors, spoil(x), info)
+        monkeypatch.setattr(operators, "dgtsv", spoiled)
         with pytest.raises(SolverError, match="residual"):
             sphere_ops.solve_neglap_pivoted(2, rhs)
 
@@ -491,10 +498,10 @@ def test_smallest_eigenvalue_matches_full_decomposition(sphere_ops):
 
 
 def count_block_solves(monkeypatch):
-    """Record every cho_solve_banded call made by the operators module."""
+    """Record every dpbtrs call (a banded Cholesky solve) made by the operators module."""
     calls = []
-    solve = operators.cho_solve_banded
-    monkeypatch.setattr(operators, "cho_solve_banded",
+    solve = operators.dpbtrs
+    monkeypatch.setattr(operators, "dpbtrs",
                         lambda *a, **kw: calls.append(1) or solve(*a, **kw))
     return calls
 
@@ -525,6 +532,83 @@ def test_every_neglap_user_makes_one_block_solve_at_the_default_config(monkeypat
     solves.clear()
     poincare_constant(ops)
     assert 1 <= len(solves) <= EIGEN_MAX_ITER
+
+
+# --------------------------------------------- LAPACK without scipy.linalg
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports conekit from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_importing_conekit_does_not_load_the_scipy_linalg_package():
+    out = run_python("import sys, conekit, conekit.cli\n"
+                     "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["scipy.linalg._flapack"]
+
+
+def test_scipy_linalg_imported_after_conekit_shares_its_lapack_module():
+    out = run_python("""
+import numpy as np
+from conekit import operators
+import scipy.linalg as sl
+from scipy.linalg import _flapack
+assert _flapack is operators._flapack
+d, e, b = np.array([4.0, 5.0, 6.0]), np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+fac = sl.cholesky_banded(np.stack([d, np.append(e, 0.0)]), lower=True)
+assert np.allclose(a @ sl.cho_solve_banded((fac, True), b), b)
+assert np.allclose(sl.eigh_tridiagonal(d, e)[0], np.linalg.eigvalsh(a))
+assert np.allclose(a @ sl.solve_banded((1, 1), np.stack([np.append(0.0, e), d, np.append(e, 0.0)]), b), b)
+print("ok")
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ok"]
+
+
+#: Each LAPACK routine the operators module calls, through the scipy.linalg wrapper that calls it.
+SCIPY_WRAPPERS = {
+    "dpbtrf": lambda ab, lower: (scipy.linalg.cholesky_banded(ab, lower=True), 0),
+    "dpbtrs": lambda fac, b, lower: (scipy.linalg.cho_solve_banded((fac, True), b), 0),
+    "dstevd": lambda d, e: (*scipy.linalg.eigh_tridiagonal(d, e), 0),
+    "dgtsv": lambda dl, d, du, b: (None, None, None, scipy.linalg.solve_banded(
+        (1, 1), np.stack([np.append(0.0, du), d, np.append(dl, 0.0)]), b), 0),
+}
+
+
+@pytest.mark.parametrize("surface", ["default", "sphere"])
+def test_lapack_calls_give_the_bits_of_the_scipy_linalg_wrappers(surface, sphere_mesh, monkeypatch):
+    def results():
+        ops = (RunConfig().geometry.build_workspace() if surface == "default"
+               else ModeOperators(sphere_mesh, 8))
+        kn, m = ops.max_mode + 1, ops.mesh.cells
+        rhs = np.random.default_rng(3).standard_normal((kn, m, 2))
+        out = {"factor": ops._neglap_factor, "blocks from 0": ops._solve_blocks(0, rhs),
+               "blocks from 1": ops._solve_blocks(1, rhs[1:3])}
+        out.update({f"eigenvalues {k}": ops.eigenvalues(k) for k in range(kn)})
+        out.update({f"pivoted {k}": ops.solve_neglap_pivoted(k, rhs[0, :, 0])
+                    for k in (1, kn, kn + 3)})
+        return out
+
+    direct = results()
+    for name, wrapper in SCIPY_WRAPPERS.items():
+        monkeypatch.setattr(operators, name, wrapper)
+    wrapped = results()
+    for key, value in direct.items():
+        assert value.tobytes() == wrapped[key].tobytes(), key
+
+
+def test_non_finite_right_hand_sides_still_raise_value_error(sphere_ops):
+    for bad in (np.nan, np.inf):
+        rhs = np.ones(sphere_ops.mesh.cells)
+        rhs[5] = bad
+        for solve in (sphere_ops.solve_neglap, sphere_ops.solve_neglap_pivoted):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(1, rhs)
 
 
 # ------------------------------------------------------ semigroup oracle
