@@ -36,8 +36,8 @@ __all__ = [
 class TipFit:
     """Least-squares fit of a radial mode profile near the tip.
 
-    For modes >= 1 the fit is log|u| ~ rho * log s + const (rho_hat is the
-    measured branch exponent); for mode 0 the fit is u ~ a + b log s and
+    For modes >= 1 the fit is log A ~ rho * log s + const, A the mode
+    amplitude (rho_hat is the measured branch exponent); for mode 0 the fit is u ~ a + b log s and
     ``log_slope`` = b measures the strength of the logarithmic branch.
     """
 
@@ -51,8 +51,10 @@ class TipFit:
 
 def fit_tip_asymptotics(u: Field, mode: int,
                         window: tuple[float, float] | None = None) -> TipFit:
-    """Fit the tip behavior of the cos channel of one angular mode of a field.
+    """Fit the tip behavior of one angular mode of a field.
 
+    Mode 0 fits its signed profile; a mode k >= 1 fits its amplitude
+    sqrt(cos^2 + sin^2), which does not change when the field is rotated.
     The fit window defaults to [2 * (first cell center), 0.1 * L], which on a
     tip-graded mesh spans several decades.  Raises ValueError when the window
     holds fewer than 8 cells or the mode amplitude is at roundoff level
@@ -61,7 +63,7 @@ def fit_tip_asymptotics(u: Field, mode: int,
     mesh = u.mesh
     if mode > u.max_mode:
         raise ValueError(f"mode {mode} exceeds the field truncation {u.max_mode}")
-    profile = u.coeffs[mode, 0]
+    profile = u.coeffs[0, 0] if mode == 0 else np.hypot(u.coeffs[mode, 0], u.coeffs[mode, 1])
     lo, hi = window if window is not None else (2.0 * mesh.s_min, 0.1 * mesh.length)
     mask = (mesh.centers >= lo) & (mesh.centers < hi)
     n_points = int(mask.sum())

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import __version__
 from .dynamics import StepperConfig
-from .geometry import PROFILE_KINDS, SurfaceProfile, build_mesh, build_profile, exact_number
+from .geometry import (PROFILE_KINDS, SurfaceProfile, boundary_spectrum, build_mesh,
+                       build_profile, exact_number)
 from .indicial import ch_gamma_window
 from .operators import ModeOperators
 
@@ -264,8 +265,7 @@ def validate_gamma(cfg: RunConfig, allow_out_of_window: bool = False):
     if allow_out_of_window:
         return
     profile = cfg.geometry.build_profile()
-    lam1 = -1 / profile.tip_slope ** 2
-    window = ch_gamma_window(1, lam1)
+    window = ch_gamma_window(1, boundary_spectrum(profile, 1).lambda_1)
     gammas = [("[norms] gamma", cfg.norms.gamma)]
     gammas += [(f"[norms] pairs entry {i}", gm) for i, (_s, gm) in enumerate(cfg.norms.pairs)]
     for label, gamma in gammas:

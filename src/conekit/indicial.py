@@ -10,19 +10,23 @@ so solutions behave like x^q (times powers of log x at multiple roots) with
 
     q_j(+-) = -(n-1)/2 +- sqrt( ((n-1)/2)^2 - lambda_j ).
 
-For the squared Laplacian the exponent set per mode is the root set of
-p_j(z) * p_j(z - 2), i.e. the mode roots and their shifts by +2, with
-multiplicities merged exactly when values coincide.  Roots are stored as the
+The roots of p_j are computed in one place (``_mode_roots``).  For the
+squared Laplacian the exponent set per mode is the root set of
+p_j(z) * p_j(z - 2), i.e. exactly those Laplacian roots and their shifts by
++2, with multiplicities added where values coincide.  Roots are stored as the
 exponents q of the solution branches x^q.
 
 Every quantity here is exact: for rational inputs all radicands
 ((n-1)/2)^2 - lambda_j are rational, so values live in the set
-{a + b*sqrt(r) : a, b, r rational} which the ``Surd`` type models with exact
-comparisons against rationals (no floating point in any decision).
+{a + b*sqrt(r) : a, b, r rational} which the ``Surd`` type models.  A Surd
+folds perfect-square radicands on construction, so for b != 0 the root
+sqrt(r) is irrational and the key (a, b^2 r, b > 0) determines the value:
+equality and hashing use that key, and no floating point enters any decision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,11 +64,16 @@ def _sqrt_fraction(f: Fraction) -> Fraction | None:
     return None
 
 
+@functools.total_ordering
 class Surd:
     """Exact real number of the form a + b*sqrt(r) with a, b, r rational, r >= 0.
 
-    Perfect-square radicands fold into the rational part on construction.
-    Comparisons against rationals (and equality against any Surd) are exact.
+    Perfect-square radicands fold into the rational part on construction, so
+    an irrational Surd (b != 0) has sqrt(r) irrational and is determined by
+    its key (a, b^2 r, b > 0).  Equality and hashing use the key (a rational
+    Surd hashes like the Fraction it equals); ordering is exact against
+    rationals and Surds of the same radicand, and raises ArithmeticError
+    across two different irrational radicands.
     """
 
     __slots__ = ("a", "b", "r")
@@ -92,15 +101,10 @@ class Surd:
         return self.b == 0
 
     def __add__(self, other):
-        if isinstance(other, Surd):
-            if other.b == 0:
-                return Surd(self.a + other.a, self.b, self.r)
-            if self.b == 0:
-                return Surd(self.a + other.a, other.b, other.r)
-            if self.r == other.r:
-                return Surd(self.a + other.a, self.b + other.b, self.r)
+        o = self._as_surd(other)
+        if self.b and o.b and self.r != o.r:
             raise ArithmeticError("cannot add surds with different radicands exactly")
-        return Surd(self.a + exact_number(other), self.b, self.r)
+        return Surd(self.a + o.a, self.b + o.b, self.r or o.r)
 
     __radd__ = __add__
 
@@ -108,76 +112,37 @@ class Surd:
         return Surd(-self.a, -self.b, self.r)
 
     def __sub__(self, other):
-        return self.__add__(-other if isinstance(other, Surd) else -exact_number(other))
+        return self + -self._as_surd(other)
 
     def __rsub__(self, other):
-        return (-self).__add__(exact_number(other))
+        return -self + other
 
     # ----------------------------------------------------------- comparisons
 
     def _sign(self) -> int:
-        """Exact sign of a + b*sqrt(r)."""
-        a, b, r = self.a, self.b, self.r
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * r  # compare |a| vs |b|sqrt(r)
-        if lhs == rhs:
-            return 0
-        if a > 0:  # b < 0 here
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        """Exact sign of a + b*sqrt(r): for b != 0 the value is never 0, so
+        the term with the larger square, a^2 or b^2 r, carries the sign."""
+        a, s = self.a, self.b * abs(self.b) * self.r
+        big = a if a * a > abs(s) else s
+        return (big > 0) - (big < 0)
 
     def _as_surd(self, other) -> "Surd":
         return other if isinstance(other, Surd) else Surd(exact_number(other))
 
+    def _key(self) -> tuple:
+        return self.a, self.b * self.b * self.r, self.b > 0
+
     def __eq__(self, other) -> bool:
         try:
-            o = self._as_surd(other)
+            return self._key() == self._as_surd(other)._key()
         except TypeError:
             return NotImplemented
-        if self.b == 0 or o.b == 0 or self.r == o.r:
-            try:
-                return (self - o)._sign() == 0
-            except ArithmeticError:
-                pass
-        # cross-radical case: b1*sqrt(r1) - b2*sqrt(r2) == a2 - a1 =: p
-        p = o.a - self.a
-        t = (self.b ** 2 * self.r + o.b ** 2 * o.r - p * p) / (2 * self.b * o.b)
-        if t < 0 or t * t != self.r * o.r:
-            return False
-        coef = self.b - o.b * t / self.r  # expression reduces to coef*sqrt(r1) == p
-        if coef == 0:
-            return p == 0
-        ratio = p / coef
-        return ratio >= 0 and ratio * ratio == self.r
 
     def __hash__(self):
-        # hash by float value; exact equality above keeps semantics consistent
-        # for the rational case, which is the only one placed in sets here.
-        return hash(self.a) if self.b == 0 else hash(float(self))
-
-    def _compare(self, other) -> int:
-        o = self._as_surd(other)
-        diff = self - o  # raises ArithmeticError for distinct radicands
-        return diff._sign()
+        return hash(self.a) if self.b == 0 else hash(self._key())
 
     def __lt__(self, other):
-        return self._compare(other) < 0
-
-    def __le__(self, other):
-        return self._compare(other) <= 0
-
-    def __gt__(self, other):
-        return self._compare(other) > 0
-
-    def __ge__(self, other):
-        return self._compare(other) >= 0
+        return (self - other)._sign() < 0  # raises ArithmeticError for distinct radicands
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(float(self.r))
@@ -191,12 +156,6 @@ class Surd:
             return tail if self.b > 0 else f"-{tail}"
         sign = "+" if self.b > 0 else "-"
         return f"{self.a} {sign} {tail}"
-
-
-def _exact_min(x, y):
-    """Exact min of a Surd/Fraction pair (single-radical comparison)."""
-    xs = x if isinstance(x, Surd) else Surd(x)
-    return x if xs._compare(y) <= 0 else y
 
 
 def _spectrum_entries(spectrum) -> list[tuple[int, Fraction, int]]:
@@ -238,6 +197,18 @@ class IndicialRoot:
         return self.multiplicity - 1
 
 
+def _mode_roots(n: int, spectrum) -> list[tuple[int, list[tuple[Surd, int]]]]:
+    """Per spectrum entry, its mode and the roots of p_j with their multiplicities."""
+    _check_dimension(n)
+    shift = Surd(-Fraction(n - 1, 2))
+    out = []
+    for mode, lam, _ in _spectrum_entries(spectrum):
+        rad = _radicand(n, lam)
+        root = Surd.sqrt(rad)
+        out.append((mode, [(shift, 2)] if rad == 0 else [(shift - root, 1), (shift + root, 1)]))
+    return out
+
+
 def laplacian_indicial_roots(n: int, spectrum) -> list[IndicialRoot]:
     """Exponents q with Laplacian-harmonic branches x^q per angular mode.
 
@@ -245,50 +216,27 @@ def laplacian_indicial_roots(n: int, spectrum) -> list[IndicialRoot]:
     collapses to one double root (with a log branch) exactly when the
     radicand vanishes, e.g. the mode-0 pair {1, log x} on a surface.
     """
-    _check_dimension(n)
-    shift = -Fraction(n - 1, 2)
-    out: list[IndicialRoot] = []
-    for mode, lam, _ in _spectrum_entries(spectrum):
-        rad = _radicand(n, lam)
-        if rad == 0:
-            out.append(IndicialRoot("laplacian", mode, Surd(shift), 2))
-        else:
-            root = Surd.sqrt(rad)
-            out.append(IndicialRoot("laplacian", mode, Surd(shift) - root, 1))
-            out.append(IndicialRoot("laplacian", mode, Surd(shift) + root, 1))
-    return out
+    return [IndicialRoot("laplacian", mode, q, mult)
+            for mode, roots in _mode_roots(n, spectrum) for q, mult in roots]
 
 
 def bilaplacian_indicial_roots(n: int, spectrum) -> list[IndicialRoot]:
     """Exponent set of the squared Laplacian per mode: roots of p(z) p(z-2).
 
-    The set is {q-, q+, q- + 2, q+ + 2} with exact multiplicity merging:
-    radicand 0 gives double roots at q and q + 2, radicand 1 makes q- + 2
-    collide with q+ (one double root), and no other coincidences are
-    possible.  Log powers stay below LOG_POWER_BOUND structurally.
+    These are the Laplacian roots q and their shifts q + 2, with
+    multiplicities added where values coincide: radicand 0 gives double roots
+    at q and q + 2, radicand 1 makes q- + 2 collide with q+ (one double
+    root), and no other coincidences are possible.  Log powers stay below
+    LOG_POWER_BOUND structurally.  Per mode the roots are sorted by value.
     """
-    _check_dimension(n)
-    shift = -Fraction(n - 1, 2)
     out: list[IndicialRoot] = []
-    for mode, lam, _ in _spectrum_entries(spectrum):
-        rad = _radicand(n, lam)
-        if rad == 0:
-            base = [(Surd(shift), 2), (Surd(shift) + 2, 2)]
-        else:
-            root = Surd.sqrt(rad)
-            values = [Surd(shift) - root, Surd(shift) + root,
-                      Surd(shift) - root + 2, Surd(shift) + root + 2]
-            base = []
-            for v in values:
-                for i, (w, m) in enumerate(base):
-                    if w == v:
-                        base[i] = (w, m + 1)
-                        break
-                else:
-                    base.append((v, 1))
-        for value, mult in sorted(base, key=lambda t: float(t[0])):
+    for mode, roots in _mode_roots(n, spectrum):
+        merged: dict[Surd, int] = {}  # keeps the first representation of a value
+        for q, mult in roots + [(q + 2, mult) for q, mult in roots]:
+            merged[q] = merged.get(q, 0) + mult
+        for q, mult in sorted(merged.items(), key=lambda t: float(t[0])):
             assert mult - 1 < LOG_POWER_BOUND
-            out.append(IndicialRoot("bilaplacian", mode, value, mult))
+            out.append(IndicialRoot("bilaplacian", mode, q, mult))
     return out
 
 
@@ -317,35 +265,30 @@ class GammaWindow:
         return f"({float(self.lower):g}, {float(self.upper):g})"
 
 
+def _gamma_window(n: int, lambda_1, cap: Fraction) -> GammaWindow:
+    """gamma in ( (n-3)/2 , min{ -1 + sqrt(((n-1)/2)^2 - lambda_1), cap } ), lambda_1 < 0."""
+    _check_dimension(n)
+    lam1 = exact_number(lambda_1)
+    if lam1 >= 0:
+        raise ValueError(f"lambda_1 must be negative, got {lam1}")
+    return GammaWindow(lower=Surd(Fraction(n - 3, 2)),
+                       upper=min(Surd(-1) + Surd.sqrt(_radicand(n, lam1)), Surd(cap)))
+
+
 def ch_gamma_window(n: int, lambda_1) -> GammaWindow:
     """Weight window for the fourth-order flow on an (n+1)-dimensional cone.
 
     With d = n + 1:  gamma in ( (d-4)/2 , min{ -1 + sqrt(((d-2)/2)^2 - lambda_1),
     (d-4)/4 } ), lambda_1 < 0 the first nonzero cross-section eigenvalue.
     """
-    _check_dimension(n)
-    lam1 = exact_number(lambda_1)
-    if lam1 >= 0:
-        raise ValueError(f"lambda_1 must be negative, got {lam1}")
-    d = n + 1
-    lower = Surd(Fraction(d - 4, 2))
-    upper = _exact_min(Surd(-1) + Surd.sqrt(Fraction(d - 2, 2) ** 2 - lam1),
-                       Surd(Fraction(d - 4, 4)))
-    return GammaWindow(lower=lower, upper=upper)
+    return _gamma_window(n, lambda_1, Fraction(n - 3, 4))
 
 
 def laplacian_gamma_window(n: int, lambda_1) -> GammaWindow:
     """Weight window for the second-order problem on the n-dimensional surface:
     gamma in ( (n-3)/2 , min{ -1 + sqrt(((n-1)/2)^2 - lambda_1), (n+1)/2 } ).
     """
-    _check_dimension(n)
-    lam1 = exact_number(lambda_1)
-    if lam1 >= 0:
-        raise ValueError(f"lambda_1 must be negative, got {lam1}")
-    lower = Surd(Fraction(n - 3, 2))
-    upper = _exact_min(Surd(-1) + Surd.sqrt(_radicand(n, lam1)),
-                       Surd(Fraction(n + 1, 2)))
-    return GammaWindow(lower=lower, upper=upper)
+    return _gamma_window(n, lambda_1, Fraction(n + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -400,7 +343,7 @@ def minimal_domain_check(n: int, spectrum, gamma) -> MinimalDomainResult:
     hits: list[tuple[Surd, int]] = []
     for mode, lam, _ in _spectrum_entries(spectrum):
         root = Surd.sqrt(_radicand(n, lam))
-        for offset in (root, -root):
+        for offset in dict.fromkeys((root, -root)):  # one offset at a double root
             if any(t == offset for t in targets):
                 hits.append((offset, mode))
     return MinimalDomainResult(clean=not hits, offending=tuple(hits))
@@ -414,11 +357,9 @@ def interpolation_exclusions(n: int, spectrum, gamma) -> list[Surd]:
     """
     _check_dimension(n)
     g = exact_number(gamma)
-    center = (1 - g) / 2
-    out: list[Surd] = []
+    center = Surd((1 - g) / 2)
+    cands: list[Surd] = []
     for _, lam, _ in _spectrum_entries(spectrum):
         half_root = Surd(0, Fraction(1, 2), _radicand(n, lam))
-        for cand in (Surd(center) + half_root, Surd(center) - half_root):
-            if Surd(0) < cand and cand < Surd(1) and not any(cand == c for c in out):
-                out.append(cand)
-    return sorted(out, key=float)
+        cands += [center + half_root, center - half_root]
+    return sorted(dict.fromkeys(c for c in cands if 0 < c < 1), key=float)

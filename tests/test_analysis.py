@@ -74,6 +74,20 @@ def test_tip_probe_recovers_branch_exponents(graded_cone_ops):
     assert fit2.r_squared >= 0.999
 
 
+def test_fit_reads_the_mode_amplitude_in_either_channel(graded_cone_ops):
+    # the fit must not change when the field is rotated: a probe profile moved
+    # into the sin channel, or split between both channels, fits the same rho_hat
+    mesh = graded_cone_ops.mesh
+    sol, fit = tip_probe(graded_cone_ops, 1)
+    c = np.zeros((graded_cone_ops.max_mode + 1, 2, mesh.cells))
+    c[1, 1] = sol
+    assert fit_tip_asymptotics(Field(mesh, c), 1) == fit
+    c[1] = np.cos(0.7) * sol, np.sin(0.7) * sol
+    rotated = fit_tip_asymptotics(Field(mesh, c), 1)
+    assert rotated.rho_hat == pytest.approx(fit.rho_hat, abs=1e-12)
+    assert rotated.r_squared == pytest.approx(fit.r_squared, abs=1e-12)
+
+
 def test_tip_probe_mode_zero_has_no_log_branch(graded_cone_ops):
     sol, fit = tip_probe(graded_cone_ops, 0)
     assert fit.rho_hat is None

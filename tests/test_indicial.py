@@ -14,6 +14,7 @@ import pytest
 from conekit.geometry import boundary_spectrum, build_profile
 from conekit.indicial import (
     LOG_POWER_BOUND,
+    IndicialRoot,
     Surd,
     asymptotic_space,
     bilaplacian_indicial_roots,
@@ -67,6 +68,29 @@ def test_surd_mixed_radicands_raise_on_order_but_compare_equal():
     assert Surd.sqrt(8) == Surd(0, 2, 2)
     assert Surd.sqrt(2) != Surd.sqrt(3)
     assert Surd(1, 1, 2) != Surd(0, 1, 3)
+
+
+def test_surd_equal_values_hash_alike(rng):
+    # a*sqrt(r k^2) and k*a*sqrt(r) are one number in two representations
+    pairs = [(Fraction(1, 3), Fraction(10), 199)]
+    for _ in range(300):
+        a = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 30)))
+        r = Fraction(int(rng.integers(1, 200)), int(rng.integers(1, 30)))
+        pairs.append((a, r, int(rng.integers(2, 500)) * int(rng.choice([-1, 1]))))
+    for a, r, k in pairs:
+        x, y = Surd(a, 1 if k > 0 else -1, r * k * k), Surd(a, k, r)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1 and {x: "found"}[y] == "found"
+        assert x != Surd(a, -k, r) and x != y + Fraction(1, 10 ** 9)
+    assert len({Surd(0, 1, 10 * 199 ** 2), Surd(0, 199, 10)}) == 1
+    assert hash(Surd(Fraction(7, 3))) == hash(Fraction(7, 3)) and hash(Surd(2)) == hash(2)
+
+
+def test_indicial_roots_from_equal_surds_hash_alike():
+    x, y = Surd(Fraction(1, 3), 1, 10 * 199 ** 2), Surd(Fraction(1, 3), 199, 10)
+    roots = [IndicialRoot("bilaplacian", 1, v, 2) for v in (x, y)]
+    assert roots[0] == roots[1] and hash(roots[0]) == hash(roots[1])
+    assert len(set(roots)) == 1
 
 
 def test_surd_ordering_matches_floats_away_from_ties(rng):
@@ -212,18 +236,24 @@ def test_biharmonic_exponent_multiset_symmetry(rng):
             assert all(r.log_power_max <= LOG_POWER_BOUND for r in roots)
 
 
-def test_biharmonic_exponents_match_independent_polynomial_enumeration():
-    # oracle: numpy.roots of p(z) and the same shifted by +2, merged by value
-    for c in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 10)):
-        spectrum = circle_spectrum(c, 3)
-        for entry in spectrum.entries:
-            lam = float(entry.eigenvalue_exact)
-            pair = np.roots([1.0, 0.0, lam])          # n = 1: z^2 + lam
+def test_biharmonic_exponents_match_independent_polynomial_enumeration(rng):
+    # oracle: numpy.roots of p(z) = z^2 + (n-1) z + lam, and the same shifted
+    # by +2 (the roots of p(z-2)), merged by value; n = 1 on the circle
+    # spectra (rational roots), n = 2 and 3 on generated eigenvalues
+    # (irrational radicands, plus lam = 0 and -3/4, whose radicand 1 merges roots)
+    cases = [(1, [(e.mode, e.eigenvalue_exact) for e in circle_spectrum(c, 3).entries])
+             for c in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 10))]
+    for n in (2, 3):
+        lams = [Fraction(0), Fraction(-3, 4)]
+        lams += [-Fraction(int(rng.integers(1, 400)), int(rng.integers(1, 20))) for _ in range(40)]
+        cases.append((n, [(k, lam) for k, lam in enumerate(lams)]))
+    for n, spectrum in cases:
+        roots = bilaplacian_indicial_roots(n, spectrum)
+        for mode, lam in spectrum:
+            pair = np.roots([1.0, n - 1.0, float(lam)])
             oracle = np.sort(np.concatenate([pair.real, pair.real + 2.0]))
             computed = np.sort(np.concatenate(
-                [[float(r.value)] * r.multiplicity
-                 for r in bilaplacian_indicial_roots(1, spectrum)
-                 if r.mode == entry.mode]))
+                [[float(r.value)] * r.multiplicity for r in roots if r.mode == mode]))
             assert np.allclose(computed, oracle, atol=1e-9)
 
 
@@ -312,6 +342,13 @@ def test_minimal_domain_integer_weight_hits_exponent_offsets():
     hits = {(float(v), mode) for v, mode in res.offending}
     assert (1.0, 1) in hits   # gamma + 1 collides with the mode-1 offset
     assert (3.0, 3) in hits   # gamma + 3 collides with the mode-3 offset
+
+
+def test_minimal_domain_reports_a_double_root_offset_once():
+    # radicand 0 gives the offsets +0 and -0, one value: one hit, not two
+    assert minimal_domain_check(1, [(0, 0)], -1).offending == ((Surd(0), 0),)
+    res = minimal_domain_check(1, [(0, 0), (1, -4)], -1)
+    assert [(repr(v), mode) for v, mode in res.offending] == [("0", 0), ("2", 1)]
 
 
 # ------------------------------------------------ interpolation exclusions
