@@ -73,7 +73,6 @@ def _parse_pairs(raw: str) -> tuple[tuple[int, float], ...]:
 class GeometrySection:
     kind: str = "cone_capped"
     c: str = "1/2"
-    c2: str = ""
     radius: float = 1.0
     L: float = 2.0
     M: int = 256
@@ -83,8 +82,6 @@ class GeometrySection:
     def build_profile(self) -> SurfaceProfile:
         if self.kind == "sphere":
             return build_profile("sphere", radius=self.radius)
-        if self.kind == "spindle":
-            return build_profile("spindle", c=self.c, c2=self.c2 or self.c, length=self.L)
         return build_profile("cone_capped", c=self.c, length=self.L)
 
     def build_workspace(self) -> ModeOperators:
@@ -147,7 +144,6 @@ _CODECS = {
     "str": (str, str),
     "bool": (_parse_bool, lambda v: "true" if v else "false"),
     "c": (lambda s: str(Fraction(s)), str),
-    "c2": (lambda s: str(Fraction(s)) if s.strip() else "", str),
     "pairs": (_parse_pairs, lambda v: ";".join(f"{s},{format(g, '.17g')}" for s, g in v)),
     "radii": (_parse_float_list, lambda v: ",".join(format(x, ".17g") for x in v)),
     "modes": (_parse_int_list, lambda v: ",".join(str(x) for x in v)),
@@ -199,11 +195,6 @@ def _validate(cfg: RunConfig):
         c = exact_number(g.c)
         if not (0 < c <= 1):
             raise ConfigError(f"[geometry] c must lie in (0, 1], got {g.c}")
-    if g.c2 and not (0 < exact_number(g.c2) <= 1):
-        raise ConfigError(f"[geometry] c2 must lie in (0, 1], got {g.c2}")
-    if g.c2 and g.kind != "spindle":   # the other kinds have one tip, or none
-        raise ConfigError(f"[geometry] c2 is the second tip's slope of kind = spindle, "
-                          f"got it with kind = {g.kind}")
     if g.kind == "sphere" and g.radius <= 0:
         raise ConfigError("[geometry] radius must be positive")
     if g.kind != "sphere" and g.L <= 0:

@@ -560,7 +560,7 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
                     for fd in (reader, *children):
                         os.close(fd)
                     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller ends its slices
-                    try:   # plain data, never a Field, which does not pickle
+                    try:   # plain data: the caller rebuilds each Field on its own mesh
                         message = [(r.records, r.state.u.coeffs, r.state.step,
                                     r.equilibrium_reached, r.final_residual, r.snapshots)
                                    for r in _run_batch(ops, initials[bounds[i]:bounds[i + 1]],

@@ -14,10 +14,9 @@ positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +31,7 @@ __all__ = [
     "exact_number",
 ]
 
-PROFILE_KINDS = ("cone_capped", "sphere", "spindle")
+PROFILE_KINDS = ("cone_capped", "sphere")
 
 #: Geometric grading is applied until cell widths have shrunk by this factor
 #: relative to the bulk width; beyond that depth extra cells go to the bulk.
@@ -74,53 +73,46 @@ class SurfaceProfile:
 
     Attributes
     ----------
-    kind : one of ``cone_capped``, ``sphere``, ``spindle``.
+    kind : one of ``cone_capped``, ``sphere``.
     length : total arc length L of the generating curve.
     tip_slope : exact cone opening slope c at s=0 (Fraction; f(s) = c*s there).
-    end_slope : for ``spindle``, the exact slope at the far tip; else None.
     radius : for ``sphere``, the sphere radius; else None.
     """
 
     kind: str
     length: float
     tip_slope: Fraction
-    end_slope: Fraction | None = None
     radius: float | None = None
-    _f: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False, default=None)
 
     def __call__(self, s):
         """Profile radius f(s), vectorized."""
-        return self._f(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        if self.kind == "sphere":
+            return self.radius * np.sin(np.clip(s / self.radius, 0.0, math.pi))
+        L = self.length
+        a, b, r_cap = L / 3.0, 2.0 * L / 3.0, L / 2.0
+        w = _smoothstep_quintic((s - a) / (b - a))
+        cap = r_cap * np.sin(np.clip((L - s) / r_cap, 0.0, math.pi))
+        return (1.0 - w) * (float(self.tip_slope) * s) + w * cap
 
 
-def build_profile(kind: str, *, c=None, c2=None, radius=None, length=None) -> SurfaceProfile:
+def build_profile(kind: str, *, c=None, radius=None, length=None) -> SurfaceProfile:
     """Construct a named profile.
 
-    ``cone_capped``: f = c*s near the tip, blended over the middle third of
-    [0, L] into a spherical cap of radius L/2 that closes smoothly at s = L.
-    Requires 0 < c <= 1 and length > 0.
+    ``cone_capped``: f = c*s near the tip, blended by a C^2 quintic ramp over
+    the middle third of [0, L] into a spherical cap of radius L/2 that closes
+    smoothly at s = L, so f is C^2 on (0, L).  Requires 0 < c <= 1 and length > 0.
 
     ``sphere``: round sphere of the given radius, f = R sin(s/R), L = pi*R.
     The poles are smooth (slope 1), so this is the no-singularity reference.
-
-    ``spindle``: two conical tips, f = c*s near s=0 and f = c2*(L-s) near
-    s=L, blended over the middle third.
-
-    The blend is a C^2 quintic ramp, so every profile is C^2 on (0, L) and
-    exactly linear near each conical tip.
     """
     if kind == "sphere":
         if radius is None or radius <= 0:
             raise ValueError("sphere profile needs radius > 0")
-        if c is not None or c2 is not None or length is not None:
+        if c is not None or length is not None:
             raise ValueError("sphere profile takes only 'radius'")
         r = float(radius)
-
-        def f_sphere(s, _r=r):
-            return _r * np.sin(np.clip(s / _r, 0.0, math.pi))
-
-        return SurfaceProfile(kind="sphere", length=math.pi * r,
-                              tip_slope=Fraction(1), radius=r, _f=f_sphere)
+        return SurfaceProfile(kind="sphere", length=math.pi * r, tip_slope=Fraction(1), radius=r)
 
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")
@@ -131,38 +123,7 @@ def build_profile(kind: str, *, c=None, c2=None, radius=None, length=None) -> Su
     c_exact = exact_number(c)
     if not (0 < c_exact <= 1):
         raise ValueError(f"tip slope must satisfy 0 < c <= 1, got {c_exact}")
-    L = float(length)
-    a, b = L / 3.0, 2.0 * L / 3.0
-    c_f = float(c_exact)
-
-    if kind == "cone_capped":
-        if c2 is not None:
-            raise ValueError("cone_capped takes no c2")
-        r_cap = L / 2.0
-
-        def f_cone(s, _c=c_f, _a=a, _b=b, _L=L, _r=r_cap):
-            s = np.asarray(s, dtype=float)
-            w = _smoothstep_quintic((s - _a) / (_b - _a))
-            cap = _r * np.sin(np.clip((_L - s) / _r, 0.0, math.pi))
-            return (1.0 - w) * (_c * s) + w * cap
-
-        return SurfaceProfile(kind="cone_capped", length=L, tip_slope=c_exact, _f=f_cone)
-
-    # spindle
-    if c2 is None:
-        raise ValueError("spindle profile needs both tip slopes c and c2")
-    c2_exact = exact_number(c2)
-    if not (0 < c2_exact <= 1):
-        raise ValueError(f"far tip slope must satisfy 0 < c2 <= 1, got {c2_exact}")
-    c2_f = float(c2_exact)
-
-    def f_spindle(s, _c=c_f, _c2=c2_f, _a=a, _b=b, _L=L):
-        s = np.asarray(s, dtype=float)
-        w = _smoothstep_quintic((s - _a) / (_b - _a))
-        return (1.0 - w) * (_c * s) + w * (_c2 * (_L - s))
-
-    return SurfaceProfile(kind="spindle", length=L, tip_slope=c_exact,
-                          end_slope=c2_exact, _f=f_spindle)
+    return SurfaceProfile(kind="cone_capped", length=float(length), tip_slope=c_exact)
 
 
 @dataclass(frozen=True)

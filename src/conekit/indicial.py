@@ -127,6 +127,8 @@ class Surd:
         return (big > 0) - (big < 0)
 
     def _as_surd(self, other) -> "Surd":
+        if isinstance(other, str):   # a number, not text that parses as one
+            raise TypeError(f"a Surd does not combine with the string {other!r}")
         return other if isinstance(other, Surd) else Surd(exact_number(other))
 
     def _key(self) -> tuple:

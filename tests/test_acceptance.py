@@ -3,7 +3,8 @@
 The criteria pin exact symbolic results (indicial roots, weight windows),
 analytic oracles (sphere spectrum, Poincare constant), conservation and
 Lyapunov structure of the stepper, tip-exponent and decay-exponent fits,
-ensemble behavior, and end-to-end reproducibility of the command line.
+ensemble behavior, end-to-end reproducibility of the command line, and the
+tip asymptotics of a nontrivial equilibrium.
 """
 
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conekit.analysis import (absorbing_set_experiment, fit_lojasiewicz,
+from conekit.analysis import (absorbing_set_experiment, fit_lojasiewicz, fit_tip_asymptotics,
                               lojasiewicz_probe, smooth_random_field, tip_probe)
 from conekit.cli import main
 from conekit.dynamics import (ENERGY_INCREASE_TOL, StepperConfig, energy,
@@ -23,7 +24,7 @@ from conekit.geometry import boundary_spectrum, build_mesh, build_profile
 from conekit.indicial import (bilaplacian_indicial_roots, ch_gamma_window,
                               laplacian_gamma_window)
 from conekit.operators import ModeOperators
-from conekit.spaces import h01_dual_norm, h1_seminorm, l2_norm, poincare_constant
+from conekit.spaces import h01_dual_norm, h1_seminorm, l2_norm, mean, poincare_constant
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -298,3 +299,46 @@ def test_criterion_12_identical_manifests_reproduce_csvs_bitwise(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
     assert (first / "final_state.txt").read_bytes() \
         == (second / "final_state.txt").read_bytes()
+
+
+# -------------------------------------------------------------- criterion 13
+
+
+@pytest.fixture(scope="module")
+def cone_equilibria():
+    """Equilibria on the c = 1/2, L = 6 cone, where u = 0 is unstable (modes 0 and 1)."""
+    profile = build_profile("cone_capped", c="1/2", length=6.0)
+    ops = ModeOperators(build_mesh(profile, 256, 0.85), 4)
+    cfg = StepperConfig(dt=0.2, stabilization=2.0, t_max=1000.0, eq_tol=1e-8)
+    results = [run_semiflow(ops, smooth_random_field(ops, np.random.default_rng(seed),
+                                                     sup_amplitude=0.5), cfg)
+               for seed in (1, 2, 3)]
+    return profile, ops, results
+
+
+def test_criterion_13_equilibrium_tip_exponents(cone_equilibria):
+    # equilibria come as a circle of rotations (and its mirror -u), so every
+    # compared quantity is invariant under both
+    profile, ops, results = cone_equilibria
+    roots = bilaplacian_indicial_roots(1, boundary_spectrum(profile, 2))
+    mesh = ops.mesh
+    tip = (mesh.centers >= 2.0 * mesh.s_min) & (mesh.centers < 0.05 * mesh.length)
+    x = mesh.centers[tip]
+    tip_values = []
+    for result in results:
+        assert result.equilibrium_reached
+        u = result.state.u
+        # modes k >= 1: the amplitude follows the leading regular branch x^(k/c)
+        for mode, tol in ((1, 0.02), (2, 0.15)):
+            exact = float(min(r.value for r in roots if r.mode == mode and r.value > 0))
+            fit = fit_tip_asymptotics(u, mode)
+            assert fit.rho_hat == pytest.approx(exact, abs=tol)
+            assert fit.r_squared >= 0.999
+        # mode 0: -Lap u + u^3 - u = mu gives u_0 = a + b x^2 + O(x^4) with
+        # b = (a^3 - a - mu) / 4; the zero tip flux leaves no log x branch
+        design = np.column_stack([np.ones_like(x), x ** 2, x ** 4])
+        a, b, _ = np.linalg.lstsq(design, u.coeffs[0, 0, tip], rcond=None)[0]
+        mu = mean(u.cubed() - u)
+        assert b == pytest.approx((a ** 3 - a - mu) / 4.0, rel=0.02)
+        tip_values.append(abs(a))
+    assert max(tip_values) == pytest.approx(min(tip_values), rel=1e-6)

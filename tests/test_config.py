@@ -42,7 +42,7 @@ def test_default_config_text_parses_back():
 
 
 DEFAULT_TEXT = (
-    "[geometry]\nkind = cone_capped\nc = 1/2\nc2 = \nradius = 1\nL = 2\nM = 256\n"
+    "[geometry]\nkind = cone_capped\nc = 1/2\nradius = 1\nL = 2\nM = 256\n"
     "q = 0.84999999999999998\nK = 32\n\n"
     "[dynamics]\ndt = 0.001\nS = 2\nT_max = 1000\neq_tol = 1e-08\nsnapshot_stride = 100\n\n"
     "[norms]\ngamma = -0.75\npairs = 0,-0.75;1,-0.75\n\n"

@@ -38,18 +38,24 @@ def test_sphere_profile():
     assert p(math.pi) == pytest.approx(2.0)  # equator radius R
 
 
-def test_spindle_profile_two_slopes():
-    p = build_profile("spindle", c="1/2", c2="1/3", length=3.0)
-    assert p.tip_slope == Fraction(1, 2)
-    assert p.end_slope == Fraction(1, 3)
-    assert p(0.2) == pytest.approx(0.1, rel=1e-13)
-    assert p(3.0 - 0.2) == pytest.approx(0.2 / 3.0, rel=1e-13)
+@pytest.mark.parametrize("kind, params, s, value_hex", [
+    ("cone_capped", {"c": "1/2", "length": 2.0}, 0.3, "0x1.3333333333333p-3"),   # linear
+    ("cone_capped", {"c": "1/2", "length": 2.0}, 0.9, "0x1.1b863a8f87d5ep-1"),   # blend
+    ("cone_capped", {"c": "1/2", "length": 2.0}, 1.0, "0x1.576aa47848678p-1"),   # blend
+    ("cone_capped", {"c": "1/2", "length": 2.0}, 1.7, "0x1.2e9cd95baba34p-2"),   # cap
+    ("sphere", {"radius": 1.0}, 0.4, "0x1.8ec3ae92b676bp-2"),
+    ("sphere", {"radius": 1.0}, 2.9, "0x1.e9fb8d64830e3p-3"),
+])
+def test_profile_values_keep_their_bits(kind, params, s, value_hex):
+    # every mesh volume and face radius is built from these values
+    p = build_profile(kind, **params)
+    assert float(p(s)) == float.fromhex(value_hex)
+    assert float(p(np.array([s]))[0]) == float.fromhex(value_hex)
 
 
 def test_profile_positive_between_ends(rng):
     for p in (build_profile("cone_capped", c="1/3", length=1.0),
-              build_profile("sphere", radius=0.7),
-              build_profile("spindle", c=1, c2="1/4", length=2.5)):
+              build_profile("sphere", radius=0.7)):
         s = rng.uniform(1e-9, p.length - 1e-9, size=200)
         vals = np.array([p(x) for x in s])
         assert np.all(vals > 0)

@@ -70,6 +70,17 @@ def test_surd_mixed_radicands_raise_on_order_but_compare_equal():
     assert Surd(1, 1, 2) != Surd(0, 1, 3)
 
 
+@pytest.mark.parametrize("text", ["1", "2", "abc", "sqrt(2)"])
+def test_surd_does_not_parse_strings_in_comparisons_or_arithmetic(text):
+    for x in (Surd(1), Surd.sqrt(2)):
+        assert x != text and not (x == text) and text != x
+        for op in (lambda: x < text, lambda: x >= text, lambda: text < x,
+                   lambda: x + text, lambda: text + x, lambda: x - text, lambda: text - x):
+            with pytest.raises(TypeError):
+                op()
+    assert Surd("1/2") == Fraction(1, 2)   # the constructor still reads exact text
+
+
 def test_surd_equal_values_hash_alike(rng):
     # a*sqrt(r k^2) and k*a*sqrt(r) are one number in two representations
     pairs = [(Fraction(1, 3), Fraction(10), 199)]
