@@ -77,23 +77,22 @@ def fit_tip_asymptotics(u: Field, mode: int,
                          f"(amplitude {amp:.2e})")
     x = np.log(mesh.centers[mask])
     if mode == 0:
-        design = np.column_stack([np.ones_like(x), x])
-        coef, *_ = np.linalg.lstsq(design, seg, rcond=None)
-        return TipFit(mode=0, rho_hat=None, log_slope=float(coef[1]),
-                      r_squared=_r_squared(seg, design @ coef), n_points=n_points,
-                      window=(lo, hi))
+        slope, r2 = _line_fit(x, seg)
+        return TipFit(mode=0, rho_hat=None, log_slope=slope, r_squared=r2,
+                      n_points=n_points, window=(lo, hi))
     good = np.abs(seg) > 0
-    x, y = x[good], np.log(np.abs(seg[good]))
+    slope, r2 = _line_fit(x[good], np.log(np.abs(seg[good])))
+    return TipFit(mode=mode, rho_hat=slope, log_slope=None, r_squared=r2,
+                  n_points=int(good.sum()), window=(lo, hi))
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line through (x, y): its slope and coefficient of determination,
+    which is 1 for constant data."""
     slope, intercept = np.polyfit(x, y, 1)
-    return TipFit(mode=mode, rho_hat=float(slope), log_slope=None,
-                  r_squared=_r_squared(y, slope * x + intercept), n_points=int(good.sum()),
-                  window=(lo, hi))
-
-
-def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
-    """Coefficient of determination of a least-squares fit; 1 for constant data."""
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    return 1.0 - float(((y - fitted) ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
+    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
+    return float(slope), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def tip_probe(ops: ModeOperators, mode: int, source_center_frac: float = 0.75,
@@ -152,8 +151,8 @@ def fit_lojasiewicz(energy_gaps: np.ndarray, gradient_norms: np.ndarray) -> tupl
     y = np.log(np.asarray(gradient_norms, dtype=float))
     if x.size < 2:
         raise ValueError("need at least two samples")
-    slope, intercept = np.polyfit(x, y, 1)
-    return 1.0 - float(slope), float(slope), _r_squared(y, slope * x + intercept)
+    slope, r2 = _line_fit(x, y)
+    return 1.0 - slope, slope, r2
 
 
 def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
@@ -230,8 +229,8 @@ class AbsorbingReport:
     entry_times: dict       # radius -> list of entry times (one per seed)
     post_sups: dict         # radius -> list of post-entry sup H^1_0 norms
     kappa: dict             # radius -> max post-entry sup over the ensemble
-    tip_norm_sup: dict      # radius -> sup of mellin_norm(u, s=0) after entry
-    tip_norm_sup_lap: dict  # radius -> same for Lap(u)
+    tip_norm_sup: dict      # radius -> post-entry sup of the records' mellin_s0
+    tip_norm_sup_lap: dict  # radius -> same for Lap(u), at the run's mellin_gamma
     diam_times: np.ndarray
     diameters: dict         # radius -> dual-norm ensemble diameter per record time
 
@@ -245,15 +244,15 @@ class AbsorbingReport:
 def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
                              radii=(1.0, 10.0), seeds_per_radius: int = 4,
                              base_seed: int = 0, level_margin: float = 1.05,
-                             mode_decay: float = 2.0,
-                             mellin_gamma: float = -0.75) -> AbsorbingReport:
+                             mode_decay: float = 2.0) -> AbsorbingReport:
     """Evolve ensembles started on dual-norm spheres and locate a common
     absorbing level for the Dirichlet norm.
 
     The entry level is level_margin (at least 1) times the largest final
     Dirichlet norm over all runs; each run's entry time is the first record
     from which the norm stays below that level, and kappa is the largest
-    post-entry sup per starting radius.  The runs advance through the
+    post-entry sup per starting radius; the tip norms are taken at the
+    stepper's mellin_gamma, as its records are.  The runs advance through the
     batched step kernel in slices, one per usable CPU, forked from this
     process; each is bitwise equal to its own run_semiflow.
     """
@@ -285,13 +284,12 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
         idx = int(np.argmax(suffix <= level))   # enters by its last record at the latest
         entry_times[radius].append(float(t[idx]))
         post_sups[radius].append(float(suffix[idx]))
-        for step, coeffs in res.snapshots:
-            if step * cfg.dt >= t[idx]:
-                u = Field(ops.mesh, coeffs)
-                tip_sup[radius] = max(tip_sup[radius],
-                                      mellin_norm(u, 0, mellin_gamma))
-                tip_sup_lap[radius] = max(tip_sup_lap[radius],
-                                          mellin_norm(ops.apply_laplacian(u), 0, mellin_gamma))
+        tip_sup[radius] = max(tip_sup[radius],
+                              float(np.max([rec.mellin_s0 for rec in res.records[idx:]])))
+        # a snapshot is taken at each record: the post-entry ones follow the entry record
+        for _, coeffs in res.snapshots[idx:]:
+            lap = ops.apply_laplacian(Field(ops.mesh, coeffs))
+            tip_sup_lap[radius] = max(tip_sup_lap[radius], mellin_norm(lap, 0, cfg.mellin_gamma))
 
     kappa = {r: max(post_sups[r]) for r in radii}
 

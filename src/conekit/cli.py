@@ -114,16 +114,13 @@ def _cmd_indicial(cfg: RunConfig, outdir: Path):
     spectrum = boundary_spectrum(profile, cfg.geometry.K)
     gamma = cfg.norms.gamma
     space = asymptotic_space(1, spectrum, gamma)
-    member_keys = {(r.mode, repr(r.value)) for r in space.members}
-
-    rows = []
-    for root in laplacian_indicial_roots(1, spectrum) + bilaplacian_indicial_roots(1, spectrum):
-        in_window = root.operator == "bilaplacian" and (root.mode, repr(root.value)) in member_keys
-        rows.append((root.operator, root.mode, repr(root.value), float(root.value),
-                     root.multiplicity, root.log_power_max, in_window))
+    roots = laplacian_indicial_roots(1, spectrum) + bilaplacian_indicial_roots(1, spectrum)
     _write_csv(outdir / "roots.csv",
                ("operator", "mode", "root", "root_float", "multiplicity",
-                "log_power_max", "in_asymptotic_window"), rows)
+                "log_power_max", "in_asymptotic_window"),
+               [(root.operator, root.mode, repr(root.value), float(root.value),
+                 root.multiplicity, root.log_power_max, root in space.members)
+                for root in roots])
 
     lam1 = spectrum.lambda_1
     win4 = ch_gamma_window(1, lam1)
@@ -219,8 +216,7 @@ def _cmd_attractor(cfg: RunConfig, outdir: Path):
     stepper = cfg.dynamics.stepper(cfg.norms.gamma)
     report = absorbing_set_experiment(
         ops, stepper, radii=e.radii, seeds_per_radius=e.seeds_per_radius,
-        base_seed=e.seed, level_margin=e.level_margin, mode_decay=e.mode_decay,
-        mellin_gamma=cfg.norms.gamma)
+        base_seed=e.seed, level_margin=e.level_margin, mode_decay=e.mode_decay)
     rows = []
     for radius in report.radii:
         for i in range(report.seeds_per_radius):

@@ -378,7 +378,7 @@ def run_semiflow(ops: ModeOperators, initial, cfg: StepperConfig,
     This is the one-member case of the ensemble step kernel (_run_batch).
     """
     deliver = None if on_record is None else (lambda _member, rec, coeffs: on_record(rec, coeffs))
-    return _run_batch(ops, [initial], cfg, deliver, collect_snapshots, cpus=_usable_cpus())[0]
+    return _run_batch(ops, [initial], cfg, deliver, collect_snapshots, _usable_cpus() >= 2)[0]
 
 
 def _usable_cpus() -> int:
@@ -401,7 +401,7 @@ def _check_initials(ops: ModeOperators, initials: list):
 
 def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                on_record: Optional[Callable] = None,
-               collect_snapshots: bool = False, cpus: int = 1) -> list[SemiflowResult]:
+               collect_snapshots: bool = False, checked: bool = False) -> list[SemiflowResult]:
     """Run several trajectories through one step kernel; one result per member.
 
     Each entry of ``initials`` is a Field, and every member starts at step 0,
@@ -416,9 +416,9 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     equilibrium or t_max.  ``on_record(member, record, coeffs)`` receives
     every record as it is produced, as for run_semiflow; an energy violation
     in any member raises StabilityError after that member's record is
-    delivered.  One member with two ``cpus`` or more decides its steps past
-    its first ones with the checks a forked _Checker took meanwhile; stopped
-    at step n, it returns the state of step n.
+    delivered.  One ``checked`` member decides its steps past its first ones
+    with the checks a forked _Checker took meanwhile; stopped at step n, it
+    returns the state of step n.
     """
     _check_initials(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
@@ -456,7 +456,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
                 else math.nan)
         emit(b, stack[b], vals[b], 0, e_now[b], h1_now[b], res0)
 
-    checker = (_Checker(ops, stack) if cpus >= 2 and len(initials) == 1 and hasattr(os, "fork")
+    checker = (_Checker(ops, stack) if checked and len(initials) == 1 and hasattr(os, "fork")
                else None)
     active = list(range(len(initials)))    # member index of each stack row
     poincare = None
@@ -535,13 +535,14 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
     here as one batch, which raises the one-process error.  A child that ends
     without sending its slice raises RuntimeError; any exception here,
     interrupts included, kills and reaps the children.  With one usable CPU,
-    one member or no os.fork this is a plain _run_batch call.
+    one member or no os.fork this is a plain _run_batch call, checked as
+    run_semiflow is; a slice never forks a checker.
     """
     cpus = _usable_cpus()
     n_slices = min(cpus, len(initials))
     if n_slices < 2 or not hasattr(os, "fork"):
-        return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots, cpus=cpus)
-    cpus //= n_slices   # each slice's share: one member with two checks its steps aside
+        return _run_batch(ops, initials, cfg, collect_snapshots=collect_snapshots,
+                          checked=cpus >= 2)
     bounds = [len(initials) * i // n_slices for i in range(n_slices + 1)]
     children = {}   # the pid and slice index of each forked slice by its pipe's reader
     sent = {}       # each slice's plain results by slice index, None for a failed slice
@@ -564,8 +565,7 @@ def _run_sliced(ops: ModeOperators, initials: list, cfg: StepperConfig,
                         message = [(r.records, r.state.u.coeffs, r.state.step,
                                     r.equilibrium_reached, r.final_residual, r.snapshots)
                                    for r in _run_batch(ops, initials[bounds[i]:bounds[i + 1]],
-                                                       cfg, collect_snapshots=collect_snapshots,
-                                                       cpus=cpus)]
+                                                       cfg, collect_snapshots=collect_snapshots)]
                     except Exception:   # raised again when the caller runs the ensemble
                         message = None
                     with open(writer, "wb") as pipe:

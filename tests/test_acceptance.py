@@ -24,7 +24,8 @@ from conekit.geometry import boundary_spectrum, build_mesh, build_profile
 from conekit.indicial import (bilaplacian_indicial_roots, ch_gamma_window,
                               laplacian_gamma_window)
 from conekit.operators import ModeOperators
-from conekit.spaces import h01_dual_norm, h1_seminorm, l2_norm, mean, poincare_constant
+from conekit.spaces import (h01_dual_norm, h1_seminorm, l2_norm, mean, mellin_norm,
+                            poincare_constant)
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -170,32 +171,42 @@ def relaxation_suite():
     return suite
 
 
-def test_criterion_05_lyapunov_decrease_and_equilibration(relaxation_suite):
+@pytest.fixture(scope="module")
+def nontrivial_relaxations(cone_equilibria):
+    """Criterion 13's runs, which end on an equilibrium other than u = 0."""
+    _, ops, results = cone_equilibria
+    return [(ops, result) for result in results]
+
+
+def first_monotone(dists, slack=1.0 + 1e-9):
+    """The first index from which ``dists`` never rises by more than ``slack``."""
+    return next(i for i in range(len(dists))
+                if all(b <= a * slack for a, b in zip(dists[i:], dists[i + 1:])))
+
+
+def test_criterion_05_lyapunov_decrease_and_equilibration(relaxation_suite,
+                                                          nontrivial_relaxations):
     assert len(relaxation_suite) == 10
-    for ops, result in relaxation_suite:
+    for ops, result in relaxation_suite + nontrivial_relaxations:
         assert result.equilibrium_reached is True
         assert result.final_residual <= 1e-8
-        assert result.state.step * 1e-3 <= 1000.0
+        assert result.records[-1].t <= 1000.0
         energies = [rec.energy for rec in result.records]
         for a, b in zip(energies, energies[1:]):
             assert b <= a + ENERGY_INCREASE_TOL * (1.0 + abs(a))
 
 
-def test_criterion_06_distance_to_limit_eventually_monotone(relaxation_suite):
-    slack = 1.0 + 1e-9
-    for ops, result in relaxation_suite:
+def test_criterion_06_distance_to_limit_eventually_monotone(relaxation_suite,
+                                                            nontrivial_relaxations):
+    for ops, result in relaxation_suite + nontrivial_relaxations:
         u_inf = result.state.u
-        dists = []
-        for _step, coeffs in result.snapshots:
-            diff = mean_zero(Field(ops.mesh, coeffs - u_inf.coeffs))
-            dists.append(h01_dual_norm(diff, ops))
-        assert len(dists) >= 4
-        tail_ok = [i for i in range(len(dists))
-                   if all(b <= a * slack
-                          for a, b in zip(dists[i:], dists[i + 1:]))]
-        first_monotone = tail_ok[0]
-        # monotone over at least the last half of the trajectory
-        assert first_monotone <= len(dists) // 2
+        diffs = [Field(ops.mesh, coeffs - u_inf.coeffs) for _step, coeffs in result.snapshots]
+        # in the dual norm and in the tip-weighted norm of order 1
+        for dists in ([h01_dual_norm(mean_zero(diff), ops) for diff in diffs],
+                      [mellin_norm(diff, 1, -0.75) for diff in diffs]):
+            assert len(dists) >= 4
+            # monotone over at least the last half of the trajectory
+            assert first_monotone(dists) <= len(dists) // 2
         assert gradient_residual(u_inf, ops) <= 1e-7
 
 
@@ -234,7 +245,7 @@ def test_criterion_08_absorbing_level_independent_of_initial_radius(small_sphere
 # --------------------------------------------------------------- criterion 9
 
 
-def test_criterion_09_lojasiewicz_exponents(cone_ops):
+def test_criterion_09_lojasiewicz_exponents(cone_ops, nontrivial_relaxations):
     gaps = np.logspace(-11.0, -2.0, 400)
     theta_hat, _, _ = fit_lojasiewicz(gaps, 1.7 * gaps ** 0.5)
     assert theta_hat == pytest.approx(0.5, abs=1e-3)
@@ -247,6 +258,8 @@ def test_criterion_09_lojasiewicz_exponents(cone_ops):
         result = run_semiflow(cone_ops, u0, cfg, collect_snapshots=True)
         probe = lojasiewicz_probe(cone_ops, result)
         assert 0.0 < probe.theta_hat < 0.55
+    for ops, result in nontrivial_relaxations:
+        assert 0.0 < lojasiewicz_probe(ops, result).theta_hat < 0.55
 
 
 # -------------------------------------------------------------- criterion 10
@@ -309,9 +322,11 @@ def cone_equilibria():
     """Equilibria on the c = 1/2, L = 6 cone, where u = 0 is unstable (modes 0 and 1)."""
     profile = build_profile("cone_capped", c="1/2", length=6.0)
     ops = ModeOperators(build_mesh(profile, 256, 0.85), 4)
-    cfg = StepperConfig(dt=0.2, stabilization=2.0, t_max=1000.0, eq_tol=1e-8)
+    cfg = StepperConfig(dt=0.2, stabilization=2.0, t_max=1000.0, eq_tol=1e-8,
+                        snapshot_stride=10)
     results = [run_semiflow(ops, smooth_random_field(ops, np.random.default_rng(seed),
-                                                     sup_amplitude=0.5), cfg)
+                                                     sup_amplitude=0.5), cfg,
+                            collect_snapshots=True)
                for seed in (1, 2, 3)]
     return profile, ops, results
 

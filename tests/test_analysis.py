@@ -15,7 +15,7 @@ from conekit.dynamics import StepperConfig, run_semiflow
 from conekit.fields import Field, constant_field, field_from_modes
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import ModeOperators
-from conekit.spaces import h01_dual_norm, mean
+from conekit.spaces import h01_dual_norm, mean, mellin_norm
 from conftest import eigensystem
 
 
@@ -50,6 +50,11 @@ def test_fit_mode_zero_reports_log_slope(graded_cone_ops):
     assert fit.rho_hat is None
     assert fit.log_slope == pytest.approx(0.7, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    # the same line fit as every other exponent, on the signed profile in the default window
+    lo, hi = fit.window
+    assert (lo, hi) == (2.0 * mesh.s_min, 0.1 * mesh.length)
+    tip = (mesh.centers >= lo) & (mesh.centers < hi)
+    assert fit.log_slope == np.polyfit(np.log(mesh.centers[tip]), c[0, 0, tip], 1)[0]
 
 
 def test_fit_rejects_thin_windows_and_absent_modes(graded_cone_ops):
@@ -198,8 +203,8 @@ def test_absorbing_experiment_is_deterministic(small_sphere_ops, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(
         conekit.dynamics, "_run_batch",
-        lambda ops, initials, cfg, collect_snapshots, cpus=1: [
-            batch(ops, [u], cfg, collect_snapshots=collect_snapshots, cpus=cpus)[0]
+        lambda ops, initials, cfg, collect_snapshots, checked=False: [
+            batch(ops, [u], cfg, collect_snapshots=collect_snapshots, checked=checked)[0]
             for u in initials])
     serial = absorbing_set_experiment(ops, cfg, **kwargs)
     for report in (second, serial):
@@ -248,6 +253,36 @@ def test_members_that_stop_at_equilibrium_enter_at_their_own_record_times(monkey
     for run, t in zip(runs, entries):
         assert t in [rec.t for rec in run.records]
     assert report.level == 1.05 * max(run.records[-1].h1_seminorm for run in runs)
+
+
+def test_tip_norm_sups_are_the_largest_post_entry_records(small_sphere_ops, monkeypatch):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=1e-3, t_max=0.2, eq_tol=0.0, snapshot_stride=20,
+                        mellin_gamma=-0.6)
+    runs, real = [], conekit.analysis._run_sliced
+
+    def kept(*args, **kwargs):
+        runs.extend(real(*args, **kwargs))
+        return runs
+
+    monkeypatch.setattr(conekit.analysis, "_run_sliced", kept)
+    report = absorbing_set_experiment(ops, cfg, radii=(0.5, 4.0), seeds_per_radius=2,
+                                      base_seed=7)
+    for i, r in enumerate(report.radii):
+        members = runs[2 * i:2 * i + 2]
+        post = [rec.mellin_s0 for run, entry in zip(members, report.entry_times[r])
+                for rec in run.records if rec.t >= entry]
+        assert report.tip_norm_sup[r] == max(post)
+        laps = [mellin_norm(ops.apply_laplacian(Field(ops.mesh, coeffs)), 0, -0.6)
+                for run, entry in zip(members, report.entry_times[r])
+                for step, coeffs in run.snapshots if step * cfg.dt >= entry]
+        assert report.tip_norm_sup_lap[r] == max(laps)
+
+
+def test_the_tip_norm_weight_is_the_runs_own(small_sphere_ops):
+    with pytest.raises(TypeError, match="mellin_gamma"):
+        absorbing_set_experiment(small_sphere_ops, StepperConfig(t_max=0.01),
+                                 mellin_gamma=-0.75)
 
 
 @pytest.mark.parametrize("kwargs, name", [({"radii": ()}, "radii"),

@@ -203,6 +203,28 @@ def test_an_ensemble_forks_one_child_per_slice(small_sphere_ops, monkeypatch):
     assert len(forks) == 2
 
 
+def test_a_slice_never_forks_a_checker(small_sphere_ops, monkeypatch):
+    # two usable CPUs per member: a slice of one member still steps alone, so a checker
+    # that cannot be made fails no slice, and the ensemble is not run again here
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=5 * DT, eq_tol=1e-2, snapshot_stride=2)
+    rng = np.random.default_rng(15)
+    members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(2)]
+    real, here = conekit.dynamics._run_batch, []
+
+    def no_checker(self, *args):
+        raise RuntimeError("a checker was made")
+
+    def counted(*args, **kwargs):
+        here.append(None)   # a forked slice counts in its own memory
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conekit.dynamics._Checker, "__init__", no_checker)
+    monkeypatch.setattr(conekit.dynamics, "_run_batch", counted)
+    check_sliced(ops, members, cfg, 4)
+    assert here == []
+
+
 def test_a_failed_slice_fork_runs_the_ensemble_here(small_sphere_ops, monkeypatch):
     ops = small_sphere_ops
     cfg = StepperConfig(dt=DT, t_max=5 * DT, eq_tol=1e-2, snapshot_stride=2)
@@ -305,13 +327,13 @@ def test_dead_child_raises_and_the_others_are_reaped(small_sphere_ops, monkeypat
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(3)]
     real = conekit.dynamics._run_batch
 
-    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, cpus=1):
+    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, checked=False):
         fate = dict(zip((id(m) for m in members[1:]), fates)).get(id(initials[0]))
         if fate == "dies":
             os.kill(os.getpid(), signal.SIGKILL)
         if fate == "sleeps":
             time.sleep(60)
-        return real(ops, initials, cfg, on_record, collect_snapshots, cpus)
+        return real(ops, initials, cfg, on_record, collect_snapshots, checked)
 
     monkeypatch.setattr(conekit.dynamics, "_run_batch", fragile)
     usable_cpus(monkeypatch, 3)
@@ -326,7 +348,7 @@ def test_interrupt_in_the_parent_reaps_the_children(small_sphere_ops, monkeypatc
     members = [smooth_random_field(ops, rng, sup_amplitude=0.3) for _ in range(2)]
     parent = os.getpid()
 
-    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False, cpus=1):
+    def slow_child(ops, initials, cfg, on_record=None, collect_snapshots=False, checked=False):
         assert os.getpid() != parent   # the parent only waits on its children
         if initials[0] is members[0]:   # the first slice's child interrupts it, once
             time.sleep(0.2)
@@ -349,10 +371,10 @@ def test_an_unpicklable_error_of_a_slice_reaches_the_caller(small_sphere_ops, mo
     class Unpicklable(Exception):   # a local class does not pickle
         pass
 
-    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, cpus=1):
+    def fragile(ops, initials, cfg, on_record=None, collect_snapshots=False, checked=False):
         if any(u is members[-1] for u in initials):
             raise Unpicklable("a failure that only this process can hold")
-        return real(ops, initials, cfg, on_record, collect_snapshots, cpus)
+        return real(ops, initials, cfg, on_record, collect_snapshots, checked)
 
     monkeypatch.setattr(conekit.dynamics, "_run_batch", fragile)
     usable_cpus(monkeypatch, 2)   # slices: member 0 | members 1-2

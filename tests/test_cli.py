@@ -13,6 +13,8 @@ import conekit.dynamics
 from conekit.cli import main
 from conekit.config import parse_config
 from conekit.dynamics import DiagnosticsRecord, run_semiflow
+from conekit.geometry import boundary_spectrum
+from conekit.indicial import asymptotic_space
 
 SPHERE_SMALL = "[geometry]\nkind = sphere\nM = 48\nK = 2\nq = 1.0\n"
 
@@ -57,8 +59,8 @@ def run_cli(tmp_path, command, ini_text, *extra):
 
 def serial_runs(batch):
     """Stand-in for the batched step kernel: each member on its own, as run_semiflow runs it."""
-    def run(ops, initials, cfg, collect_snapshots=False, cpus=1):
-        return [batch(ops, [u], cfg, collect_snapshots=collect_snapshots, cpus=cpus)[0]
+    def run(ops, initials, cfg, collect_snapshots=False, checked=False):
+        return [batch(ops, [u], cfg, collect_snapshots=collect_snapshots, checked=checked)[0]
                 for u in initials]
     return run
 
@@ -303,6 +305,20 @@ def test_indicial_table_contains_expected_rows(tmp_path):
     windows = {r[0]: (float(r[3]), float(r[4])) for r in rows}
     assert windows["fourth_order"] == (-1.0, -0.5)
     assert windows["second_order"] == (-1.0, 0.0)
+
+
+def test_indicial_marks_exactly_the_branch_space_members(tmp_path):
+    # gamma = 0 lies outside the window of c = 1, and the column holds both values
+    ini = SMOKE_CONFIGS["indicial"] + "[norms]\ngamma = 0\n"
+    rc, rundir = run_cli(tmp_path, "indicial", ini, "--allow-out-of-window")
+    assert rc == 0
+    header, rows = read_csv(rundir / "roots.csv")
+    assert {row[-1] for row in rows} == {"true", "false"}
+    marked = [tuple(row[:3]) + (row[4],) for row in rows if row[-1] == "true"]
+    cfg = parse_config(ini)
+    space = asymptotic_space(1, boundary_spectrum(cfg.geometry.build_profile(), 3), 0)
+    assert marked == [("bilaplacian", str(root.mode), repr(root.value), str(root.multiplicity))
+                      for root in space.members]
 
 
 def test_spectrum_output_matches_sphere(tmp_path):
