@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .geometry import (BoundarySpectrum, RadialMesh, SurfaceProfile,
-                       boundary_spectrum, build_mesh, build_profile)
-from .fields import CutoffFunction, Field, constant_field, field_from_modes
+from .geometry import (RadialMesh, SurfaceProfile, boundary_spectrum, build_mesh,
+                       build_profile)
+from .fields import Field, constant_field, field_from_modes
 from .operators import ModeOperators, SolverError
 from .spaces import (h01_dual_norm, h1_seminorm, l2_norm, lp_norm, mean,
                      mellin_norm, poincare_constant)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SemiflowResult, StepperConfig, _mean_free_dual_norm, _run_sliced, gradient_residual
-from .fields import Field
+from .fields import Field, _check_mode
 from .operators import ModeOperators
 from .spaces import h01_dual_norm, mellin_norm
 
@@ -61,8 +61,7 @@ def fit_tip_asymptotics(u: Field, mode: int,
     ("mode numerically absent").
     """
     mesh = u.mesh
-    if mode > u.max_mode:
-        raise ValueError(f"mode {mode} exceeds the field truncation {u.max_mode}")
+    _check_mode(mode, u.max_mode)
     profile = u.coeffs[0, 0] if mode == 0 else np.hypot(u.coeffs[mode, 0], u.coeffs[mode, 1])
     lo, hi = window if window is not None else (2.0 * mesh.s_min, 0.1 * mesh.length)
     mask = (mesh.centers >= lo) & (mesh.centers < hi)

@@ -80,17 +80,10 @@ def _make_run_dir(root: str, command: str) -> Path:
             candidate = base.with_name(f"{base.name}-{n}")
 
 
-def _write_snapshot(path: Path, step: int, t: float, coeffs: np.ndarray):
-    kmax = coeffs.shape[0] - 1
-    m = coeffs.shape[2]
-    # one %-format per row: the same text as format(v, ".17g") per value
-    row = " ".join(["%.17g"] * m) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"# t = {format(t, '.17g')}\n")
-        fh.write(f"# modes = {kmax}\n")
-        fh.write(f"# cells = {m}\n")
-        for values in coeffs.reshape(-1, m):
-            fh.write(row % tuple(values.tolist()))
+def _write_snapshot(path: Path, t: float, coeffs: np.ndarray):
+    kmax, m = coeffs.shape[0] - 1, coeffs.shape[2]
+    np.savetxt(path, coeffs.reshape(-1, m), fmt="%.17g",
+               header=f"t = {format(t, '.17g')}\nmodes = {kmax}\ncells = {m}")
 
 
 def _initial_field(cfg: RunConfig, ops) -> Field:
@@ -122,7 +115,7 @@ def _cmd_indicial(cfg: RunConfig, outdir: Path):
                  root.multiplicity, root.log_power_max, root in space.members)
                 for root in roots])
 
-    lam1 = spectrum.lambda_1
+    lam1 = spectrum[1][1]
     win4 = ch_gamma_window(1, lam1)
     win2 = laplacian_gamma_window(1, lam1)
     _write_csv(outdir / "windows.csv",
@@ -134,11 +127,10 @@ def _cmd_indicial(cfg: RunConfig, outdir: Path):
                 ("branch_window", repr(space.window_lower), repr(space.window_upper),
                  float(space.window_lower), float(space.window_upper), True)])
 
-    dom = minimal_domain_check(1, spectrum, gamma)
+    hits = minimal_domain_check(1, spectrum, gamma)
     _write_csv(outdir / "minimal_domain.csv",
                ("clean", "offending_value", "offending_mode"),
-               [(dom.clean, "", "")] if dom.clean else
-               [(dom.clean, repr(v), mode) for v, mode in dom.offending])
+               [(False, repr(v), mode) for v, mode in hits] or [(True, "", "")])
 
     exclusions = interpolation_exclusions(1, spectrum, gamma)
     _write_csv(outdir / "exclusions.csv", ("value", "value_float"),
@@ -196,12 +188,11 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path):
             writer.writerow([_fmt(v) for v in rec.csv_values()])
             fh.flush()
             if cfg.experiment.snapshots:
-                _write_snapshot(snap_dir / f"snap_{rec.step:08d}.txt", rec.step, rec.t, coeffs)
+                _write_snapshot(snap_dir / f"snap_{rec.step:08d}.txt", rec.t, coeffs)
 
         result = run_semiflow(ops, u0, stepper, on_record=on_record)
     state = result.state
-    _write_snapshot(outdir / "final_state.txt", state.step, state.step * stepper.dt,
-                    state.u.coeffs)
+    _write_snapshot(outdir / "final_state.txt", state.step * stepper.dt, state.u.coeffs)
     _write_csv(outdir / "summary.csv", ("quantity", "value"),
                [("equilibrium_reached", result.equilibrium_reached),
                 ("final_residual", result.final_residual),

@@ -256,7 +256,7 @@ def validate_gamma(cfg: RunConfig, allow_out_of_window: bool = False):
     if allow_out_of_window:
         return
     profile = cfg.geometry.build_profile()
-    window = ch_gamma_window(1, boundary_spectrum(profile, 1).lambda_1)
+    window = ch_gamma_window(1, boundary_spectrum(profile, 1)[1][1])
     gammas = [("[norms] gamma", cfg.norms.gamma)]
     gammas += [(f"[norms] pairs entry {i}", gm) for i, (_s, gm) in enumerate(cfg.norms.pairs)]
     for label, gamma in gammas:

@@ -18,7 +18,6 @@ from .geometry import RadialMesh
 
 __all__ = [
     "Field",
-    "CutoffFunction",
     "constant_field",
     "field_from_modes",
     "n_theta_nodes",
@@ -138,6 +137,11 @@ def constant_field(mesh: RadialMesh, max_mode: int, value: float) -> Field:
     return Field(mesh, c)
 
 
+def _check_mode(mode: int, max_mode: int):
+    if not 0 <= mode <= max_mode:
+        raise ValueError(f"mode {mode} is outside the truncation range 0..{max_mode}")
+
+
 def field_from_modes(mesh: RadialMesh, max_mode: int, radial, mode: int = 0,
                      part: str = "cos") -> Field:
     """Field with a single angular mode and the given radial profile.
@@ -146,33 +150,6 @@ def field_from_modes(mesh: RadialMesh, max_mode: int, radial, mode: int = 0,
     """
     c = np.zeros((max_mode + 1, 2, mesh.cells))
     prof = radial(mesh.centers) if callable(radial) else np.asarray(radial, dtype=float)
-    if mode > max_mode:
-        raise ValueError(f"mode {mode} exceeds truncation {max_mode}")
+    _check_mode(mode, max_mode)
     c[mode, 0 if part == "cos" else 1, :] = prof
     return Field(mesh, c)
-
-
-@dataclass(frozen=True)
-class CutoffFunction:
-    """Radial cutoff that is 1 near the tip and 0 outside the collar.
-
-    Cubic ramp (C^1): equal to 1 on [0, start], to 0 on [stop, infinity),
-    monotone in between.  Defaults put the ramp on [0.4, 0.8] * min(1, L).
-    """
-
-    start: float
-    stop: float
-
-    def __post_init__(self):
-        if not (0.0 < self.start < self.stop):
-            raise ValueError("need 0 < start < stop")
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        t = np.clip((s - self.start) / (self.stop - self.start), 0.0, 1.0)
-        return 1.0 - t * t * (3.0 - 2.0 * t)
-
-    @classmethod
-    def default_for(cls, mesh: RadialMesh) -> "CutoffFunction":
-        collar = min(1.0, mesh.length)
-        return cls(0.4 * collar, 0.8 * collar)

@@ -23,8 +23,6 @@ import numpy as np
 __all__ = [
     "SurfaceProfile",
     "RadialMesh",
-    "SpectrumEntry",
-    "BoundarySpectrum",
     "build_profile",
     "build_mesh",
     "boundary_spectrum",
@@ -260,52 +258,15 @@ def build_mesh(profile: SurfaceProfile, cells: int, grading: float = 1.0) -> Rad
                       f_faces=f_faces, f_centers=f_centers)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One angular eigenvalue -(k/c)^2 of the tip cross-section circle."""
-
-    mode: int
-    eigenvalue_exact: Fraction
-    multiplicity: int
-
-    @property
-    def eigenvalue(self) -> float:
-        return float(self.eigenvalue_exact)
-
-
-@dataclass(frozen=True)
-class BoundarySpectrum:
-    """Laplace spectrum of the tip cross-section (a circle of circumference 2*pi*c).
-
-    Entries hold lambda_k = -(k/c)^2 for 0 <= k <= max_mode with multiplicity
-    1 for k = 0 and 2 for k >= 1 (cos and sin channels).
-    """
-
-    tip_slope: Fraction
-    entries: tuple[SpectrumEntry, ...]
-
-    @property
-    def max_mode(self) -> int:
-        return self.entries[-1].mode
-
-    @property
-    def lambda_1(self) -> Fraction:
-        """Largest nonzero eigenvalue, -(1/c)^2 (exact)."""
-        if len(self.entries) < 2:
-            raise ValueError("spectrum truncated at mode 0 has no nonzero eigenvalue")
-        return self.entries[1].eigenvalue_exact
-
-
-def boundary_spectrum(profile: SurfaceProfile, max_mode: int) -> BoundarySpectrum:
+def boundary_spectrum(profile: SurfaceProfile, max_mode: int) -> tuple[tuple[int, Fraction], ...]:
     """Exact cross-section spectrum of the tip cone of the given profile.
 
     The link of the conical point is a circle of circumference 2*pi*c, whose
-    Laplace eigenvalues are -(k/c)^2 (nonpositive sign convention), k = 0..max_mode.
+    Laplace eigenvalues are lambda_k = -(k/c)^2 (nonpositive sign convention).
+    Returns the pairs (k, lambda_k) for k = 0..max_mode, lambda_k a Fraction;
+    each mode k >= 1 stands for two eigenfunctions, cos and sin.
     """
     if max_mode < 0:
         raise ValueError("need max_mode >= 0")
     c = profile.tip_slope
-    entries = [SpectrumEntry(0, Fraction(0), 1)]
-    entries += [SpectrumEntry(k, -Fraction(k, 1) ** 2 / c ** 2, 2)
-                for k in range(1, max_mode + 1)]
-    return BoundarySpectrum(tip_slope=c, entries=tuple(entries))
+    return tuple((k, -Fraction(k) ** 2 / c ** 2) for k in range(max_mode + 1))

@@ -10,6 +10,9 @@ so solutions behave like x^q (times powers of log x at multiple roots) with
 
     q_j(+-) = -(n-1)/2 +- sqrt( ((n-1)/2)^2 - lambda_j ).
 
+A spectrum is a sequence of (mode j, lambda_j) pairs, as
+``geometry.boundary_spectrum`` returns them; lambda_j is any exact number.
+
 The roots of p_j are computed in one place (``_mode_roots``).  For the
 squared Laplacian the exponent set per mode is the root set of
 p_j(z) * p_j(z - 2), i.e. exactly those Laplacian roots and their shifts by
@@ -31,14 +34,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import BoundarySpectrum, exact_number
+from .geometry import exact_number
 
 __all__ = [
     "Surd",
     "IndicialRoot",
     "GammaWindow",
     "AsymptoticSpace",
-    "MinimalDomainResult",
     "laplacian_indicial_roots",
     "bilaplacian_indicial_roots",
     "ch_gamma_window",
@@ -160,25 +162,13 @@ class Surd:
         return f"{self.a} {sign} {tail}"
 
 
-def _spectrum_entries(spectrum) -> list[tuple[int, Fraction, int]]:
-    """Normalize a spectrum argument to (mode, eigenvalue, multiplicity) triples."""
-    if isinstance(spectrum, BoundarySpectrum):
-        return [(e.mode, e.eigenvalue_exact, e.multiplicity) for e in spectrum.entries]
-    out = []
-    for entry in spectrum:
-        k, lam = entry[0], exact_number(entry[1])
-        mult = entry[2] if len(entry) > 2 else (1 if k == 0 else 2)
-        out.append((int(k), lam, int(mult)))
-    return out
-
-
 def _check_dimension(n: int):
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"surface dimension n must be a positive integer, got {n!r}")
 
 
-def _radicand(n: int, lam: Fraction) -> Fraction:
-    return Fraction(n - 1, 2) ** 2 - lam
+def _radicand(n: int, lam) -> Fraction:
+    return Fraction(n - 1, 2) ** 2 - exact_number(lam)
 
 
 @dataclass(frozen=True)
@@ -204,7 +194,7 @@ def _mode_roots(n: int, spectrum) -> list[tuple[int, list[tuple[Surd, int]]]]:
     _check_dimension(n)
     shift = Surd(-Fraction(n - 1, 2))
     out = []
-    for mode, lam, _ in _spectrum_entries(spectrum):
+    for mode, lam in spectrum:
         rad = _radicand(n, lam)
         root = Surd.sqrt(rad)
         out.append((mode, [(shift, 2)] if rad == 0 else [(shift - root, 1), (shift + root, 1)]))
@@ -324,31 +314,22 @@ def asymptotic_space(n: int, spectrum, gamma) -> AsymptoticSpace:
     return AsymptoticSpace(window_lower=lo, window_upper=hi, members=tuple(members))
 
 
-@dataclass(frozen=True)
-class MinimalDomainResult:
-    """Whether the maximal domain collapses to the clean weighted space.
+def minimal_domain_check(n: int, spectrum, gamma) -> tuple[tuple[Surd, int], ...]:
+    """Exact hits of gamma + 1 or gamma + 3 by an exponent offset +-sqrt(((n-1)/2)^2 - lambda_j).
 
-    The obstruction is an exact hit of gamma + 1 or gamma + 3 by one of the
-    symmetric exponent offsets +-sqrt(((n-1)/2)^2 - lambda_j); ``offending``
-    lists the hits as (shift value, mode).
+    Returns the hits as (offset, mode) pairs in spectrum order; no hit means the
+    maximal domain collapses to the clean weighted space.
     """
-
-    clean: bool
-    offending: tuple[tuple[Surd, int], ...]
-
-
-def minimal_domain_check(n: int, spectrum, gamma) -> MinimalDomainResult:
-    """Exact test that {gamma+1, gamma+3} avoids every exponent offset."""
     _check_dimension(n)
     g = exact_number(gamma)
-    targets = [Surd(g + 1), Surd(g + 3)]
-    hits: list[tuple[Surd, int]] = []
-    for mode, lam, _ in _spectrum_entries(spectrum):
+    targets = (Surd(g + 1), Surd(g + 3))
+    hits = []
+    for mode, lam in spectrum:
         root = Surd.sqrt(_radicand(n, lam))
         for offset in dict.fromkeys((root, -root)):  # one offset at a double root
-            if any(t == offset for t in targets):
+            if offset in targets:
                 hits.append((offset, mode))
-    return MinimalDomainResult(clean=not hits, offending=tuple(hits))
+    return tuple(hits)
 
 
 def interpolation_exclusions(n: int, spectrum, gamma) -> list[Surd]:
@@ -361,7 +342,7 @@ def interpolation_exclusions(n: int, spectrum, gamma) -> list[Surd]:
     g = exact_number(gamma)
     center = Surd((1 - g) / 2)
     cands: list[Surd] = []
-    for _, lam, _ in _spectrum_entries(spectrum):
+    for _, lam in spectrum:
         half_root = Surd(0, Fraction(1, 2), _radicand(n, lam))
         cands += [center + half_root, center - half_root]
     return sorted(dict.fromkeys(c for c in cands if 0 < c < 1), key=float)

@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import Field, channel_weights
+from .fields import Field, _check_mode, channel_weights
 from .geometry import RadialMesh
 
 __all__ = [
@@ -253,6 +253,7 @@ class ModeOperators:
         projected for safety) and the solution is returned vol-mean-free.
         Accepts rhs of shape (M,) or (M, nrhs).
         """
+        _check_mode(mode, self.max_mode)
         rhs = np.asarray(rhs, dtype=float)
         return self._solve_blocks(mode, rhs.reshape(1, rhs.shape[0], -1))[0].reshape(rhs.shape)
 
@@ -448,6 +449,7 @@ class ModeOperators:
         iterates every mode at once, one block solve per step, each mode until
         its own convergence, and caches all of them.
         """
+        _check_mode(mode, self.max_mode)
         if self._smallest_eigenvalues is None:
             m, nmodes = self.mesh.cells, self.max_mode + 1
             v = np.stack([np.random.default_rng(12345 + k).standard_normal(m)

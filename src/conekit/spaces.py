@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .fields import CutoffFunction, Field, channel_weights
+from .fields import Field, channel_weights
 from .operators import ModeOperators
 
 __all__ = [
@@ -113,6 +113,14 @@ def _plain_derivative(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.gradient(values, x, axis=-1, edge_order=2)
 
 
+def _cutoff(mesh, x: np.ndarray) -> np.ndarray:
+    """The collar cutoff omega: 1 on [0, 0.4 l], 0 from 0.8 l on, l = min(1, L),
+    with a monotone cubic (C^1) ramp between."""
+    start, stop = 0.4 * min(1.0, mesh.length), 0.8 * min(1.0, mesh.length)
+    t = np.clip((x - start) / (stop - start), 0.0, 1.0)
+    return 1.0 - t * t * (3.0 - 2.0 * t)
+
+
 def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> float:
     """Tip-weighted Sobolev norm of order s in {0, 1, 2} with weight gamma.
 
@@ -122,8 +130,8 @@ def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> fl
         int |x^{1-gamma} (x d/dx)^a (angular/x-scale)^b (omega u)|^2 f/x dx/x dtheta
 
     where the angular factor per mode k is (k x / f(x))^b, plus the ordinary
-    order-s Sobolev norm of the remainder (1-omega) u, with omega the mesh's
-    default cutoff.  The two contributions are added (collar + interior).
+    order-s Sobolev norm of the remainder (1-omega) u, with omega the collar
+    cutoff ``_cutoff``.  The two contributions are added (collar + interior).
     With ``collar_only=True`` omega is taken identically 1 on x < min(1, L)
     and the interior term is dropped; this is the convention used by
     closed-form checks on model fields supported in the collar.
@@ -137,10 +145,7 @@ def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> fl
     w = channel_weights(u.max_mode)
     kvec = np.arange(u.max_mode + 1, dtype=float)
 
-    if collar_only:
-        omega_vals = in_collar.astype(float)
-    else:
-        omega_vals = CutoffFunction.default_for(mesh)(x)
+    omega_vals = in_collar.astype(float) if collar_only else _cutoff(mesh, x)
 
     # ---- collar term on cells inside the collar
     idx = np.nonzero(in_collar)[0]

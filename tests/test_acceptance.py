@@ -153,15 +153,19 @@ def test_criterion_04_gauss_defect_and_mass_conservation(sphere_ops,
 
 @pytest.fixture(scope="module")
 def relaxation_suite():
-    """Ten random initial states relaxed to equilibrium on sphere and cone."""
-    cfg = StepperConfig(dt=1e-3, stabilization=2.0, t_max=1000.0, eq_tol=1e-8,
-                        snapshot_stride=200)
+    """Ten random initial states relaxed to equilibrium on sphere and cone.
+
+    The cone runs settle in under 900 steps, so they record every 40 steps:
+    criterion 6 then compares at least 20 snapshots per run, as on the sphere.
+    """
     suite = []
     geometries = (
-        (build_profile("sphere", radius=1.0), range(100, 105)),
-        (build_profile("cone_capped", c="1/2", length=2.0), range(105, 110)),
+        (build_profile("sphere", radius=1.0), range(100, 105), 200),
+        (build_profile("cone_capped", c="1/2", length=2.0), range(105, 110), 40),
     )
-    for profile, seeds in geometries:
+    for profile, seeds, stride in geometries:
+        cfg = StepperConfig(dt=1e-3, stabilization=2.0, t_max=1000.0, eq_tol=1e-8,
+                            snapshot_stride=stride)
         ops = ModeOperators(build_mesh(profile, 128, 1.0), 16)
         for seed in seeds:
             u0 = smooth_random_field(ops, np.random.default_rng(seed),
@@ -204,7 +208,7 @@ def test_criterion_06_distance_to_limit_eventually_monotone(relaxation_suite,
         # in the dual norm and in the tip-weighted norm of order 1
         for dists in ([h01_dual_norm(mean_zero(diff), ops) for diff in diffs],
                       [mellin_norm(diff, 1, -0.75) for diff in diffs]):
-            assert len(dists) >= 4
+            assert len(dists) >= 20
             # monotone over at least the last half of the trajectory
             assert first_monotone(dists) <= len(dists) // 2
         assert gradient_residual(u_inf, ops) <= 1e-7

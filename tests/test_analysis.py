@@ -66,8 +66,16 @@ def test_fit_rejects_thin_windows_and_absent_modes(graded_cone_ops):
         fit_tip_asymptotics(u, 1, window=(0.5, 0.5001))
     with pytest.raises(ValueError, match="numerically absent"):
         fit_tip_asymptotics(u, 2)
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match=f"outside the truncation range 0..{u.max_mode}"):
         fit_tip_asymptotics(u, u.max_mode + 1)
+
+
+def test_fit_rejects_negative_modes():
+    mesh = build_mesh(build_profile("cone_capped", c=1, length=2.0), 128, 0.8)
+    c = np.zeros((3, 2, mesh.cells))
+    c[2, 0] = mesh.centers ** 2   # mode K = 2, which a wrapped index -1 would fit
+    with pytest.raises(ValueError, match="mode -1 is outside .* 0..2"):
+        fit_tip_asymptotics(Field(mesh, c), -1)
 
 
 def test_tip_probe_recovers_branch_exponents(graded_cone_ops):

@@ -422,7 +422,7 @@ def test_snapshot_text_matches_per_value_format(tmp_path):
     coeffs[0, 0, :4] = [-0.0, 5e-324, 1e-300, 2.2250738585072014e-308]
     coeffs[1, 1, :3] = [np.inf, -np.inf, np.nan]
     path = tmp_path / "snap.txt"
-    conekit.cli._write_snapshot(path, 3, 0.125, coeffs)
+    conekit.cli._write_snapshot(path, 0.125, coeffs)
     lines = ["# t = 0.125", "# modes = 2", "# cells = 7"]
     lines += [" ".join(format(v, ".17g") for v in row) for row in coeffs.reshape(-1, 7)]
     assert path.read_text() == "\n".join(lines) + "\n"
@@ -463,7 +463,7 @@ def test_simulate_is_one_run_that_forks_one_checker_and_writes_what_it_records(t
     names = [f"snap_{step:08d}.txt" for step, _ in result.snapshots]
     assert sorted(p.name for p in (rundir / "snapshots").iterdir()) == names
     for name, (step, coeffs) in zip(names, result.snapshots):
-        conekit.cli._write_snapshot(want / name, step, step * cfg.dynamics.dt, coeffs)
+        conekit.cli._write_snapshot(want / name, step * cfg.dynamics.dt, coeffs)
         assert (rundir / "snapshots" / name).read_bytes() == (want / name).read_bytes()
 
 

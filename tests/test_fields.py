@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conekit.fields import (
-    CutoffFunction,
     Field,
     channel_weights,
     coeffs_to_values,
@@ -14,7 +13,7 @@ from conekit.fields import (
     values_to_coeffs,
 )
 from conekit.geometry import build_mesh, build_profile
-from conekit.spaces import mean
+from conekit.spaces import _cutoff, mean
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -98,8 +97,9 @@ def test_constant_field_and_single_mode_builders(sphere_mesh):
     g = field_from_modes(sphere_mesh, 4, lambda s: np.sin(s), mode=2, part="sin")
     assert np.allclose(g.coeffs[2, 1], np.sin(sphere_mesh.centers))
     assert np.count_nonzero(g.coeffs) == np.count_nonzero(g.coeffs[2, 1])
-    with pytest.raises(ValueError, match="exceeds"):
-        field_from_modes(sphere_mesh, 2, lambda s: s, mode=3)
+    for mode in (-1, 3):
+        with pytest.raises(ValueError, match="outside the truncation range 0..2"):
+            field_from_modes(sphere_mesh, 2, lambda s: s, mode=mode)
 
 
 def test_integrate_is_linear_and_mode_zero_only(sphere_mesh, rng):
@@ -118,22 +118,20 @@ def test_max_abs_matches_dense_evaluation(sphere_mesh, rng):
 
 
 def test_cutoff_function_shape():
-    omega = CutoffFunction(0.4, 0.8)
+    mesh = build_mesh(build_profile("cone_capped", c="1/2", length=2.0), 32, 1.0)
     s = np.linspace(0.0, 1.2, 200)
-    vals = omega(s)
+    vals = _cutoff(mesh, s)
     assert np.all(vals[s <= 0.4] == 1.0)
     assert np.all(vals[s >= 0.8] == 0.0)
     assert np.all(np.diff(vals) <= 1e-15)          # monotone down
-    assert omega(0.6) == pytest.approx(0.5)        # odd symmetry of the ramp
-    with pytest.raises(ValueError):
-        CutoffFunction(0.8, 0.4)
+    assert _cutoff(mesh, 0.6) == pytest.approx(0.5)  # odd symmetry of the ramp
 
 
 def test_cutoff_default_scales_with_short_domains():
+    # the ramp sits on [0.4, 0.8] * min(1, L)
     mesh_short = build_mesh(build_profile("cone_capped", c="1/2", length=0.5), 32, 1.0)
-    omega = CutoffFunction.default_for(mesh_short)
-    assert omega.start == pytest.approx(0.2)
-    assert omega.stop == pytest.approx(0.4)
+    vals = _cutoff(mesh_short, np.array([0.0, 0.19, 0.3, 0.41, 0.5]))
+    assert vals.tolist() == [1.0, 1.0, pytest.approx(0.5), 0.0, 0.0]
     mesh_long = build_mesh(build_profile("cone_capped", c="1/2", length=3.0), 32, 1.0)
-    omega = CutoffFunction.default_for(mesh_long)
-    assert (omega.start, omega.stop) == (pytest.approx(0.4), pytest.approx(0.8))
+    vals = _cutoff(mesh_long, np.array([0.39, 0.6, 0.81]))
+    assert vals.tolist() == [1.0, pytest.approx(0.5), 0.0]

@@ -1,9 +1,10 @@
-"""Every module-level import, private function and private class in the package is used.
+"""Every module-level import, private function and private class in the package is used,
+and every name a module exports exists.
 
-Deleting a function tends to leave its imports and helpers behind, and no
-linter runs on this tree, so this walks the syntax tree of each module instead.
-``__init__.py`` is exempt from the import check: its imports are the
-package's re-exports.
+Deleting a function tends to leave its imports, helpers and ``__all__`` entry
+behind, and no linter runs on this tree, so this walks the syntax tree of each
+module instead and star-imports each one.  ``__init__.py`` is exempt from the
+import check: its imports are the package's re-exports.
 """
 
 import ast
@@ -71,3 +72,10 @@ def test_checker_flags_an_unused_private_function():
         "b.py": "import a\nfrom a import _imported\nclass C:\n    def _method(self):\n"
                 "        raise a._RaisedClass(a._attribute)\n",
     }) == ["a.py: _dead", "a.py: _DeadClass"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_name_in_all_exists(path):
+    # a star import raises AttributeError on an __all__ entry that the module lacks
+    module = "conekit" if path.name == "__init__.py" else f"conekit.{path.stem}"
+    exec(f"from {module} import *", {})

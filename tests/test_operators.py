@@ -238,6 +238,23 @@ def test_neglap_pivoted_takes_modes_above_the_truncation(rng):
         assert np.array_equal(sol_low, sol_high) and fit_low == fit_high
 
 
+def test_solve_neglap_rejects_modes_outside_the_truncation():
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 32, 1.0), 3)
+    rhs = np.ones(32)
+    for mode in (-1, 4):
+        with pytest.raises(ValueError, match=f"mode {mode} is outside .* 0..3"):
+            ops.solve_neglap(mode, rhs)
+    assert ops.solve_neglap_pivoted(4, rhs).shape == (32,)  # the tip probes go above K
+
+
+def test_smallest_eigenvalue_rejects_modes_outside_the_truncation():
+    ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 32, 1.0), 3)
+    for mode in (-1, 4):
+        with pytest.raises(ValueError, match=f"mode {mode} is outside .* 0..3"):
+            ops.smallest_eigenvalue(mode)
+    assert ops.eigenvalues(4).shape == (32,)
+
+
 def test_neglap_solve_is_inverse_on_mean_free(sphere_ops, rng):
     rhs = rng.standard_normal(sphere_ops.mesh.cells)
     rhs -= (sphere_ops.volumes @ rhs) / sphere_ops.mesh.area

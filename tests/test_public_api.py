@@ -13,9 +13,8 @@ from conekit.operators import ModeOperators
 
 def test_package_exports():
     assert sorted(conekit.__all__) == [
-        "AbsorbingReport", "AsymptoticSpace", "BoundarySpectrum", "CutoffFunction",
-        "DiagnosticsRecord", "Field", "GammaWindow", "IndicialRoot",
-        "LojasiewiczProbe", "ModeOperators",
+        "AbsorbingReport", "AsymptoticSpace", "DiagnosticsRecord", "Field",
+        "GammaWindow", "IndicialRoot", "LojasiewiczProbe", "ModeOperators",
         "RadialMesh", "SemiflowResult", "SemiflowState", "SolverError",
         "StabilityError", "StepperConfig", "Surd", "SurfaceProfile", "TipFit",
         "absorbing_set_experiment", "asymptotic_space", "bilaplacian_indicial_roots",
