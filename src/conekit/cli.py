@@ -82,8 +82,10 @@ def _make_run_dir(root: str, command: str) -> Path:
 
 def _write_snapshot(path: Path, t: float, coeffs: np.ndarray):
     kmax, m = coeffs.shape[0] - 1, coeffs.shape[2]
-    np.savetxt(path, coeffs.reshape(-1, m), fmt="%.17g",
-               header=f"t = {format(t, '.17g')}\nmodes = {kmax}\ncells = {m}")
+    row = " ".join(["%.17g"] * m) + "\n"   # the same text as format(v, ".17g") per value
+    with open(path, "w") as fh:
+        fh.write(f"# t = {format(t, '.17g')}\n# modes = {kmax}\n# cells = {m}\n")
+        fh.writelines(row % tuple(values.tolist()) for values in coeffs.reshape(-1, m))
 
 
 def _initial_field(cfg: RunConfig, ops) -> Field:

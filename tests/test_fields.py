@@ -128,10 +128,12 @@ def test_cutoff_function_shape():
 
 
 def test_cutoff_default_scales_with_short_domains():
-    # the ramp sits on [0.4, 0.8] * min(1, L)
-    mesh_short = build_mesh(build_profile("cone_capped", c="1/2", length=0.5), 32, 1.0)
-    vals = _cutoff(mesh_short, np.array([0.0, 0.19, 0.3, 0.41, 0.5]))
-    assert vals.tolist() == [1.0, 1.0, pytest.approx(0.5), 0.0, 0.0]
-    mesh_long = build_mesh(build_profile("cone_capped", c="1/2", length=3.0), 32, 1.0)
-    vals = _cutoff(mesh_long, np.array([0.39, 0.6, 0.81]))
-    assert vals.tolist() == [1.0, pytest.approx(0.5), 0.0]
+    # the ramp sits exactly on [0.4, 0.8] * min(1, L): 1 up to its start, 0 from its stop
+    eps = 1e-6   # the ramp leaves 1 as 3 (eps / (stop - start))^2, so eps must clear rounding
+    for length, start, stop in [(0.5, 0.2, 0.4), (3.0, 0.4, 0.8)]:
+        mesh = build_mesh(build_profile("cone_capped", c="1/2", length=length), 32, 1.0)
+        at_start, after_start, before_stop, at_stop = _cutoff(
+            mesh, np.array([start, start + eps, stop - eps, stop]))
+        assert at_start == 1.0 and after_start < 1.0
+        assert before_stop > 0.0 and at_stop == 0.0
+        assert _cutoff(mesh, 0.5 * (start + stop)) == pytest.approx(0.5)
