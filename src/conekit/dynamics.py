@@ -14,8 +14,9 @@ relative to sup|u| (S >= 2 covers |u| <= 1 with margin).  The angular mean is
 a conserved quantity; after each solve the mode-0 mean is restored to its
 initial value exactly, which removes the slow mass leak that solver roundoff
 would otherwise produce.  A single run busy-polls a second CPU when one is
-free: past its first steps it forks one checker, which verifies each step and
-takes its energy meanwhile.
+free: past its first steps it forks one checker, which sweeps half the columns
+of each step's implicit solve beside the run, and verifies each step and takes
+its energy behind it.
 An ensemble runs in slices, one per usable CPU, each in a forked child; a slice
 that fails has the whole ensemble run again in one process, to raise its error.
 """
@@ -212,13 +213,21 @@ def _step_checks(ops: ModeOperators, cfg: StepperConfig, stack: np.ndarray, vals
 
 
 class _Checker:
-    """A forked process that checks steps, from a ring of shared slots, behind the caller.
+    """A forked process that sweeps half of each implicit solve beside the caller and checks
+    steps behind it, from a ring of shared slots.
 
-    The caller posts step numbers on one pipe and reads checks from another; both busy-poll,
-    since a blocking read would wake the checker on the caller's CPU.  For each step the
-    caller puts the solve's right-hand side and columns, and the settled state with its grid
-    values, in slots; the checker verifies the solve and takes the energies and screen norm
-    from the caller's own state, so its results have the inline bits.
+    For step n the caller packs the solve's right-hand side into a shared work slot, asks the
+    checker on one pipe to sweep the second half of its columns, sweeps the first half itself
+    and reads the checker's reply on another: a column swept alone has the bits it has in the
+    whole solve.  A request the checker has not read by then, because it is checking or has
+    stopped, the caller takes back from the pipe and sweeps itself, as it does the half of a
+    checker that ends inside a sweep.  The caller settles the state into a slot, and posts
+    step n's check on a third pipe once it has asked for step n + 1's sweep, or once it waits
+    for step n's checks.  The checker serves sweeps before checks, so a check runs while the
+    caller computes the next step; it verifies the solve and takes the energies and screen
+    norm from the caller's own state, so its results, sent on a fourth pipe, have the inline
+    bits.  Both sides busy-poll, since a blocking read would wake the checker on the caller's
+    CPU.
     A run forks its checker once, after its first steps (see first()).  The checker stops at
     a step it cannot check, and the caller stops posting at a step that warns or raises
     ahead; from there the run steps inline to its end, as it does when the fork fails."""
@@ -233,65 +242,92 @@ class _Checker:
 
     def __init__(self, ops: ModeOperators, stack: np.ndarray):
         size = stack.size
-        self.depth = d = 2   # steps posted ahead of their checks
-        flat = np.frombuffer(mmap.mmap(-1, 8 * size * (2 * d + 3 * (d + 1))), dtype=float)
-        self.slots = [(rhs.reshape(stack.shape), sol.reshape(2 * len(stack), -1).T)
-                      for rhs, sol in flat[:2 * d * size].reshape(d, 2, -1)]   # n's in n % d
+        self.depth = d = 3   # steps computed ahead of their checks
+        flat = np.frombuffer(mmap.mmap(-1, 8 * size * (3 * d + 3 * (d + 1))), dtype=float)
+        # step n's solve in n % d: its right-hand side, and its packed (n, 2B) complex columns,
+        # which both processes sweep in place
+        works = flat[:2 * d * size].view(complex).reshape(d, 2 * len(stack), -1)
+        self.slots = [(rhs.reshape(stack.shape), work.T)
+                      for rhs, work in zip(flat[2 * d * size:3 * d * size].reshape(d, -1), works)]
         # step n's settled state and grid values in n % (d + 1): the caller and the checker
         # still read step n - 1 while the caller fills step n + d - 1.  The state has the
         # strides of a fresh _unpack, which fix the bits of every reduction over it.
-        strides = ops._unpack(self.slots[0][1]).strides
+        strides = ops._unpack(self.slots[0][1].real).strides
         self.states = [(np.ndarray(stack.shape, buffer=state[:size], strides=strides),
                         state[size:].reshape(len(stack), stack.shape[-1], -1))   # (B, M, N)
-                       for state in flat[2 * d * size:].reshape(d + 1, -1)]
-        self.ahead = collections.deque()   # steps posted, not decided
-        self.pid, self.posting = None, False
+                       for state in flat[3 * d * size:].reshape(d + 1, -1)]
+        self.ahead = collections.deque()   # steps computed, not decided
+        self.pid, self.posting, self.told = None, False, 0   # told: the last check posted
         self.start = self.first(size) + 1   # the step the checker is forked at
 
     def _start(self, ops, cfg, stack: np.ndarray):
         """Fork the checker and start posting; on failure the run stays inline."""
-        (todo, self.todo), (self.done, done) = os.pipe(), os.pipe()
-        for fd in (todo, self.done):
+        # the caller writes steps to check and to sweep, and reads checks and sweep replies;
+        # both processes read sweep requests, so the caller can take back one left unread
+        pipes = [os.pipe() for _ in range(4)]
+        (todo, self.todo), (self.done, done), (self.asked, self.sweeps), (self.swept, swept) = pipes
+        for fd in (todo, self.done, self.asked, self.swept):
             os.set_blocking(fd, False)
         ops.ch_factorization(cfg.dt, cfg.stabilization)   # made before the fork: shared
         try:
             self.pid = os.fork()
         except OSError:   # no process or memory to spare
-            for fd in (todo, self.todo, self.done, done):
+            for fd in (fd for pipe in pipes for fd in pipe):
                 os.close(fd)
             return
         if self.pid == 0:
             try:
-                os.close(self.todo)
-                os.close(self.done)
+                for fd in (self.todo, self.done, self.sweeps, self.swept):
+                    os.close(fd)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller ends the checker
                 time.sleep(0.001)   # forked onto the caller's CPU, it wakes on an idle one
-                self._serve(ops, cfg, stack, todo, done)
+                self._serve(ops, cfg, stack, todo, done, self.asked, swept)
                 os._exit(0)
             finally:
                 os._exit(1)
-        os.close(todo)
-        os.close(done)
+        for fd in (todo, done, swept):
+            os.close(fd)
         self.posting = True
 
     @staticmethod
-    def _poll(fd: int, size: int = 8) -> bytes:
-        """Busy-poll a non-blocking pipe for its next message; b"" once its writers are gone."""
-        while True:
-            try:
-                return os.read(fd, size)
-            except BlockingIOError:
-                os.sched_yield()   # a peer that shares the CPU runs at once
+    def _read(fd: int, size: int = 8) -> Optional[bytes]:
+        """A non-blocking pipe's next message, b"" once its writers are gone, None before."""
+        try:
+            return os.read(fd, size)
+        except BlockingIOError:
+            return None
 
-    def _serve(self, ops, cfg, prev: np.ndarray, todo: int, done: int):
-        """Check each posted step: (ok, energies, seminorms, screen norms) back."""
-        while msg := self._poll(todo):
+    @classmethod
+    def _poll(cls, fd: int, size: int = 8) -> bytes:
+        """Busy-poll a non-blocking pipe for its next message; b"" once its writers are gone."""
+        while (msg := cls._read(fd, size)) is None:
+            os.sched_yield()   # a peer that shares the CPU runs at once
+        return msg
+
+    def _serve(self, ops, cfg, prev: np.ndarray, todo: int, done: int, asked: int, swept: int):
+        """Sweep the second half of each requested step's columns, and check each posted step:
+        (ok, energies, seminorms, screen norms) back.  Sweeps go first: the caller waits."""
+        half = len(prev)
+        while True:
+            if (msg := self._read(asked)) is not None:
+                if not msg:
+                    return
+                n = int.from_bytes(msg, "little")
+                ops._sweep_columns(self.slots[n % self.depth][1][:, half:],
+                                   cfg.dt, cfg.stabilization)
+                os.write(swept, msg)
+                continue
+            if (msg := self._read(todo)) is None:
+                os.sched_yield()
+                continue
+            if not msg:
+                return
             n = int.from_bytes(msg, "little")
-            (rhs, sol), (u, uvals) = self.slots[n % self.depth], self.states[n % (self.depth + 1)]
+            (rhs, work), (u, uvals) = self.slots[n % self.depth], self.states[n % (self.depth + 1)]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    ops._ch_verify(rhs, sol, cfg.dt, cfg.stabilization)
+                    ops._ch_verify(rhs, work.real, cfg.dt, cfg.stabilization)
                     e, h1, l2 = _step_checks(ops, cfg, u, uvals, prev)
                 except Exception:
                     os.write(done, bytes(8 * (3 * len(u) + 1)))   # not ok
@@ -300,22 +336,31 @@ class _Checker:
             os.write(done, np.array(checks).tobytes())
             prev = u
 
+    def _tell(self, n: int):
+        """Post step ``n``'s check, once."""
+        if self.told < n:
+            self.told = n
+            with contextlib.suppress(BrokenPipeError):   # a gone checker: its checks read EOF
+                os.write(self.todo, n.to_bytes(8, "little"))
+
     def advance(self, ops, cfg, stack, vals, mean0: list, n: int, left: int) -> Optional[tuple]:
         """Step ``n`` from ``stack``: its state, grid values and checks, once up to ``depth`` of
-        the ``left`` steps are posted; None when step ``n`` runs inline."""
+        the ``left`` steps are computed; None when step ``n`` runs inline."""
         if n == self.start:
             self._start(ops, cfg, stack)
         while self.posting and len(self.ahead) < min(self.depth, left):
             step = self._ahead(ops, cfg, *(self.ahead[-1][:2] if self.ahead else (stack, vals)),
                                n + len(self.ahead), mean0)
-            self.posting = step is not None
-            if step is not None:
+            if step is None:
+                self.posting = False
+            else:
                 self.ahead.append(step)
         if not self.ahead:
             self.close()
             return None
-        u, uvals, rhs, sol = self.ahead.popleft()
+        u, uvals, rhs, work = self.ahead.popleft()
         if self.pid is not None:
+            self._tell(n)
             checks = np.frombuffer(self._poll(self.done, 8 * (3 * len(stack) + 1)))
             if not checks.size:
                 raise RuntimeError(f"step checker ended before checking step {n} "
@@ -324,30 +369,37 @@ class _Checker:
                 e, h1, l2 = checks[1:].reshape(3, -1).tolist()
                 return u, uvals, (e, h1, l2 if cfg.eq_tol > 0.0 else None)
             self.close()   # the checker stopped at this step
-        ops._ch_verify(rhs, sol, cfg.dt, cfg.stabilization)
+        ops._ch_verify(rhs, work.real, cfg.dt, cfg.stabilization)
         return u, uvals, _step_checks(ops, cfg, u, uvals, stack)
 
     def _ahead(self, ops, cfg, stack, vals, n: int, mean0: list) -> Optional[tuple]:
-        """Step ``n`` from ``stack``, posted to the checker: its state, grid values, and the
-        solve's right-hand side and (n, 2B) columns, all in slots; None when it warns or raises."""
-        (rhs, sol), (u, uvals) = self.slots[n % self.depth], self.states[n % (self.depth + 1)]
+        """Step ``n`` from ``stack``, its columns swept half here and half by the checker, and
+        step n - 1's check posted: its state, grid values, and the solve's right-hand side and
+        columns, all in slots; None when it warns or raises."""
+        (rhs, work), (u, uvals) = self.slots[n % self.depth], self.states[n % (self.depth + 1)]
+        half, dt, s = len(stack), cfg.dt, cfg.stabilization
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                sol[...] = work = ops._ch_sweeps(_rhs(ops, cfg, stack, vals, out=rhs),
-                                                 cfg.dt, cfg.stabilization)
-                uvals[...] = _settle(ops, ops._unpack(work, out=u), mean0)
+                ops._ch_pack(_rhs(ops, cfg, stack, vals, out=rhs), out=work)
+                os.write(self.sweeps, n.to_bytes(8, "little"))   # never a broken pipe: see _start
+                if self.ahead:   # checked once the checker has the sweep
+                    self._tell(n - 1)
+                ops._sweep_columns(work[:, :half], dt, s)
+                # a request still unread, by a checker that is checking or has stopped, is
+                # taken back, and so is one the checker ended in: the half is swept here
+                if self._read(self.asked) is not None or not self._poll(self.swept):
+                    ops._sweep_columns(work[:, half:], dt, s)
+                uvals[...] = _settle(ops, ops._unpack(work.real, out=u), mean0)
             except Exception:  # taken again when the step is decided, inline
                 return None
-        with contextlib.suppress(BrokenPipeError):   # a dead checker: advance reports it
-            os.write(self.todo, n.to_bytes(8, "little"))
-        return u, uvals, rhs, sol
+        return u, uvals, rhs, work
 
     def close(self) -> int:
         """Stop posting, close the pipes, which ends the checker, and reap it: its wait
         status, once."""
         pid, self.pid, self.posting = self.pid, None, False
-        for fd in (self.todo, self.done) if pid else ():
+        for fd in (self.todo, self.done, self.asked, self.sweeps, self.swept) if pid else ():
             os.close(fd)
         return os.waitpid(pid, 0)[1] if pid else 0
 

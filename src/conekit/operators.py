@@ -18,13 +18,15 @@ banded Cholesky factor of B over the stacked modes, and every -L_k solve is
 one block solve on it (_solve_blocks): a single dpbtrs call over a
 run of consecutive modes, which gives each block the bits of its own
 per-mode solve.  It also keeps the implicit step's LU pair and the implicit
-solve's work array (a complex right-hand-side stack, replaced when the
+solve's work array (complex right-hand-side columns, replaced when the
 member count changes); the solve runs in it, so it is not reentrant.  Its
 two halves, the sweeps and their verification, may run in different
-processes.  Eigenvalues are computed on demand and not kept.  The tip
-probes' pivoted LU (solve_neglap_pivoted) stays outside the Cholesky factor:
-it takes modes above the truncation, and the Cholesky solve moves the pinned
-fits.csv and profiles.csv bits (3e-14 relative at the default configuration).
+processes, and so may the sweeps of its columns: each column is swept alone,
+with the bits it gets among the others (_sweep_columns).  Eigenvalues are
+computed on demand and not kept.  The tip probes' pivoted LU
+(solve_neglap_pivoted) stays outside the Cholesky factor: it takes modes
+above the truncation, and the Cholesky solve moves the pinned fits.csv and
+profiles.csv bits (3e-14 relative at the default configuration).
 
 The fourth-order implicit step matrix I + dt*B^2 + S*dt*B is never assembled
 as a pentadiagonal system: squaring B doubles its (enormous, on tip-graded
@@ -141,7 +143,7 @@ class ModeOperators:
         self._angular_coeff = ksq * self.inv_f_sq       # (k / f)^2, shape (K+1, 1, M)
         self._smallest_eigenvalues = None   # every mode's, computed together
         self._ch_factor: dict[tuple[float, float], object] = {}
-        self._ch_work = None    # the solve's complex (2B, n) right-hand-side stack
+        self._ch_work = None    # the solve's complex (n, 2B) right-hand-side columns
         # weights of the verification norms: channel- and volume-weighted,
         # in the symmetrized coordinates the solver works in
         self._sym_weight = channel_weights(self.max_mode)[:, :, None] * mesh.volumes ** 2
@@ -382,21 +384,33 @@ class ModeOperators:
         coeffs = self._unpack(sol)
         return Field(self.mesh, coeffs[0]) if single else coeffs
 
-    def _ch_sweeps(self, stack: np.ndarray, dt: float, stabilization: float) -> np.ndarray:
-        """The sweeps of solve_ch_system: its (n, 2B) solution columns in symmetrized
-        coordinates, a view of the work array that the next solve overwrites."""
-        factors, _ = self.ch_factorization(dt, stabilization)
+    def _ch_pack(self, stack: np.ndarray, out=None) -> np.ndarray:
+        """The implicit solve's (n, 2B) complex columns for the right-hand sides ``stack``,
+        in symmetrized coordinates and Fortran order: in ``out`` if given, else in the work
+        array that the next solve overwrites."""
         nb, kn, m = stack.shape[0], self.max_mode + 1, self.mesh.cells
-        if self._ch_work is None or self._ch_work.shape[0] != 2 * nb:
-            self._ch_work = np.empty((2 * nb, kn * m), dtype=complex)
-        # members' columns in symmetrized coordinates; both sweeps overwrite them, Fortran-ordered
-        work = self._ch_work
-        np.multiply(stack.transpose(0, 2, 1, 3), self.sqrt_volumes, out=work.reshape(nb, 2, kn, m))
-        mid, info1 = zgttrs(*factors[0], work.T, overwrite_b=1)
+        if out is None:
+            if self._ch_work is None or self._ch_work.shape[1] != 2 * nb:
+                self._ch_work = np.empty((2 * nb, kn * m), dtype=complex).T
+            out = self._ch_work
+        np.multiply(stack.transpose(0, 2, 1, 3), self.sqrt_volumes, out=out.T.reshape(nb, 2, kn, m))
+        return out
+
+    def _sweep_columns(self, cols: np.ndarray, dt: float, stabilization: float) -> np.ndarray:
+        """Both sweeps of the implicit solve, in place on a Fortran-contiguous block of packed
+        columns.  Each column is swept on its own, so a block gets the bits it gets in the
+        whole: the columns of one solve may be swept in parts, in different processes."""
+        factors, _ = self.ch_factorization(dt, stabilization)
+        mid, info1 = zgttrs(*factors[0], cols, overwrite_b=1)
         sol, info2 = zgttrs(*factors[1], mid, overwrite_b=1)
         if info1 != 0 or info2 != 0:
             raise SolverError("tridiagonal solve failed")
-        return sol.real
+        return sol
+
+    def _ch_sweeps(self, stack: np.ndarray, dt: float, stabilization: float) -> np.ndarray:
+        """The sweeps of solve_ch_system: its (n, 2B) solution columns in symmetrized
+        coordinates, a view of the work array that the next solve overwrites."""
+        return self._sweep_columns(self._ch_pack(stack), dt, stabilization).real
 
     def _ch_verify(self, stack: np.ndarray, sol: np.ndarray, dt: float, stabilization: float):
         """Verify _ch_sweeps' columns ``sol`` for the right-hand sides ``stack``, in any layout;

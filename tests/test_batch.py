@@ -403,6 +403,18 @@ def test_leftover_children_reports_a_running_child_until_it_is_reaped():
     assert leftover_children() == []
 
 
+def kept_checkers(mp) -> list:
+    """The checkers that runs make from here on, in order."""
+    checkers, real_init = [], conekit.dynamics._Checker.__init__
+
+    def kept(self, *args):
+        real_init(self, *args)
+        checkers.append(self)
+
+    mp.setattr(conekit.dynamics._Checker, "__init__", kept)
+    return checkers
+
+
 def lone_run(ops, initial, cfg, cpus):
     """run_semiflow on ``cpus`` usable CPUs: with two or more its steps are checked aside."""
     delivered = []
@@ -435,22 +447,21 @@ def test_state_slots_have_the_inline_layout_and_the_result_leaves_the_ring(max_m
     ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 8, 1.0), max_mode)
     cfg = StepperConfig(dt=DT, t_max=12 * DT, eq_tol=1e-2, snapshot_stride=5)
     initial = smooth_random_field(ops, np.random.default_rng(max_mode), sup_amplitude=0.3)
-    checkers, real_init = [], conekit.dynamics._Checker.__init__
-
-    def kept(self, *args):
-        real_init(self, *args)
-        checkers.append(self)
-
-    monkeypatch.setattr(conekit.dynamics._Checker, "__init__", kept)
+    checkers = kept_checkers(monkeypatch)
     got = lone_run(ops, initial, cfg, 2)
     assert_same_run(got, _run_batch(ops, [initial], cfg, collect_snapshots=True)[0])
     (checker,) = checkers
     fresh = ops.solve_ch_system(initial.coeffs[None], DT, cfg.stabilization)   # a fresh _unpack
-    assert len(checker.states) == checker.depth + 1
+    assert len(checker.slots) == checker.depth and len(checker.states) == checker.depth + 1
+    for rhs, work in checker.slots:   # packed columns, swept in place by both processes
+        assert rhs.shape == fresh.shape and rhs.flags.c_contiguous
+        assert work.shape == (fresh[0].size // 2, 2) and work.dtype == complex
+        assert work.flags.f_contiguous
     for u, uvals in checker.states:
         assert u.shape == fresh.shape and u.strides == fresh.strides
         assert uvals.strides == coeffs_to_values(fresh).strides
     assert got.state.u.coeffs.strides == fresh[0].strides
+    # neither the state ring nor the right-hand-side and work slots
     assert not any(np.shares_memory(got.state.u.coeffs, slot)
                    for pair in checker.slots + checker.states for slot in pair)
 
@@ -504,6 +515,7 @@ def test_every_ending_reaps_the_checker(small_sphere_ops, ending):
         if raised is not None and rec.step == 10:
             raise raised("stop here")
 
+    open_fds = os.listdir("/proc/self/fd")
     with pytest.MonkeyPatch.context() as mp, deadline(60):
         usable_cpus(mp, 2)
         if raised or expected:
@@ -512,6 +524,8 @@ def test_every_ending_reaps_the_checker(small_sphere_ops, ending):
         else:
             result = run_semiflow(ops, initial, cfg, on_record=on_record)
             assert result.equilibrium_reached == (ending == "equilibrium")
+    assert leftover_children() == []
+    assert os.listdir("/proc/self/fd") == open_fds   # all four pipes closed
 
 
 def test_a_dead_checker_raises_with_its_exit_code(small_sphere_ops, monkeypatch):
@@ -528,6 +542,68 @@ def test_a_dead_checker_raises_with_its_exit_code(small_sphere_ops, monkeypatch)
     cfg = StepperConfig(dt=DT, t_max=20 * DT, eq_tol=0.0)
     with deadline(30), pytest.raises(RuntimeError, match=r"step checker .*exit code -9"):
         run_semiflow(small_sphere_ops, sphere_member(small_sphere_ops), cfg)
+
+
+def test_a_checker_killed_inside_a_sweep_raises_with_its_exit_code(small_sphere_ops,
+                                                                  monkeypatch):
+    parent = os.getpid()
+    real = ModeOperators._sweep_columns
+
+    def mortal(self, cols, dt, stabilization):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.002)   # so the checker reads each request before this process takes it back
+        return real(self, cols, dt, stabilization)
+
+    monkeypatch.setattr(ModeOperators, "_sweep_columns", mortal)
+    usable_cpus(monkeypatch, 2)
+    cfg = StepperConfig(dt=DT, t_max=20 * DT, eq_tol=0.0)
+    with deadline(30), pytest.raises(RuntimeError, match=r"step checker .*exit code -9"):
+        run_semiflow(small_sphere_ops, sphere_member(small_sphere_ops), cfg)
+    assert leftover_children() == []
+
+
+@pytest.mark.parametrize("eq_tol", [0.0, 1e-2])
+def test_a_checker_stopped_with_a_sweep_in_flight_leaves_the_inline_run(small_sphere_ops,
+                                                                        monkeypatch, eq_tol):
+    ops = small_sphere_ops
+    cfg = StepperConfig(dt=DT, t_max=30 * DT, eq_tol=eq_tol, snapshot_stride=4)
+    initial = sphere_member(ops)
+    want = _run_batch(ops, [initial], cfg, collect_snapshots=True)[0]
+    parent = os.getpid()
+    checkers = kept_checkers(monkeypatch)
+    real_checks, real_read = conekit.dynamics._step_checks, conekit.dynamics._Checker._read
+    real_rhs = conekit.dynamics._rhs
+    checked, taken, rhs = [], [], []   # each process counts its own calls
+
+    def late(*args, **kwargs):
+        rhs.append(None)
+        if len(rhs) == 7:
+            time.sleep(0.05)   # step 7's: the checker is in step 5's check by now
+        return real_rhs(*args, **kwargs)
+
+    def flaky(ops, cfg, stack, vals, prev):
+        checked.append(None)
+        if os.getpid() != parent and len(checked) == 5:
+            time.sleep(0.5)   # the caller asks for step 7's sweep meanwhile
+            raise FloatingPointError("a fault only the checker meets")
+        return real_checks(ops, cfg, stack, vals, prev)
+
+    def read(fd, size=8):
+        msg = real_read(fd, size)
+        if msg and os.getpid() == parent and fd == checkers[0].asked:
+            taken.append(int.from_bytes(msg, "little"))
+        return msg
+
+    monkeypatch.setattr(conekit.dynamics, "_step_checks", flaky)
+    monkeypatch.setattr(conekit.dynamics, "_rhs", late)
+    monkeypatch.setattr(conekit.dynamics._Checker, "_read", staticmethod(read))
+    assert_same_run(lone_run(ops, initial, cfg, 2), want)
+    # steps 1-4 were checked aside and the checker stopped at step 5, with step 7's sweep
+    # request unread: this process took it back and swept both halves; steps 5-30 were
+    # checked here.  (It may also take back earlier requests that came mid-check.)
+    assert taken[-1] == 7
+    assert len(checked) == 26
 
 
 @pytest.mark.parametrize("eq_tol", [0.0, 1e-2])

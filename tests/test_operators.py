@@ -445,6 +445,37 @@ def test_ch_solve_stack_members_equal_lone_solves(rng):
             assert np.array_equal(member, ops.solve_ch_system(r, 1e-3, 2.0).coeffs)
 
 
+def test_columns_swept_in_parts_have_the_bits_of_the_whole_solve():
+    # a pipelined step sweeps its columns in two processes, half each
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(("sphere", "cone_capped")), st.sampled_from((1.0, 0.9, 0.8)),
+           st.integers(8, 24), st.integers(0, 4), st.integers(1, 3),
+           st.sampled_from(((1e-3, 2.0), (1e-2, 0.0), (1.0, 5.0))),   # the last: real roots
+           st.integers(0, 2 ** 16), st.data())
+    def check(kind, grading, cells, max_mode, members, step, seed, data):
+        profile = (build_profile("sphere", radius=1.0) if kind == "sphere"
+                   else build_profile("cone_capped", c="1/2", length=2.0))
+        ops = ModeOperators(build_mesh(profile, cells, grading), max_mode)
+        stack = np.random.default_rng(seed).standard_normal((members, max_mode + 1, 2, cells))
+        whole = ops._sweep_columns(ops._ch_pack(stack), *step).copy()
+        assert np.array_equal(whole.real, ops._ch_sweeps(stack, *step))
+        n_cols = 2 * members
+        drawn = data.draw(st.sets(st.integers(1, n_cols - 1), max_size=n_cols - 1))
+        for cuts in (sorted(drawn), range(1, n_cols)):   # any split, then one column at a time
+            cols = ops._ch_pack(stack, out=np.empty((n_cols, whole.shape[0]), dtype=complex).T)
+            bounds = [0, *cuts, n_cols]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):   # in place
+                assert np.shares_memory(ops._sweep_columns(cols[:, lo:hi], *step), cols)
+            assert np.array_equal(cols, whole)
+
+    check()
+
+
 def test_ch_solve_stack_rejects_bad_shape(small_sphere_ops):
     with pytest.raises(ValueError, match="stack shape"):
         small_sphere_ops.solve_ch_system(np.zeros((2, 3, 2, 96)), 1e-3, 2.0)
