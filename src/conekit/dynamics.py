@@ -16,7 +16,8 @@ initial value exactly, which removes the slow mass leak that solver roundoff
 would otherwise produce.  A single run busy-polls a second CPU when one is
 free: past its first steps it forks one checker, which sweeps half the columns
 of each step's implicit solve beside the run, and verifies each step and takes
-its energy behind it.
+its energy behind it.  At the first step the pipeline cannot take, the run
+takes that step and every later one inline.
 An ensemble runs in slices, one per usable CPU, each in a forked child; a slice
 that fails has the whole ensemble run again in one process, to raise its error.
 """
@@ -228,9 +229,10 @@ class _Checker:
     norm from the caller's own state, so its results, sent on a fourth pipe, have the inline
     bits.  Both sides busy-poll, since a blocking read would wake the checker on the caller's
     CPU.
-    A run forks its checker once, after its first steps (see first()).  The checker stops at
-    a step it cannot check, and the caller stops posting at a step that warns or raises
-    ahead; from there the run steps inline to its end, as it does when the fork fails."""
+    A run forks its checker once, after its first steps (see first()).  At the first step
+    that warns or raises ahead, or that the checker cannot check, the checker is closed and
+    the steps not yet decided are dropped: the run takes that step and the rest inline, with
+    the bits they have aside, as it does when the fork fails."""
 
     FIRST = 2 ** 19   # state values a run steps inline before its checker, see first()
 
@@ -257,11 +259,11 @@ class _Checker:
                         state[size:].reshape(len(stack), stack.shape[-1], -1))   # (B, M, N)
                        for state in flat[3 * d * size:].reshape(d + 1, -1)]
         self.ahead = collections.deque()   # steps computed, not decided
-        self.pid, self.posting, self.told = None, False, 0   # told: the last check posted
+        self.pid, self.told = None, 0   # told: the last check posted
         self.start = self.first(size) + 1   # the step the checker is forked at
 
     def _start(self, ops, cfg, stack: np.ndarray):
-        """Fork the checker and start posting; on failure the run stays inline."""
+        """Fork the checker; on failure the run steps inline."""
         # the caller writes steps to check and to sweep, and reads checks and sweep replies;
         # both processes read sweep requests, so the caller can take back one left unread
         pipes = [os.pipe() for _ in range(4)]
@@ -287,7 +289,6 @@ class _Checker:
                 os._exit(1)
         for fd in (todo, done, swept):
             os.close(fd)
-        self.posting = True
 
     @staticmethod
     def _read(fd: int, size: int = 8) -> Optional[bytes]:
@@ -345,37 +346,30 @@ class _Checker:
 
     def advance(self, ops, cfg, stack, vals, mean0: list, n: int, left: int) -> Optional[tuple]:
         """Step ``n`` from ``stack``: its state, grid values and checks, once up to ``depth`` of
-        the ``left`` steps are computed; None when step ``n`` runs inline."""
+        the ``left`` steps are computed ahead; None when step ``n`` runs inline."""
         if n == self.start:
             self._start(ops, cfg, stack)
-        while self.posting and len(self.ahead) < min(self.depth, left):
-            step = self._ahead(ops, cfg, *(self.ahead[-1][:2] if self.ahead else (stack, vals)),
-                               n + len(self.ahead), mean0)
-            if step is None:
-                self.posting = False
-            else:
-                self.ahead.append(step)
-        if not self.ahead:
+        while self.pid is not None and len(self.ahead) < min(self.depth, left):
+            self._ahead(ops, cfg, *(self.ahead[-1] if self.ahead else (stack, vals)),
+                        n + len(self.ahead), mean0)
+        if self.pid is None:
+            return None
+        u, uvals = self.ahead.popleft()
+        self._tell(n)
+        checks = np.frombuffer(self._poll(self.done, 8 * (3 * len(stack) + 1)))
+        if not checks.size:
+            raise RuntimeError(f"step checker ended before checking step {n} "
+                               f"(exit code {os.waitstatus_to_exitcode(self.close())})")
+        if not checks[0]:   # the checker stopped at this step
             self.close()
             return None
-        u, uvals, rhs, work = self.ahead.popleft()
-        if self.pid is not None:
-            self._tell(n)
-            checks = np.frombuffer(self._poll(self.done, 8 * (3 * len(stack) + 1)))
-            if not checks.size:
-                raise RuntimeError(f"step checker ended before checking step {n} "
-                                   f"(exit code {os.waitstatus_to_exitcode(self.close())})")
-            if checks[0]:
-                e, h1, l2 = checks[1:].reshape(3, -1).tolist()
-                return u, uvals, (e, h1, l2 if cfg.eq_tol > 0.0 else None)
-            self.close()   # the checker stopped at this step
-        ops._ch_verify(rhs, work.real, cfg.dt, cfg.stabilization)
-        return u, uvals, _step_checks(ops, cfg, u, uvals, stack)
+        e, h1, l2 = checks[1:].reshape(3, -1).tolist()
+        return u, uvals, (e, h1, l2 if cfg.eq_tol > 0.0 else None)
 
-    def _ahead(self, ops, cfg, stack, vals, n: int, mean0: list) -> Optional[tuple]:
+    def _ahead(self, ops, cfg, stack, vals, n: int, mean0: list):
         """Step ``n`` from ``stack``, its columns swept half here and half by the checker, and
-        step n - 1's check posted: its state, grid values, and the solve's right-hand side and
-        columns, all in slots; None when it warns or raises."""
+        step n - 1's check posted: its state and grid values, in slots, join the steps ahead;
+        a step that warns or raises closes the checker instead."""
         (rhs, work), (u, uvals) = self.slots[n % self.depth], self.states[n % (self.depth + 1)]
         half, dt, s = len(stack), cfg.dt, cfg.stabilization
         with warnings.catch_warnings():
@@ -391,14 +385,16 @@ class _Checker:
                 if self._read(self.asked) is not None or not self._poll(self.swept):
                     ops._sweep_columns(work[:, half:], dt, s)
                 uvals[...] = _settle(ops, ops._unpack(work.real, out=u), mean0)
-            except Exception:  # taken again when the step is decided, inline
-                return None
-        return u, uvals, rhs, work
+            except Exception:  # taken again inline
+                self.close()
+                return
+        self.ahead.append((u, uvals))
 
     def close(self) -> int:
-        """Stop posting, close the pipes, which ends the checker, and reap it: its wait
-        status, once."""
-        pid, self.pid, self.posting = self.pid, None, False
+        """Drop the steps not yet decided, close the pipes, which ends the checker, and reap
+        it: its wait status, once."""
+        pid, self.pid = self.pid, None
+        self.ahead.clear()
         for fd in (self.todo, self.done, self.asked, self.sweeps, self.swept) if pid else ():
             os.close(fd)
         return os.waitpid(pid, 0)[1] if pid else 0
@@ -469,8 +465,8 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
     every record as it is produced, as for run_semiflow; an energy violation
     in any member raises StabilityError after that member's record is
     delivered.  One ``checked`` member decides its steps past its first ones
-    with the checks a forked _Checker took meanwhile; stopped at step n, it
-    returns the state of step n.
+    with the checks a forked _Checker took meanwhile; a step the checker cannot
+    take, it takes inline with every later one.
     """
     _check_initials(ops, initials)
     mesh, dt, eq_tol = ops.mesh, cfg.dt, cfg.eq_tol
@@ -519,7 +515,7 @@ def _run_batch(ops: ModeOperators, initials: list, cfg: StepperConfig,
             for row in done:
                 b = active[row]
                 # a checker's state slots are reused: the final state leaves the ring, strides kept
-                u = stack[row] if checker is None else np.copy(stack[row], order="K")
+                u = np.copy(stack[row], order="K")
                 results[b] = SemiflowResult(
                     records=records[b], state=SemiflowState(u=Field(mesh, u), step=step),
                     equilibrium_reached=equilibrium[b], final_residual=residual[b],

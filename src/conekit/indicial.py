@@ -57,8 +57,6 @@ LOG_POWER_BOUND = 3
 
 def _sqrt_fraction(f: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative Fraction, or None if irrational."""
-    if f < 0:
-        return None
     pn, pd = f.numerator, f.denominator
     rn, rd = math.isqrt(pn), math.isqrt(pd)
     if rn * rn == pn and rd * rd == pd:

@@ -19,11 +19,11 @@ one block solve on it (_solve_blocks): a single dpbtrs call over a
 run of consecutive modes, which gives each block the bits of its own
 per-mode solve.  It also keeps the implicit step's LU pair and the implicit
 solve's work array (complex right-hand-side columns, replaced when the
-member count changes); the solve runs in it, so it is not reentrant.  Its
-two halves, the sweeps and their verification, may run in different
-processes, and so may the sweeps of its columns: each column is swept alone,
-with the bits it gets among the others (_sweep_columns).  Eigenvalues are
-computed on demand and not kept.  The tip probes' pivoted LU
+member count changes); the solve runs in it, so it is not reentrant.  The
+solve is _ch_pack, the two sweeps (_sweep_columns), _ch_verify and _unpack;
+the sweeps and the verification may run in different processes, and so may
+the sweeps of single columns, with the bits each gets among the others.
+Eigenvalues are computed on demand and not kept.  The tip probes' pivoted LU
 (solve_neglap_pivoted) stays outside the Cholesky factor: it takes modes
 above the truncation, and the Cholesky solve moves the pinned fits.csv and
 profiles.csv bits (3e-14 relative at the default configuration).
@@ -151,7 +151,9 @@ class ModeOperators:
     # ------------------------------------------------------------------ bands
 
     def neglap_bands(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
-        """(diagonal, subdiagonal) of the symmetrized positive operator B_k."""
+        """(diagonal, subdiagonal) of the symmetrized positive operator B_k, any mode k >= 0."""
+        if mode < 0:
+            raise ValueError(f"mode must be >= 0, got {mode}")
         m = self.mesh.cells
         t, vol = self.trans, self.volumes
         diag = (t[:m] + t[1:]) / vol + (mode * mode) * self.inv_f_sq
@@ -379,7 +381,7 @@ class ModeOperators:
             raise ValueError("dt must be positive and finite")
         if not (0.0 <= stabilization < math.inf):
             raise ValueError("stabilization must be >= 0 and finite")
-        sol = self._ch_sweeps(stack, dt, stabilization)
+        sol = self._sweep_columns(self._ch_pack(stack), dt, stabilization).real
         self._ch_verify(stack, sol, dt, stabilization)
         coeffs = self._unpack(sol)
         return Field(self.mesh, coeffs[0]) if single else coeffs
@@ -407,14 +409,9 @@ class ModeOperators:
             raise SolverError("tridiagonal solve failed")
         return sol
 
-    def _ch_sweeps(self, stack: np.ndarray, dt: float, stabilization: float) -> np.ndarray:
-        """The sweeps of solve_ch_system: its (n, 2B) solution columns in symmetrized
-        coordinates, a view of the work array that the next solve overwrites."""
-        return self._sweep_columns(self._ch_pack(stack), dt, stabilization).real
-
     def _ch_verify(self, stack: np.ndarray, sol: np.ndarray, dt: float, stabilization: float):
-        """Verify _ch_sweeps' columns ``sol`` for the right-hand sides ``stack``, in any layout;
-        SolverError for a member that fails."""
+        """Verify the swept columns ``sol`` (their real part) for the right-hand sides
+        ``stack``, in any layout; SolverError for a member that fails."""
         _, abs_penta = self.ch_factorization(dt, stabilization)
         # independent verification through the flux-form operator, on a
         # C-ordered copy; x + dt L(L x) - (S dt) L x - rhs is formed in place

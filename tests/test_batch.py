@@ -711,6 +711,7 @@ def test_a_step_that_warns_ahead_ends_the_pipelining(small_sphere_ops, monkeypat
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
         assert_same_run(lone_run(ops, initial, cfg, 2), want)
-    # steps 1-5 were checked aside; step 6 warned ahead, and it and the rest ran inline
-    assert len(settled) == 5 + 1 + 25
-    assert [str(w.message) for w in warned] == ["a step that warns"] * 25
+    # steps 1-3 were checked aside; step 6 warned ahead, so steps 4 and 5, computed ahead
+    # and not yet decided, were dropped, and steps 4-30 ran inline
+    assert len(settled) == 5 + 1 + 27
+    assert [str(w.message) for w in warned] == ["a step that warns"] * 27

@@ -307,6 +307,16 @@ def test_indicial_table_contains_expected_rows(tmp_path):
     assert windows["second_order"] == (-1.0, 0.0)
 
 
+def test_a_command_without_a_config_file_runs_at_the_defaults(tmp_path):
+    root = tmp_path / "runs"
+    assert main(["indicial", "--run-root", str(root)]) == 0
+    (bare,) = root.iterdir()
+    rc, rundir = run_cli(tmp_path, "indicial", "")
+    assert rc == 0 and rundir != bare
+    for name in EXPECTED_FILES["indicial"]:
+        assert (bare / name).read_bytes() == (rundir / name).read_bytes()
+
+
 def test_indicial_marks_exactly_the_branch_space_members(tmp_path):
     # gamma = 0 lies outside the window of c = 1, and the column holds both values
     ini = SMOKE_CONFIGS["indicial"] + "[norms]\ngamma = 0\n"

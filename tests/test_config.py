@@ -100,6 +100,18 @@ def test_bad_values_name_the_field():
         ("[norms]\npairs = 1\n", "pairs"),
         ("[experiment]\nic = banana\n", "ic"),
         ("[experiment]\ndrop_last = 0.9\n", "drop_last"),
+        ("[geometry]\nkind = sphere\nradius = 0\n", r"\[geometry\] radius must"),
+        ("[geometry]\nL = -1\n", r"\[geometry\] L must"),
+        ("[geometry]\nM = 3\n", r"\[geometry\] M must"),
+        ("[geometry]\nK = 0\n", r"\[geometry\] K must"),
+        ("[dynamics]\nT_max = 0\n", r"\[dynamics\] T_max must"),
+        ("[dynamics]\neq_tol = -1e-9\n", r"\[dynamics\] eq_tol must"),
+        ("[experiment]\nseeds_per_radius = 0\n", r"\[experiment\] seeds_per_radius must"),
+        ("[experiment]\nradii =\n", r"\[experiment\] radii must not be empty"),
+        ("[experiment]\nsource_center = 1\n", r"\[experiment\] source_center"),
+        ("[experiment]\nsource_width = 0\n", r"\[experiment\] source_center and source_width"),
+        ("[experiment]\nsnapshots = maybe\n", r"\[experiment\] snapshots = 'maybe'"),
+        ("[geometry]\nM = 64\nM = 128\n", r"cannot parse configuration: .*'M'"),
     )
     for text, needle in cases:
         with pytest.raises(ConfigError, match=needle):

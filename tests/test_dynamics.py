@@ -258,9 +258,8 @@ def test_oversized_step_aborts_with_stability_error(small_sphere_ops):
 def test_non_finite_energy_trips_the_guard(monkeypatch):
     # a solver that let NaN through must not yield a run that ends normally
     ops = ModeOperators(build_mesh(build_profile("sphere", radius=1.0), 24, 1.0), 2)
-    # the semiflow solves in two halves, the sweeps and their verification
-    monkeypatch.setattr(ops, "_ch_sweeps", lambda rhs, dt, s: np.full(
-        (rhs.shape[1] * rhs.shape[3], 2 * rhs.shape[0]), math.nan))
+    # the implicit solve's sweeps and their verification are pieces of their own
+    monkeypatch.setattr(ops, "_sweep_columns", lambda cols, dt, s: np.full_like(cols, math.nan))
     monkeypatch.setattr(ops, "_ch_verify", lambda rhs, sol, dt, s: None)
     u0 = field_from_modes(ops.mesh, 2, lambda s: 0.1 * np.cos(s), mode=0)
     cfg = StepperConfig(dt=1e-3, t_max=0.01, eq_tol=0.0, snapshot_stride=100)

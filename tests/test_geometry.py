@@ -6,6 +6,7 @@ scipy.integrate.quad for blended profiles) and exact rational eigenvalues
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,19 @@ def test_profile_positive_between_ends(rng):
         assert np.all(vals > 0)
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("sphere", {}, "needs radius > 0"),
+    ("sphere", {"radius": 1.0, "length": 2.0}, "takes only 'radius'"),
+    ("torus", {"c": 1, "length": 2.0}, "unknown profile kind 'torus'"),
+    ("cone_capped", {"c": 1, "length": 0.0}, "needs length > 0"),
+    ("cone_capped", {"length": 2.0}, "needs a tip slope c"),
+    ("cone_capped", {"c": "3/2", "length": 2.0}, "0 < c <= 1, got 3/2"),
+])
+def test_profile_rejects_bad_parameters(kind, params, message):
+    with pytest.raises(ValueError, match=message):
+        build_profile(kind, **params)
+
+
 def test_exact_number_parsing():
     assert exact_number("1/3") == Fraction(1, 3)
     assert exact_number(2) == Fraction(2)
@@ -100,6 +114,16 @@ def test_mesh_rejects_underflowing_cells():
         build_mesh(build_profile("cone_capped", c=1, length=1.0), 2_000_000, 0.5)
 
 
+@pytest.mark.parametrize("cells, grading, message", [
+    (3, 1.0, "need at least 4 cells"),
+    (8, 0.0, r"grading ratio must lie in \(0, 1\], got 0.0"),
+    (8, 1.5, r"grading ratio must lie in \(0, 1\], got 1.5"),
+])
+def test_mesh_rejects_bad_cells_and_grading(cells, grading, message):
+    with pytest.raises(ValueError, match=message):
+        build_mesh(build_profile("sphere", radius=1.0), cells, grading)
+
+
 def test_mesh_faces_strictly_increasing_volumes_positive():
     for q in (1.0, 0.9, 0.8):
         mesh = build_mesh(build_profile("sphere", radius=1.0), 64, q)
@@ -135,6 +159,9 @@ def test_integrate_radial_linearity(rng):
     lhs = mesh.integrate_radial(2.0 * u - 3.0 * v)
     rhs = 2.0 * mesh.integrate_radial(u) - 3.0 * mesh.integrate_radial(v)
     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0)
+    for bad in (u[:-1], np.stack([u, v])):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+            mesh.integrate_radial(bad)
 
 
 # ------------------------------------------------------------------- spectrum

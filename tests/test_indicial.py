@@ -39,6 +39,14 @@ def test_surd_folds_perfect_square_radicands():
     assert x.is_rational
     assert x == Fraction(3, 2)
     assert Surd(1, 2, 4) == 5  # 1 + 2*sqrt(4)
+    with pytest.raises(ValueError, match="negative radicand"):
+        Surd(0, 1, -2)
+
+
+def test_irrational_surds_print_as_roots_csv_writes_them():
+    assert [repr(x) for x in (Surd.sqrt(2), -Surd.sqrt(2), Surd(1, 3, 2),
+                              Surd(Fraction(1, 2), -1, 5))] \
+        == ["sqrt(2)", "-sqrt(2)", "1 + (3)*sqrt(2)", "1/2 - sqrt(5)"]
 
 
 def test_surd_additive_arithmetic_is_exact():

@@ -255,6 +255,17 @@ def test_smallest_eigenvalue_rejects_modes_outside_the_truncation():
     assert ops.eigenvalues(4).shape == (32,)
 
 
+def test_bands_and_eigenvalues_reject_negative_modes():
+    # the bands square the mode: eigenvalues(-1) used to return mode 1's, bit for bit
+    mesh = build_mesh(build_profile("sphere", radius=1.0), 16, 1.0)
+    ops = ModeOperators(mesh, 3)
+    for call in (ops.neglap_bands, ops.eigenvalues):
+        with pytest.raises(ValueError, match="mode must be >= 0, got -1"):
+            call(-1)
+    with pytest.raises(ValueError, match="max_mode must be >= 0"):
+        ModeOperators(mesh, -1)
+
+
 def test_neglap_solve_is_inverse_on_mean_free(sphere_ops, rng):
     rhs = rng.standard_normal(sphere_ops.mesh.cells)
     rhs -= (sphere_ops.volumes @ rhs) / sphere_ops.mesh.area
@@ -463,7 +474,7 @@ def test_columns_swept_in_parts_have_the_bits_of_the_whole_solve():
         ops = ModeOperators(build_mesh(profile, cells, grading), max_mode)
         stack = np.random.default_rng(seed).standard_normal((members, max_mode + 1, 2, cells))
         whole = ops._sweep_columns(ops._ch_pack(stack), *step).copy()
-        assert np.array_equal(whole.real, ops._ch_sweeps(stack, *step))
+        assert np.array_equal(ops._unpack(whole.real), ops.solve_ch_system(stack, *step))
         n_cols = 2 * members
         drawn = data.draw(st.sets(st.integers(1, n_cols - 1), max_size=n_cols - 1))
         for cuts in (sorted(drawn), range(1, n_cols)):   # any split, then one column at a time

@@ -229,6 +229,13 @@ def test_poincare_inequality_holds_on_random_fields(sphere_ops, rng):
         assert l2_norm(fluct) <= (1.0 + 1e-6) * c_p * h1_seminorm(u)
 
 
+def test_lp_norm_rejects_exponents_below_one(sphere_mesh):
+    u = constant_field(sphere_mesh, 2, 1.0)
+    assert lp_norm(u, 1) == pytest.approx(sphere_mesh.area, rel=1e-12)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_norm(u, 0)
+
+
 def test_embedding_ratio_l4_over_h1_stays_bounded(small_sphere_ops, rng):
     ops = small_sphere_ops
     worst = 0.0
