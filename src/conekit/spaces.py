@@ -39,8 +39,8 @@ def mean(u: Field) -> float:
 
 def lp_norm(u: Field, p: int) -> float:
     """L^p norm via the tensor evaluation grid (exact for p in {2, 4} at this truncation)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:   # NaN fails both comparisons
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     vals = np.abs(u.grid_values()) ** p
     return float(u.mesh.integrate_radial(vals.mean(axis=1))) ** (1.0 / p)
 
@@ -104,15 +104,6 @@ def poincare_constant(ops: ModeOperators) -> float:
 # --------------------------------------------------------------------- mellin
 
 
-def _xlog_derivative(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(x d/dx) of cell data, second-order centered with one-sided ends."""
-    return x * np.gradient(values, x, axis=-1, edge_order=2)
-
-
-def _plain_derivative(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.gradient(values, x, axis=-1, edge_order=2)
-
-
 def _cutoff(mesh, x: np.ndarray) -> np.ndarray:
     """The collar cutoff omega: 1 on [0, 0.4 l], 0 from 0.8 l on, l = min(1, L),
     with a monotone cubic (C^1) ramp between."""
@@ -121,7 +112,22 @@ def _cutoff(mesh, x: np.ndarray) -> np.ndarray:
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> float:
+def _sobolev_sum(v: np.ndarray, x: np.ndarray, xi: np.ndarray | float, ang: np.ndarray,
+                 weight: np.ndarray, w: np.ndarray, s: int) -> float:
+    """Sum over a + b <= s of int |(xi d/dx)^a ang^b v|^2 weight, channel-weighted by w.
+
+    The radial derivative of cell data is second-order centered with one-sided ends.
+    """
+    total = 0.0
+    for a in range(s + 1):
+        if a:
+            v = xi * np.gradient(v, x, axis=-1, edge_order=2)
+        for b in range(s + 1 - a):
+            total += float(np.einsum("kci,i,kc->", (v * ang ** b) ** 2, weight, w))
+    return total
+
+
+def mellin_norm(u: Field, s: int, gamma: float) -> float:
     """Tip-weighted Sobolev norm of order s in {0, 1, 2} with weight gamma.
 
     Collar part (tip region, radius weighted by x^{(n+1)/2-gamma}, n = 1):
@@ -132,55 +138,23 @@ def mellin_norm(u: Field, s: int, gamma: float, collar_only: bool = False) -> fl
     where the angular factor per mode k is (k x / f(x))^b, plus the ordinary
     order-s Sobolev norm of the remainder (1-omega) u, with omega the collar
     cutoff ``_cutoff``.  The two contributions are added (collar + interior).
-    With ``collar_only=True`` omega is taken identically 1 on x < min(1, L)
-    and the interior term is dropped; this is the convention used by
-    closed-form checks on model fields supported in the collar.
     """
     if s not in (0, 1, 2):
         raise ValueError(f"order s must be one of 0, 1, 2, got {s}")
     mesh = u.mesh
     x = mesh.centers
     collar_len = min(1.0, mesh.length)
-    in_collar = x < collar_len
-    w = channel_weights(u.max_mode)
-    kvec = np.arange(u.max_mode + 1, dtype=float)
-
-    omega_vals = in_collar.astype(float) if collar_only else _cutoff(mesh, x)
-
-    # ---- collar term on cells inside the collar
-    idx = np.nonzero(in_collar)[0]
+    idx = np.nonzero(x < collar_len)[0]
     if idx.size < (3 if s else 1):   # a derivative's second-order one-sided ends take 3 cells
         raise ValueError(f"mellin_norm of order {s} needs at least {'3 cells' if s else '1 cell'} "
                          f"in the collar x < {collar_len:g}, which has {idx.size}")
-    xc = x[idx]
-    fc = mesh.f_centers[idx]
-    dxc = mesh.widths[idx]
-    weight = xc ** (2.0 * (1.0 - gamma)) * (fc / xc) * (dxc / xc)
-    base = (omega_vals[idx] * u.coeffs[..., idx])  # (K+1, 2, nc)
-    ang_scale = kvec[:, None, None] * xc / fc      # one angular derivative, x-scaled
-    total_collar = 0.0
-    for a in range(s + 1):
-        for b in range(s + 1 - a):
-            term = base
-            for _ in range(a):
-                term = _xlog_derivative(term, xc)
-            term = term * ang_scale ** b
-            total_collar += float(np.einsum("kci,i,kc->", term ** 2, weight, w))
-
-    # ---- interior term: plain Sobolev norm of (1 - omega) u
-    total_interior = 0.0
-    if not collar_only:
-        rem = (1.0 - omega_vals) * u.coeffs
-        if np.any(rem != 0.0):
-            ang_plain = kvec[:, None, None] / mesh.f_centers
-            for a in range(s + 1):
-                for b in range(s + 1 - a):
-                    term = rem
-                    for _ in range(a):
-                        term = _plain_derivative(term, x)
-                    term = term * ang_plain ** b
-                    total_interior += float(
-                        np.einsum("kci,i,kc->", term ** 2, mesh.volumes / (2.0 * math.pi), w))
-    # volumes already carry the 2*pi f dx measure; the collar weight above
-    # spelled it out explicitly, so put the 2*pi back uniformly here:
-    return math.sqrt(2.0 * math.pi * total_collar) + math.sqrt(2.0 * math.pi * total_interior)
+    omega = _cutoff(mesh, x)
+    w = channel_weights(u.max_mode)
+    k = np.arange(u.max_mode + 1, dtype=float)[:, None, None]
+    xc, fc = x[idx], mesh.f_centers[idx]
+    # the collar weight spells out the 2*pi-free measure f/x dx/x; volumes carry 2*pi f dx
+    collar = _sobolev_sum(omega[idx] * u.coeffs[..., idx], xc, xc, k * xc / fc,
+                          xc ** (2.0 * (1.0 - gamma)) * (fc / xc) * (mesh.widths[idx] / xc), w, s)
+    interior = _sobolev_sum((1.0 - omega) * u.coeffs, x, 1.0, k / mesh.f_centers,
+                            mesh.volumes / (2.0 * math.pi), w, s)
+    return math.sqrt(2.0 * math.pi * collar) + math.sqrt(2.0 * math.pi * interior)

@@ -102,6 +102,13 @@ def test_constant_field_and_single_mode_builders(sphere_mesh):
             field_from_modes(sphere_mesh, 2, lambda s: s, mode=mode)
 
 
+@pytest.mark.parametrize("mode, part", [(0, "sin"), (1, "Cos"), (1, "")])
+def test_single_mode_builder_rejects_a_part_it_cannot_write(sphere_mesh, mode, part):
+    # mode 0 has no sin row, and a part named neither 'cos' nor 'sin' names no row
+    with pytest.raises(ValueError, match="part must be 'cos' or, for a mode >= 1, 'sin'"):
+        field_from_modes(sphere_mesh, 2, lambda s: np.ones_like(s), mode=mode, part=part)
+
+
 def test_integrate_is_linear_and_mode_zero_only(sphere_mesh, rng):
     u = random_field(sphere_mesh, 4, rng)
     v = random_field(sphere_mesh, 4, rng)

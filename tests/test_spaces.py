@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from conekit.fields import Field, channel_weights, constant_field, field_from_modes
 from conekit.geometry import build_mesh, build_profile
@@ -53,26 +54,44 @@ def long_cone_mesh():
     return build_mesh(build_profile("cone_capped", c=1, length=3.0), 1536, 1.0)
 
 
-def test_tip_norm_of_identity_profile_closed_form(long_cone_mesh):
-    u = field_from_modes(long_cone_mesh, 0, lambda x: x, mode=0)
-    # 2*pi * integral_0^1 (x * x)^2 f(x)/x dx/x = 2*pi/4 with f(x) = x
-    assert mellin_norm(u, 0, 0.0, collar_only=True) == pytest.approx(
-        math.sqrt(math.pi / 2.0), rel=1e-3)
+def collar_bump(x):
+    # supported where the cutoff is 1 (x < 0.4 for L >= 1), so the interior part is 0
+    return np.where(x < 0.4, x * (1.0 - (x / 0.4) ** 2) ** 3, 0.0)
+
+
+def bump_closed_form(s):
+    # mode 0 with f(x) = x and gamma = 0: the collar weight is x dx, so the norm is
+    # sqrt(2 pi sum_{a <= s} int_0^0.4 ((x d/dx)^a u)^2 x dx), computed exactly
+    x = Polynomial([0.0, 1.0])
+    term = x * (1.0 - (x / 0.4) ** 2) ** 3
+    integrand = Polynomial([0.0])
+    for _ in range(s + 1):
+        integrand = integrand + term ** 2 * x
+        term = x * term.deriv()
+    antiderivative = integrand.integ()
+    return math.sqrt(2.0 * math.pi * (antiderivative(0.4) - antiderivative(0.0)))
+
+
+def test_tip_norm_zeroth_order_closed_form(long_cone_mesh):
+    u = field_from_modes(long_cone_mesh, 0, collar_bump, mode=0)
+    assert mellin_norm(u, 0, 0.0) == pytest.approx(bump_closed_form(0), rel=1e-3)
 
 
 def test_tip_norm_first_order_closed_form(long_cone_mesh):
-    u = field_from_modes(long_cone_mesh, 0, lambda x: x, mode=0)
-    # (x d/dx) x = x doubles the square: sqrt(pi/2 + pi/2)
-    assert mellin_norm(u, 1, 0.0, collar_only=True) == pytest.approx(
-        math.sqrt(math.pi), rel=1e-3)
+    u = field_from_modes(long_cone_mesh, 0, collar_bump, mode=0)
+    assert mellin_norm(u, 1, 0.0) == pytest.approx(bump_closed_form(1), rel=1e-3)
+
+
+def test_tip_norm_second_order_closed_form(long_cone_mesh):
+    u = field_from_modes(long_cone_mesh, 0, collar_bump, mode=0)
+    assert mellin_norm(u, 2, 0.0) == pytest.approx(bump_closed_form(2), rel=2e-3)
 
 
 def test_tip_norm_at_zero_weight_is_collar_l2(long_cone_mesh, rng):
-    mask = (long_cone_mesh.centers < 0.9).astype(float)
+    mask = (long_cone_mesh.centers < 0.4).astype(float)
     u = random_field(long_cone_mesh, 3, rng)
     u = Field(long_cone_mesh, u.coeffs * mask)
-    assert mellin_norm(u, 0, 0.0, collar_only=True) == pytest.approx(
-        l2_norm(u), rel=1e-3)
+    assert mellin_norm(u, 0, 0.0) == pytest.approx(l2_norm(u), rel=1e-3)
 
 
 def test_tip_norm_rejects_unsupported_order(long_cone_mesh):
@@ -83,12 +102,11 @@ def test_tip_norm_rejects_unsupported_order(long_cone_mesh):
 
 def test_tip_norm_monotone_in_weight_for_collar_fields(long_cone_mesh, rng):
     # weight x^{1-gamma} grows with gamma on x < 1, so the norm does too
-    mask = (long_cone_mesh.centers < 0.9).astype(float)
+    mask = (long_cone_mesh.centers < 0.4).astype(float)
     for _ in range(20):
         u = random_field(long_cone_mesh, 2, rng)
         u = Field(long_cone_mesh, u.coeffs * mask)
-        vals = [mellin_norm(u, 0, g, collar_only=True)
-                for g in (-1.0, -0.5, 0.0, 0.5)]
+        vals = [mellin_norm(u, 0, g) for g in (-1.0, -0.5, 0.0, 0.5)]
         assert all(a <= b * (1.0 + 1e-12) for a, b in zip(vals, vals[1:]))
 
 
@@ -97,20 +115,18 @@ def test_tip_norm_interior_term_covers_cap_region(long_cone_mesh):
     u = field_from_modes(long_cone_mesh, 0,
                          lambda x: np.where(x > 1.5, np.exp(-((x - 2.0) / 0.2) ** 2), 0.0),
                          mode=0)
-    assert mellin_norm(u, 0, 0.0, collar_only=True) == 0.0
-    full = mellin_norm(u, 0, 0.0)
-    assert full == pytest.approx(l2_norm(u), rel=1e-6)
+    assert mellin_norm(u, 0, 0.0) == pytest.approx(l2_norm(u), rel=1e-6)
 
 
-@pytest.mark.parametrize("s, collar_only", [(0, False), (1, False), (2, False), (0, True)])
-def test_tip_norm_rejects_a_collar_without_cells(rng, s, collar_only):
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_tip_norm_rejects_a_collar_without_cells(rng, s):
     # cell centres 1.25, 3.75, 6.25, 8.75: none lies in the collar x < 1
     mesh = build_mesh(build_profile("cone_capped", c="1/2", length=10.0), 4, 1.0)
     u = random_field(mesh, 2, rng)
     need = "3 cells" if s else "1 cell"
     with pytest.raises(ValueError, match=f"order {s} needs at least {need} in the collar "
                                          r"x < 1, which has 0"):
-        mellin_norm(u, s, -0.75, collar_only=collar_only)
+        mellin_norm(u, s, -0.75)
 
 
 # -------------------------------------------------------------- seminorms
@@ -234,6 +250,15 @@ def test_lp_norm_rejects_exponents_below_one(sphere_mesh):
     assert lp_norm(u, 1) == pytest.approx(sphere_mesh.area, rel=1e-12)
     with pytest.raises(ValueError, match="p must be >= 1"):
         lp_norm(u, 0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_lp_norm_rejects_a_non_finite_exponent(rng, p):
+    mesh = build_mesh(build_profile("sphere", radius=1.0), 32, 1.0)
+    u = random_field(mesh, 3, rng)
+    u = Field(mesh, 0.5 * u.coeffs / u.max_abs())
+    with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+        lp_norm(u, p)
 
 
 def test_embedding_ratio_l4_over_h1_stays_bounded(small_sphere_ops, rng):
