@@ -16,15 +16,14 @@ from types import ModuleType as _ModuleType
 
 from .geometry import (RadialMesh, SurfaceProfile, boundary_spectrum, build_mesh,
                        build_profile)
-from .fields import Field, constant_field, field_from_modes
+from .fields import Field, constant_field
 from .operators import ModeOperators, SolverError
 from .spaces import (h01_dual_norm, h1_seminorm, l2_norm, lp_norm, mean,
                      mellin_norm, poincare_constant)
-from .indicial import (AsymptoticSpace, GammaWindow, IndicialRoot, Surd,
-                       asymptotic_space, bilaplacian_indicial_roots,
-                       ch_gamma_window, interpolation_exclusions,
-                       laplacian_gamma_window, laplacian_indicial_roots,
-                       minimal_domain_check)
+from .indicial import (GammaWindow, IndicialRoot, Surd, asymptotic_space,
+                       bilaplacian_indicial_roots, ch_gamma_window,
+                       interpolation_exclusions, laplacian_gamma_window,
+                       laplacian_indicial_roots, minimal_domain_check)
 from .dynamics import (DiagnosticsRecord, SemiflowResult, SemiflowState,
                        StabilityError, StepperConfig, energy, energy_gradient,
                        gradient_residual, run_semiflow)

@@ -167,6 +167,7 @@ def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
         raise ValueError("trajectory did not reach equilibrium; extend t_max or relax eq_tol")
     if not result.snapshots:
         raise ValueError("run was not collected with snapshots")
+    ops._check_field(result.state.u)   # the samples below are rebuilt on ops.mesh
     e_by_step = {rec.step: rec.energy for rec in result.records}
     e_inf = result.records[-1].energy
     floor = 10.0 * np.finfo(float).eps * abs(e_inf)
@@ -198,8 +199,10 @@ def smooth_random_field(ops: ModeOperators, rng: np.random.Generator,
 
     Gaussian coefficients with (1+k)^(-mode_decay) angular decay are passed
     twice through the inverse Laplacian (radial smoothing), mean-projected,
-    and rescaled to the requested dual norm or sup amplitude.
+    and rescaled to the requested dual norm or sup amplitude, at most one of them.
     """
+    if dual_radius is not None and sup_amplitude is not None:
+        raise ValueError("give dual_radius or sup_amplitude, not both")
     mesh = ops.mesh
     coeffs = rng.standard_normal((ops.max_mode + 1, 2, mesh.cells))
     coeffs[0, 1, :] = 0.0

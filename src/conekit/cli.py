@@ -108,13 +108,13 @@ def _cmd_indicial(cfg: RunConfig, outdir: Path):
     profile = cfg.geometry.build_profile()
     spectrum = boundary_spectrum(profile, cfg.geometry.K)
     gamma = cfg.norms.gamma
-    space = asymptotic_space(1, spectrum, gamma)
+    lower, upper, members = asymptotic_space(1, spectrum, gamma)
     roots = laplacian_indicial_roots(1, spectrum) + bilaplacian_indicial_roots(1, spectrum)
     _write_csv(outdir / "roots.csv",
                ("operator", "mode", "root", "root_float", "multiplicity",
                 "log_power_max", "in_asymptotic_window"),
                [(root.operator, root.mode, repr(root.value), float(root.value),
-                 root.multiplicity, root.log_power_max, root in space.members)
+                 root.multiplicity, root.log_power_max, root in members)
                 for root in roots])
 
     lam1 = spectrum[1][1]
@@ -126,8 +126,7 @@ def _cmd_indicial(cfg: RunConfig, outdir: Path):
                  float(win4.lower), float(win4.upper), win4.nonempty),
                 ("second_order", repr(win2.lower), repr(win2.upper),
                  float(win2.lower), float(win2.upper), win2.nonempty),
-                ("branch_window", repr(space.window_lower), repr(space.window_upper),
-                 float(space.window_lower), float(space.window_upper), True)])
+                ("branch_window", repr(lower), repr(upper), float(lower), float(upper), True)])
 
     hits = minimal_domain_check(1, spectrum, gamma)
     _write_csv(outdir / "minimal_domain.csv",

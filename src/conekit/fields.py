@@ -19,7 +19,6 @@ from .geometry import RadialMesh
 __all__ = [
     "Field",
     "constant_field",
-    "field_from_modes",
     "n_theta_nodes",
 ]
 
@@ -140,20 +139,3 @@ def constant_field(mesh: RadialMesh, max_mode: int, value: float) -> Field:
 def _check_mode(mode: int, max_mode: int):
     if not 0 <= mode <= max_mode:
         raise ValueError(f"mode {mode} is outside the truncation range 0..{max_mode}")
-
-
-def field_from_modes(mesh: RadialMesh, max_mode: int, radial, mode: int = 0,
-                     part: str = "cos") -> Field:
-    """Field with a single angular mode and the given radial profile.
-
-    ``radial`` is a callable evaluated on cell centers or an array of length M.
-    ``part`` is "cos" or "sin"; mode 0 has only a cos part.
-    """
-    c = np.zeros((max_mode + 1, 2, mesh.cells))
-    prof = radial(mesh.centers) if callable(radial) else np.asarray(radial, dtype=float)
-    _check_mode(mode, max_mode)
-    if part not in ("cos", "sin") or (part == "sin" and mode == 0):
-        raise ValueError(f"part must be 'cos' or, for a mode >= 1, 'sin'; got {part!r} "
-                         f"at mode {mode}")
-    c[mode, 0 if part == "cos" else 1, :] = prof
-    return Field(mesh, c)

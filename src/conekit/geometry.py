@@ -99,14 +99,14 @@ def build_profile(kind: str, *, c=None, radius=None, length=None) -> SurfaceProf
 
     ``cone_capped``: f = c*s near the tip, blended by a C^2 quintic ramp over
     the middle third of [0, L] into a spherical cap of radius L/2 that closes
-    smoothly at s = L, so f is C^2 on (0, L).  Requires 0 < c <= 1 and length > 0.
+    smoothly at s = L, so f is C^2 on (0, L).  Requires 0 < c <= 1 and a finite length > 0.
 
     ``sphere``: round sphere of the given radius, f = R sin(s/R), L = pi*R.
     The poles are smooth (slope 1), so this is the no-singularity reference.
     """
     if kind == "sphere":
-        if radius is None or radius <= 0:
-            raise ValueError("sphere profile needs radius > 0")
+        if radius is None or not 0 < radius < math.inf:   # written so that a NaN fails
+            raise ValueError(f"sphere profile needs radius > 0 and finite, got {radius!r}")
         if c is not None or length is not None:
             raise ValueError("sphere profile takes only 'radius'")
         r = float(radius)
@@ -114,8 +114,8 @@ def build_profile(kind: str, *, c=None, radius=None, length=None) -> SurfaceProf
 
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")
-    if length is None or length <= 0:
-        raise ValueError(f"{kind} profile needs length > 0")
+    if length is None or not 0 < length < math.inf:
+        raise ValueError(f"{kind} profile needs length > 0 and finite, got {length!r}")
     if c is None:
         raise ValueError(f"{kind} profile needs a tip slope c")
     c_exact = exact_number(c)

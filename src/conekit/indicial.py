@@ -40,7 +40,6 @@ __all__ = [
     "Surd",
     "IndicialRoot",
     "GammaWindow",
-    "AsymptoticSpace",
     "laplacian_indicial_roots",
     "bilaplacian_indicial_roots",
     "ch_gamma_window",
@@ -95,10 +94,6 @@ class Surd:
         return cls(0, 1, radicand)
 
     # ----------------------------------------------------------- arithmetic
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __add__(self, other):
         o = self._as_surd(other)
@@ -281,35 +276,21 @@ def laplacian_gamma_window(n: int, lambda_1) -> GammaWindow:
     return _gamma_window(n, lambda_1, Fraction(n + 1, 2))
 
 
-@dataclass(frozen=True)
-class AsymptoticSpace:
-    """Finite-dimensional space of tip branches attached to a weight gamma.
+def asymptotic_space(n: int, spectrum, gamma) -> tuple[Surd, Surd, tuple[IndicialRoot, ...]]:
+    """Tip branches attached to a weight gamma: (lower, upper, members).
 
-    ``members`` lists the squared-Laplacian exponents q whose real part lies
-    in the half-open window [(n-7)/2 - gamma, (n-3)/2 - gamma); solutions in
+    ``members`` lists the squared-Laplacian exponents q in the half-open
+    window [lower, upper) = [(n-7)/2 - gamma, (n-3)/2 - gamma); solutions in
     the maximal domain split into these branches plus a remainder that is
     two orders flatter.
     """
-
-    window_lower: Surd
-    window_upper: Surd
-    members: tuple[IndicialRoot, ...]
-
-    @property
-    def dimension(self) -> int:
-        """Branch count with angular multiplicity 2 for modes >= 1 and log branches."""
-        return sum((2 if r.mode else 1) * r.multiplicity for r in self.members)
-
-
-def asymptotic_space(n: int, spectrum, gamma) -> AsymptoticSpace:
-    """Collect squared-Laplacian exponents in [(n-7)/2 - gamma, (n-3)/2 - gamma)."""
     _check_dimension(n)
     g = exact_number(gamma)
     lo = Surd(Fraction(n - 7, 2) - g)
     hi = Surd(Fraction(n - 3, 2) - g)
-    members = [root for root in bilaplacian_indicial_roots(n, spectrum)
-               if lo <= root.value and root.value < hi]
-    return AsymptoticSpace(window_lower=lo, window_upper=hi, members=tuple(members))
+    members = tuple(root for root in bilaplacian_indicial_roots(n, spectrum)
+                    if lo <= root.value and root.value < hi)
+    return lo, hi, members
 
 
 def minimal_domain_check(n: int, spectrum, gamma) -> tuple[tuple[Surd, int], ...]:

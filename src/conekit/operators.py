@@ -131,8 +131,9 @@ class ModeOperators:
     """Workspace bundling mesh data, mode matrices and cached factorizations."""
 
     def __init__(self, mesh: RadialMesh, max_mode: int):
-        if max_mode < 0:
-            raise ValueError("max_mode must be >= 0")
+        if isinstance(max_mode, bool) or not isinstance(max_mode, (int, np.integer)) \
+                or max_mode < 0:
+            raise ValueError(f"max_mode must be >= 0 and an integer, got {max_mode!r}")
         self.mesh = mesh
         self.max_mode = int(max_mode)
         self.trans = mesh.transmissibilities

@@ -128,7 +128,7 @@ def _sobolev_sum(v: np.ndarray, x: np.ndarray, xi: np.ndarray | float, ang: np.n
 
 
 def mellin_norm(u: Field, s: int, gamma: float) -> float:
-    """Tip-weighted Sobolev norm of order s in {0, 1, 2} with weight gamma.
+    """Tip-weighted Sobolev norm of order s in {0, 1, 2} with a finite weight gamma.
 
     Collar part (tip region, radius weighted by x^{(n+1)/2-gamma}, n = 1):
 
@@ -141,6 +141,8 @@ def mellin_norm(u: Field, s: int, gamma: float) -> float:
     """
     if s not in (0, 1, 2):
         raise ValueError(f"order s must be one of 0, 1, 2, got {s}")
+    if not -math.inf < gamma < math.inf:   # written so that a NaN fails
+        raise ValueError(f"weight gamma must be finite, got {gamma}")
     mesh = u.mesh
     x = mesh.centers
     collar_len = min(1.0, mesh.length)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from conekit import build_mesh, build_profile
+from conekit import Field, build_mesh, build_profile
 from conekit.operators import ModeOperators
 
 
@@ -60,6 +60,14 @@ def eigensystem(ops, mode):
     the volume inner product (columns)."""
     vals, vecs = eigh_tridiagonal(*ops.neglap_bands(mode))
     return vals, vecs / ops.sqrt_volumes[:, None]
+
+
+def mode_field(mesh, max_mode, radial, mode=0, part="cos"):
+    """Field with one angular mode: ``radial``, a callable on the cell centers or an array of
+    length M, in its cos or sin row."""
+    coeffs = np.zeros((max_mode + 1, 2, mesh.cells))
+    coeffs[mode, 1 if part == "sin" else 0] = radial(mesh.centers) if callable(radial) else radial
+    return Field(mesh, coeffs)
 
 
 def leftover_children() -> list[str]:

@@ -12,11 +12,11 @@ from conekit.analysis import (absorbing_set_experiment, fit_lojasiewicz,
                               fit_tip_asymptotics, lojasiewicz_probe,
                               smooth_random_field, tip_probe)
 from conekit.dynamics import StepperConfig, run_semiflow
-from conekit.fields import Field, constant_field, field_from_modes
+from conekit.fields import Field, constant_field
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import ModeOperators
 from conekit.spaces import h01_dual_norm, mean, mellin_norm
-from conftest import eigensystem
+from conftest import eigensystem, mode_field
 
 
 # ----------------------------------------------------------------- tip fits
@@ -134,7 +134,7 @@ def test_fit_lojasiewicz_is_invariant_under_unit_changes():
 def mode_one_relaxation(small_sphere_ops):
     """A run that decays linearly toward u = 0 from a small mode-1 eigenfunction."""
     ops = small_sphere_ops
-    u0 = field_from_modes(ops.mesh, ops.max_mode, 1e-3 * eigensystem(ops, 1)[1][:, 0], mode=1)
+    u0 = mode_field(ops.mesh, ops.max_mode, 1e-3 * eigensystem(ops, 1)[1][:, 0], mode=1)
     cfg = StepperConfig(dt=1e-3, eq_tol=1e-8, snapshot_stride=50)
     return run_semiflow(ops, u0, cfg, collect_snapshots=True)
 
@@ -174,6 +174,19 @@ def test_lojasiewicz_probe_rejects_unfinished_runs(small_sphere_ops, rng):
         lojasiewicz_probe(ops, no_snaps)
 
 
+def test_lojasiewicz_probe_rejects_a_run_from_another_workspace():
+    # the samples are rebuilt on the probe's mesh, so only the run's own field tells
+    # which workspace it came from
+    half, third = (ModeOperators(build_mesh(build_profile("cone_capped", c=c, length=2.0),
+                                            48, 1.0), 2) for c in ("1/2", "1/3"))
+    u0 = smooth_random_field(half, np.random.default_rng(3), sup_amplitude=0.1)
+    cfg = StepperConfig(dt=1e-2, eq_tol=1e-6, snapshot_stride=2)
+    result = run_semiflow(half, u0, cfg, collect_snapshots=True)
+    assert 0.45 <= lojasiewicz_probe(half, result).theta_hat <= 0.55
+    with pytest.raises(ValueError, match="field mesh does not match operator mesh"):
+        lojasiewicz_probe(third, result)
+
+
 # ------------------------------------------------------------- random data
 
 
@@ -184,6 +197,9 @@ def test_smooth_random_field_is_mean_zero_and_scaled(small_sphere_ops, rng):
     assert u.max_abs() == pytest.approx(0.25, rel=1e-12)
     v = smooth_random_field(ops, np.random.default_rng(3), dual_radius=2.0)
     assert h01_dual_norm(v, ops) == pytest.approx(2.0, rel=1e-10)
+    # one rescaling cannot meet both requests
+    with pytest.raises(ValueError, match="dual_radius or sup_amplitude, not both"):
+        smooth_random_field(ops, rng, dual_radius=2.0, sup_amplitude=0.5)
 
 
 def test_smooth_random_field_is_seed_deterministic(small_sphere_ops):

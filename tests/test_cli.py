@@ -326,9 +326,9 @@ def test_indicial_marks_exactly_the_branch_space_members(tmp_path):
     assert {row[-1] for row in rows} == {"true", "false"}
     marked = [tuple(row[:3]) + (row[4],) for row in rows if row[-1] == "true"]
     cfg = parse_config(ini)
-    space = asymptotic_space(1, boundary_spectrum(cfg.geometry.build_profile(), 3), 0)
+    _, _, members = asymptotic_space(1, boundary_spectrum(cfg.geometry.build_profile(), 3), 0)
     assert marked == [("bilaplacian", str(root.mode), repr(root.value), str(root.multiplicity))
-                      for root in space.members]
+                      for root in members]
 
 
 def test_spectrum_output_matches_sphere(tmp_path):

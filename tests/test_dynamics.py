@@ -11,11 +11,11 @@ from conekit.dynamics import (ENERGY_INCREASE_TOL, DiagnosticsRecord,
                               StabilityError, StepperConfig,
                               energy, energy_gradient, gradient_residual,
                               run_semiflow)
-from conekit.fields import Field, channel_weights, constant_field, field_from_modes
+from conekit.fields import Field, channel_weights, constant_field
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import ModeOperators, SolverError
 from conekit.spaces import mean
-from conftest import eigensystem
+from conftest import eigensystem, mode_field
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -40,7 +40,7 @@ def eigenmode_field(ops, mode, index, amplitude=1.0):
     vals, vecs = eigensystem(ops, mode)
     mu = float(vals[index])
     phi = vecs[:, index]
-    return mu, field_from_modes(ops.mesh, ops.max_mode, amplitude * phi, mode=mode)
+    return mu, mode_field(ops.mesh, ops.max_mode, amplitude * phi, mode=mode)
 
 
 # ------------------------------------------------------------------ energy
@@ -261,7 +261,7 @@ def test_non_finite_energy_trips_the_guard(monkeypatch):
     # the implicit solve's sweeps and their verification are pieces of their own
     monkeypatch.setattr(ops, "_sweep_columns", lambda cols, dt, s: np.full_like(cols, math.nan))
     monkeypatch.setattr(ops, "_ch_verify", lambda rhs, sol, dt, s: None)
-    u0 = field_from_modes(ops.mesh, 2, lambda s: 0.1 * np.cos(s), mode=0)
+    u0 = mode_field(ops.mesh, 2, lambda s: 0.1 * np.cos(s), mode=0)
     cfg = StepperConfig(dt=1e-3, t_max=0.01, eq_tol=0.0, snapshot_stride=100)
     seen = []
     with pytest.raises(StabilityError, match="reduce dt or raise"):

@@ -8,12 +8,12 @@ from conekit.fields import (
     channel_weights,
     coeffs_to_values,
     constant_field,
-    field_from_modes,
     n_theta_nodes,
     values_to_coeffs,
 )
 from conekit.geometry import build_mesh, build_profile
 from conekit.spaces import _cutoff, mean
+from conftest import mode_field
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -94,19 +94,9 @@ def test_field_shape_validation(sphere_mesh):
 def test_constant_field_and_single_mode_builders(sphere_mesh):
     c = constant_field(sphere_mesh, 4, 3.0)
     assert np.allclose(c.grid_values(), 3.0)
-    g = field_from_modes(sphere_mesh, 4, lambda s: np.sin(s), mode=2, part="sin")
+    g = mode_field(sphere_mesh, 4, lambda s: np.sin(s), mode=2, part="sin")
     assert np.allclose(g.coeffs[2, 1], np.sin(sphere_mesh.centers))
     assert np.count_nonzero(g.coeffs) == np.count_nonzero(g.coeffs[2, 1])
-    for mode in (-1, 3):
-        with pytest.raises(ValueError, match="outside the truncation range 0..2"):
-            field_from_modes(sphere_mesh, 2, lambda s: s, mode=mode)
-
-
-@pytest.mark.parametrize("mode, part", [(0, "sin"), (1, "Cos"), (1, "")])
-def test_single_mode_builder_rejects_a_part_it_cannot_write(sphere_mesh, mode, part):
-    # mode 0 has no sin row, and a part named neither 'cos' nor 'sin' names no row
-    with pytest.raises(ValueError, match="part must be 'cos' or, for a mode >= 1, 'sin'"):
-        field_from_modes(sphere_mesh, 2, lambda s: np.ones_like(s), mode=mode, part=part)
 
 
 def test_integrate_is_linear_and_mode_zero_only(sphere_mesh, rng):
@@ -115,7 +105,7 @@ def test_integrate_is_linear_and_mode_zero_only(sphere_mesh, rng):
     lhs = mean(2.0 * u + (-3.0) * v)
     rhs = 2.0 * mean(u) - 3.0 * mean(v)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
-    pure = field_from_modes(sphere_mesh, 4, lambda s: 1.0 + 0.0 * s, mode=1)
+    pure = mode_field(sphere_mesh, 4, lambda s: 1.0 + 0.0 * s, mode=1)
     assert mean(pure) == pytest.approx(0.0, abs=1e-14)
 
 

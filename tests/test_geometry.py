@@ -69,6 +69,10 @@ def test_profile_positive_between_ends(rng):
     ("cone_capped", {"c": 1, "length": 0.0}, "needs length > 0"),
     ("cone_capped", {"length": 2.0}, "needs a tip slope c"),
     ("cone_capped", {"c": "3/2", "length": 2.0}, "0 < c <= 1, got 3/2"),
+    ("sphere", {"radius": math.nan}, "needs radius > 0 and finite, got nan"),
+    ("sphere", {"radius": math.inf}, "needs radius > 0 and finite, got inf"),
+    ("cone_capped", {"c": 1, "length": math.nan}, "needs length > 0 and finite, got nan"),
+    ("cone_capped", {"c": 1, "length": math.inf}, "needs length > 0 and finite, got inf"),
 ])
 def test_profile_rejects_bad_parameters(kind, params, message):
     with pytest.raises(ValueError, match=message):

@@ -13,11 +13,11 @@ import scipy.linalg
 from conekit import operators
 from conekit.analysis import smooth_random_field
 from conekit.config import RunConfig
-from conekit.fields import Field, channel_weights, constant_field, field_from_modes
+from conekit.fields import Field, channel_weights, constant_field
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import EIGEN_MAX_ITER, ModeOperators, SolverError, _stage_roots
 from conekit.spaces import h01_dual_norm, poincare_constant
-from conftest import eigensystem
+from conftest import eigensystem, mode_field
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -42,7 +42,7 @@ def vol_norm(ops, x):
 
 def mode_laplacian(ops, mode, radial):
     """L_k of one radial profile, through the field Laplacian."""
-    u = field_from_modes(ops.mesh, ops.max_mode, radial, mode=mode)
+    u = mode_field(ops.mesh, ops.max_mode, radial, mode=mode)
     return ops.apply_laplacian(u).coeffs[mode, 0]
 
 
@@ -124,7 +124,7 @@ def test_eigenfunction_reproduced_by_applies(sphere_ops):
     mu, phi = vals[idx], vecs[:, idx]
     lap = mode_laplacian(sphere_ops, 1, phi)
     assert np.allclose(lap, -mu * phi, atol=1e-9 * mu * np.abs(phi).max())
-    u = field_from_modes(sphere_ops.mesh, sphere_ops.max_mode, phi, mode=1)
+    u = mode_field(sphere_ops.mesh, sphere_ops.max_mode, phi, mode=1)
     bilap = sphere_ops.apply_laplacian(sphere_ops.apply_laplacian(u))
     assert np.allclose(bilap.coeffs[1, 0], mu ** 2 * phi,
                        atol=1e-9 * mu ** 2 * np.abs(phi).max())
@@ -175,8 +175,8 @@ def test_gauss_defect_random_fields(sphere_ops, graded_cone_ops, rng):
 
 def test_gauss_defect_rough_tip_profile(graded_cone_ops):
     ops = graded_cone_ops
-    u = field_from_modes(ops.mesh, ops.max_mode,
-                         lambda x: np.minimum(x, 1.0) ** 0.3, mode=0)
+    u = mode_field(ops.mesh, ops.max_mode,
+                   lambda x: np.minimum(x, 1.0) ** 0.3, mode=0)
     assert ops.gauss_defect(u) <= gauss_bound(ops, u)
 
 
@@ -264,6 +264,11 @@ def test_bands_and_eigenvalues_reject_negative_modes():
             call(-1)
     with pytest.raises(ValueError, match="max_mode must be >= 0"):
         ModeOperators(mesh, -1)
+    # a float truncation would be cut to an integer silently
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match=f"max_mode must be >= 0 and an integer, got {bad!r}"):
+            ModeOperators(mesh, bad)
+    assert ModeOperators(mesh, np.int64(2)).max_mode == 2
 
 
 def test_neglap_solve_is_inverse_on_mean_free(sphere_ops, rng):
@@ -294,7 +299,7 @@ def test_ch_solve_eigenfunction_oracle(sphere_ops):
     dt, s = 1e-3, 2.0
     vals, vecs = eigensystem(sphere_ops, 1)
     mu, phi = vals[4], vecs[:, 4]
-    rhs = field_from_modes(sphere_ops.mesh, sphere_ops.max_mode, phi, mode=1)
+    rhs = mode_field(sphere_ops.mesh, sphere_ops.max_mode, phi, mode=1)
     u = sphere_ops.solve_ch_system(rhs, dt, s)
     expected = phi / (1.0 + dt * mu * mu + s * dt * mu)
     assert np.allclose(u.coeffs[1, 0], expected, atol=1e-9 * np.abs(expected).max())
@@ -381,8 +386,8 @@ def test_ch_solve_real_root_branch_matches_dense(small_sphere_ops, rng):
 
 def test_ch_solve_small_dt_perturbs_identity(sphere_ops):
     # on a smooth field the solve differs from its input by O(dt)
-    rhs = field_from_modes(sphere_ops.mesh, sphere_ops.max_mode,
-                           eigensystem(sphere_ops, 1)[1][:, 2], mode=1)
+    rhs = mode_field(sphere_ops.mesh, sphere_ops.max_mode,
+                     eigensystem(sphere_ops, 1)[1][:, 2], mode=1)
     errs = {}
     for dt in (1e-4, 1e-5):
         u = sphere_ops.solve_ch_system(rhs, dt, 2.0)

@@ -13,13 +13,13 @@ from conekit.operators import ModeOperators
 
 def test_package_exports():
     assert sorted(conekit.__all__) == [
-        "AbsorbingReport", "AsymptoticSpace", "DiagnosticsRecord", "Field",
+        "AbsorbingReport", "DiagnosticsRecord", "Field",
         "GammaWindow", "IndicialRoot", "LojasiewiczProbe", "ModeOperators",
         "RadialMesh", "SemiflowResult", "SemiflowState", "SolverError",
         "StabilityError", "StepperConfig", "Surd", "SurfaceProfile", "TipFit",
         "absorbing_set_experiment", "asymptotic_space", "bilaplacian_indicial_roots",
         "boundary_spectrum", "build_mesh", "build_profile", "ch_gamma_window",
-        "constant_field", "energy", "energy_gradient", "field_from_modes",
+        "constant_field", "energy", "energy_gradient",
         "fit_tip_asymptotics", "gradient_residual", "h01_dual_norm", "h1_seminorm",
         "interpolation_exclusions", "l2_norm", "laplacian_gamma_window",
         "laplacian_indicial_roots", "lojasiewicz_probe",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from conekit.fields import Field, channel_weights, constant_field, field_from_modes
+from conekit.fields import Field, channel_weights, constant_field
 from conekit.geometry import build_mesh, build_profile
 from conekit.operators import ModeOperators
 from conekit.spaces import (
@@ -19,7 +19,7 @@ from conekit.spaces import (
     mellin_norm,
     poincare_constant,
 )
-from conftest import eigensystem
+from conftest import eigensystem, mode_field
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -39,7 +39,7 @@ def mean_zero(u):
 
 def test_mean_of_constants_and_pure_modes(sphere_mesh):
     assert mean(constant_field(sphere_mesh, 4, 3.0)) == pytest.approx(3.0, rel=1e-12)
-    g = field_from_modes(sphere_mesh, 4, lambda s: np.exp(-s), mode=1)
+    g = mode_field(sphere_mesh, 4, lambda s: np.exp(-s), mode=1)
     assert mean(g) == pytest.approx(0.0, abs=1e-15)
     combo = constant_field(sphere_mesh, 4, 1.0) + g
     assert mean(combo) == pytest.approx(1.0, rel=1e-12)
@@ -73,17 +73,17 @@ def bump_closed_form(s):
 
 
 def test_tip_norm_zeroth_order_closed_form(long_cone_mesh):
-    u = field_from_modes(long_cone_mesh, 0, collar_bump, mode=0)
+    u = mode_field(long_cone_mesh, 0, collar_bump, mode=0)
     assert mellin_norm(u, 0, 0.0) == pytest.approx(bump_closed_form(0), rel=1e-3)
 
 
 def test_tip_norm_first_order_closed_form(long_cone_mesh):
-    u = field_from_modes(long_cone_mesh, 0, collar_bump, mode=0)
+    u = mode_field(long_cone_mesh, 0, collar_bump, mode=0)
     assert mellin_norm(u, 1, 0.0) == pytest.approx(bump_closed_form(1), rel=1e-3)
 
 
 def test_tip_norm_second_order_closed_form(long_cone_mesh):
-    u = field_from_modes(long_cone_mesh, 0, collar_bump, mode=0)
+    u = mode_field(long_cone_mesh, 0, collar_bump, mode=0)
     assert mellin_norm(u, 2, 0.0) == pytest.approx(bump_closed_form(2), rel=2e-3)
 
 
@@ -95,9 +95,19 @@ def test_tip_norm_at_zero_weight_is_collar_l2(long_cone_mesh, rng):
 
 
 def test_tip_norm_rejects_unsupported_order(long_cone_mesh):
-    u = field_from_modes(long_cone_mesh, 0, lambda x: x, mode=0)
+    u = mode_field(long_cone_mesh, 0, lambda x: x, mode=0)
     with pytest.raises(ValueError, match="order"):
         mellin_norm(u, 3, 0.0)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_tip_norm_rejects_a_non_finite_weight(rng, gamma, s):
+    # nan and +inf would give a NaN norm, and -inf the interior part alone
+    mesh = build_mesh(build_profile("sphere", radius=1.0), 32, 1.0)
+    u = random_field(mesh, 3, rng)
+    with pytest.raises(ValueError, match=f"weight gamma must be finite, got {gamma}"):
+        mellin_norm(u, s, gamma)
 
 
 def test_tip_norm_monotone_in_weight_for_collar_fields(long_cone_mesh, rng):
@@ -112,9 +122,9 @@ def test_tip_norm_monotone_in_weight_for_collar_fields(long_cone_mesh, rng):
 
 def test_tip_norm_interior_term_covers_cap_region(long_cone_mesh):
     # field supported far outside the collar: collar term is 0, interior > 0
-    u = field_from_modes(long_cone_mesh, 0,
-                         lambda x: np.where(x > 1.5, np.exp(-((x - 2.0) / 0.2) ** 2), 0.0),
-                         mode=0)
+    u = mode_field(long_cone_mesh, 0,
+                   lambda x: np.where(x > 1.5, np.exp(-((x - 2.0) / 0.2) ** 2), 0.0),
+                   mode=0)
     assert mellin_norm(u, 0, 0.0) == pytest.approx(l2_norm(u), rel=1e-6)
 
 
@@ -138,13 +148,13 @@ def test_h1_seminorm_kills_constants(sphere_mesh):
 
 def test_h1_seminorm_first_spherical_harmonic(sphere_mesh):
     amp = math.sqrt(3.0 / (4.0 * math.pi))
-    u = field_from_modes(sphere_mesh, 0, lambda s: amp * np.cos(s), mode=0)
+    u = mode_field(sphere_mesh, 0, lambda s: amp * np.cos(s), mode=0)
     assert h1_seminorm(u) == pytest.approx(math.sqrt(2.0), rel=1e-2)
 
 
 def test_h1_seminorm_orthogonal_modes_add_in_square(sphere_mesh):
-    u1 = field_from_modes(sphere_mesh, 3, lambda s: np.sin(s), mode=1)
-    u3 = field_from_modes(sphere_mesh, 3, lambda s: np.sin(s) ** 2, mode=3, part="sin")
+    u1 = mode_field(sphere_mesh, 3, lambda s: np.sin(s), mode=1)
+    u3 = mode_field(sphere_mesh, 3, lambda s: np.sin(s) ** 2, mode=3, part="sin")
     lhs = h1_seminorm(u1 + u3) ** 2
     rhs = h1_seminorm(u1) ** 2 + h1_seminorm(u3) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -195,8 +205,8 @@ def test_dual_norm_rejects_a_non_finite_field_before_the_solve(small_sphere_ops,
 
 def test_dual_norm_of_eigenfunction_is_inverse_sqrt_eigenvalue(sphere_ops):
     amp = math.sqrt(3.0 / (4.0 * math.pi))
-    u = field_from_modes(sphere_ops.mesh, sphere_ops.max_mode,
-                         lambda s: amp * np.cos(s), mode=0)
+    u = mode_field(sphere_ops.mesh, sphere_ops.max_mode,
+                   lambda s: amp * np.cos(s), mode=0)
     assert h01_dual_norm(u, sphere_ops) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-2)
 
 
