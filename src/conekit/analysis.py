@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SemiflowResult, StepperConfig, _mean_free_dual_norm, _run_sliced, gradient_residual
-from .fields import Field, _check_mode
+from .fields import Field
+from .geometry import _integer
 from .operators import ModeOperators
 from .spaces import h01_dual_norm, mellin_norm
 
@@ -49,21 +50,20 @@ class TipFit:
     window: tuple[float, float]
 
 
-def fit_tip_asymptotics(u: Field, mode: int,
-                        window: tuple[float, float] | None = None) -> TipFit:
+def fit_tip_asymptotics(u: Field, mode: int) -> TipFit:
     """Fit the tip behavior of one angular mode of a field.
 
     Mode 0 fits its signed profile; a mode k >= 1 fits its amplitude
     sqrt(cos^2 + sin^2), which does not change when the field is rotated.
-    The fit window defaults to [2 * (first cell center), 0.1 * L], which on a
+    The fit window is [2 * (first cell center), 0.1 * L), which on a
     tip-graded mesh spans several decades.  Raises ValueError when the window
     holds fewer than 8 cells or the mode amplitude is at roundoff level
     ("mode numerically absent").
     """
     mesh = u.mesh
-    _check_mode(mode, u.max_mode)
+    mode = _integer("mode", mode, 0, u.max_mode)
     profile = u.coeffs[0, 0] if mode == 0 else np.hypot(u.coeffs[mode, 0], u.coeffs[mode, 1])
-    lo, hi = window if window is not None else (2.0 * mesh.s_min, 0.1 * mesh.length)
+    lo, hi = 2.0 * mesh.s_min, 0.1 * mesh.length
     mask = (mesh.centers >= lo) & (mesh.centers < hi)
     n_points = int(mask.sum())
     if n_points < 8:
@@ -203,6 +203,9 @@ def smooth_random_field(ops: ModeOperators, rng: np.random.Generator,
     """
     if dual_radius is not None and sup_amplitude is not None:
         raise ValueError("give dual_radius or sup_amplitude, not both")
+    for name, size in (("dual_radius", dual_radius), ("sup_amplitude", sup_amplitude)):
+        if size is not None and not 0 <= size < math.inf:   # written so that a NaN fails
+            raise ValueError(f"{name} must be >= 0 and finite, got {size}")
     mesh = ops.mesh
     coeffs = rng.standard_normal((ops.max_mode + 1, 2, mesh.cells))
     coeffs[0, 1, :] = 0.0
@@ -264,8 +267,7 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
         raise ValueError(f"radii must be positive and distinct, got {tuple(radii)}")
     if not level_margin >= 1:   # below 1, a run may never enter the level
         raise ValueError(f"level_margin must be >= 1, got {level_margin}")
-    if seeds_per_radius < 1:
-        raise ValueError(f"seeds_per_radius must be >= 1, got {seeds_per_radius}")
+    seeds_per_radius = _integer("seeds_per_radius", seeds_per_radius, 1)
     jobs = [(radius, base_seed + i) for radius in radii for i in range(seeds_per_radius)]
     initials = [smooth_random_field(ops, np.random.default_rng(seed),
                                     dual_radius=radius, mode_decay=mode_decay)

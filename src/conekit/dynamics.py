@@ -40,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import Field, channel_weights, coeffs_to_values, values_to_coeffs
+from .geometry import _integer
 from .operators import ModeOperators
 from .spaces import h01_dual_norm, h1_seminorm, mean, mellin_norm, poincare_constant
 
@@ -83,9 +84,7 @@ class StepperConfig:
         for name, holds, rule in rules:
             if not (holds and getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite{rule}, got {getattr(self, name)}")
-        stride = self.snapshot_stride
-        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-            raise ValueError(f"snapshot_stride must be an integer >= 1, got {stride!r}")
+        _integer("snapshot_stride", self.snapshot_stride, 1)
 
 
 @dataclass

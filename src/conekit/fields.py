@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RadialMesh
+from .geometry import RadialMesh, _integer
 
 __all__ = [
     "Field",
@@ -131,11 +131,6 @@ def channel_weights(max_mode: int) -> np.ndarray:
 
 
 def constant_field(mesh: RadialMesh, max_mode: int, value: float) -> Field:
-    c = np.zeros((max_mode + 1, 2, mesh.cells))
+    c = np.zeros((_integer("max_mode", max_mode, 0) + 1, 2, mesh.cells))
     c[0, 0, :] = value
     return Field(mesh, c)
-
-
-def _check_mode(mode: int, max_mode: int):
-    if not 0 <= mode <= max_mode:
-        raise ValueError(f"mode {mode} is outside the truncation range 0..{max_mode}")

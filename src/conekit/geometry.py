@@ -59,6 +59,15 @@ def exact_number(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact number")
 
 
+def _integer(name: str, value, lowest: int, highest: int | None = None) -> int:
+    """The one rule for integer arguments: a non-bool int or numpy integer in [lowest, highest]."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and lowest <= value and (highest is None or value <= highest):
+        return int(value)
+    bounds = f">= {lowest}" if highest is None else f"in {lowest}..{highest}"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 def _smoothstep_quintic(t: np.ndarray) -> np.ndarray:
     """C^2 monotone ramp 0 -> 1 on [0, 1] (6t^5 - 15t^4 + 10t^3)."""
     t = np.clip(t, 0.0, 1.0)
@@ -234,8 +243,7 @@ def build_mesh(profile: SurfaceProfile, cells: int, grading: float = 1.0) -> Rad
     outward neighbor (q = 1 is uniform).  Raises ValueError for meshes whose
     smallest cell would be below 1e-14 of the total length.
     """
-    if cells < 4:
-        raise ValueError("need at least 4 cells")
+    cells = _integer("cells", cells, 4)
     if not (0.0 < grading <= 1.0):
         raise ValueError(f"grading ratio must lie in (0, 1], got {grading}")
     L = profile.length
@@ -266,7 +274,6 @@ def boundary_spectrum(profile: SurfaceProfile, max_mode: int) -> tuple[tuple[int
     Returns the pairs (k, lambda_k) for k = 0..max_mode, lambda_k a Fraction;
     each mode k >= 1 stands for two eigenfunctions, cos and sin.
     """
-    if max_mode < 0:
-        raise ValueError("need max_mode >= 0")
     c = profile.tip_slope
-    return tuple((k, -Fraction(k) ** 2 / c ** 2) for k in range(max_mode + 1))
+    return tuple((k, -Fraction(k) ** 2 / c ** 2)
+                 for k in range(_integer("max_mode", max_mode, 0) + 1))

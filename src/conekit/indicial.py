@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import exact_number
+from .geometry import _integer, exact_number
 
 __all__ = [
     "Surd",
@@ -155,11 +155,6 @@ class Surd:
         return f"{self.a} {sign} {tail}"
 
 
-def _check_dimension(n: int):
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"surface dimension n must be a positive integer, got {n!r}")
-
-
 def _radicand(n: int, lam) -> Fraction:
     return Fraction(n - 1, 2) ** 2 - exact_number(lam)
 
@@ -184,7 +179,7 @@ class IndicialRoot:
 
 def _mode_roots(n: int, spectrum) -> list[tuple[int, list[tuple[Surd, int]]]]:
     """Per spectrum entry, its mode and the roots of p_j with their multiplicities."""
-    _check_dimension(n)
+    n = _integer("surface dimension n", n, 1)
     shift = Surd(-Fraction(n - 1, 2))
     out = []
     for mode, lam in spectrum:
@@ -250,14 +245,14 @@ class GammaWindow:
         return f"({float(self.lower):g}, {float(self.upper):g})"
 
 
-def _gamma_window(n: int, lambda_1, cap: Fraction) -> GammaWindow:
-    """gamma in ( (n-3)/2 , min{ -1 + sqrt(((n-1)/2)^2 - lambda_1), cap } ), lambda_1 < 0."""
-    _check_dimension(n)
+def _gamma_window(n: int, lambda_1, cap) -> GammaWindow:
+    """gamma in ( (n-3)/2 , min{ -1 + sqrt(((n-1)/2)^2 - lambda_1), cap(n) } ), lambda_1 < 0."""
+    n = _integer("surface dimension n", n, 1)
     lam1 = exact_number(lambda_1)
     if lam1 >= 0:
         raise ValueError(f"lambda_1 must be negative, got {lam1}")
     return GammaWindow(lower=Surd(Fraction(n - 3, 2)),
-                       upper=min(Surd(-1) + Surd.sqrt(_radicand(n, lam1)), Surd(cap)))
+                       upper=min(Surd(-1) + Surd.sqrt(_radicand(n, lam1)), Surd(cap(n))))
 
 
 def ch_gamma_window(n: int, lambda_1) -> GammaWindow:
@@ -266,14 +261,14 @@ def ch_gamma_window(n: int, lambda_1) -> GammaWindow:
     With d = n + 1:  gamma in ( (d-4)/2 , min{ -1 + sqrt(((d-2)/2)^2 - lambda_1),
     (d-4)/4 } ), lambda_1 < 0 the first nonzero cross-section eigenvalue.
     """
-    return _gamma_window(n, lambda_1, Fraction(n - 3, 4))
+    return _gamma_window(n, lambda_1, lambda n: Fraction(n - 3, 4))
 
 
 def laplacian_gamma_window(n: int, lambda_1) -> GammaWindow:
     """Weight window for the second-order problem on the n-dimensional surface:
     gamma in ( (n-3)/2 , min{ -1 + sqrt(((n-1)/2)^2 - lambda_1), (n+1)/2 } ).
     """
-    return _gamma_window(n, lambda_1, Fraction(n + 1, 2))
+    return _gamma_window(n, lambda_1, lambda n: Fraction(n + 1, 2))
 
 
 def asymptotic_space(n: int, spectrum, gamma) -> tuple[Surd, Surd, tuple[IndicialRoot, ...]]:
@@ -284,7 +279,7 @@ def asymptotic_space(n: int, spectrum, gamma) -> tuple[Surd, Surd, tuple[Indicia
     the maximal domain split into these branches plus a remainder that is
     two orders flatter.
     """
-    _check_dimension(n)
+    n = _integer("surface dimension n", n, 1)
     g = exact_number(gamma)
     lo = Surd(Fraction(n - 7, 2) - g)
     hi = Surd(Fraction(n - 3, 2) - g)
@@ -299,7 +294,7 @@ def minimal_domain_check(n: int, spectrum, gamma) -> tuple[tuple[Surd, int], ...
     Returns the hits as (offset, mode) pairs in spectrum order; no hit means the
     maximal domain collapses to the clean weighted space.
     """
-    _check_dimension(n)
+    n = _integer("surface dimension n", n, 1)
     g = exact_number(gamma)
     targets = (Surd(g + 1), Surd(g + 3))
     hits = []
@@ -317,7 +312,7 @@ def interpolation_exclusions(n: int, spectrum, gamma) -> list[Surd]:
     These are the values (1 - gamma)/2 +- sqrt(((n-1)/2)^2 - lambda_j)/2
     that land strictly inside (0, 1), deduplicated exactly and sorted.
     """
-    _check_dimension(n)
+    n = _integer("surface dimension n", n, 1)
     g = exact_number(gamma)
     center = Surd((1 - g) / 2)
     cands: list[Surd] = []

@@ -62,8 +62,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import Field, _check_mode, channel_weights
-from .geometry import RadialMesh
+from .fields import Field, channel_weights
+from .geometry import RadialMesh, _integer
 
 __all__ = [
     "ModeOperators",
@@ -131,11 +131,8 @@ class ModeOperators:
     """Workspace bundling mesh data, mode matrices and cached factorizations."""
 
     def __init__(self, mesh: RadialMesh, max_mode: int):
-        if isinstance(max_mode, bool) or not isinstance(max_mode, (int, np.integer)) \
-                or max_mode < 0:
-            raise ValueError(f"max_mode must be >= 0 and an integer, got {max_mode!r}")
         self.mesh = mesh
-        self.max_mode = int(max_mode)
+        self.max_mode = _integer("max_mode", max_mode, 0)
         self.trans = mesh.transmissibilities
         self.volumes = mesh.volumes
         self.sqrt_volumes = np.sqrt(mesh.volumes)
@@ -153,8 +150,7 @@ class ModeOperators:
 
     def neglap_bands(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, subdiagonal) of the symmetrized positive operator B_k, any mode k >= 0."""
-        if mode < 0:
-            raise ValueError(f"mode must be >= 0, got {mode}")
+        mode = _integer("mode", mode, 0)
         m = self.mesh.cells
         t, vol = self.trans, self.volumes
         diag = (t[:m] + t[1:]) / vol + (mode * mode) * self.inv_f_sq
@@ -258,7 +254,7 @@ class ModeOperators:
         projected for safety) and the solution is returned vol-mean-free.
         Accepts rhs of shape (M,) or (M, nrhs).
         """
-        _check_mode(mode, self.max_mode)
+        mode = _integer("mode", mode, 0, self.max_mode)
         rhs = np.asarray(rhs, dtype=float)
         return self._solve_blocks(mode, rhs.reshape(1, rhs.shape[0], -1))[0].reshape(rhs.shape)
 
@@ -280,9 +276,8 @@ class ModeOperators:
         docstring).  The residual (volume-weighted) must be <= 1e-10 * ||rhs||,
         else SolverError.
         """
+        mode = _integer("mode (-L_0 is singular)", mode, 1)
         rhs = np.asarray(rhs, dtype=float)
-        if mode < 1:
-            raise ValueError(f"mode must be >= 1 (-L_0 is singular), got {mode}")
         if rhs.shape != (self.mesh.cells,):
             raise ValueError(f"rhs must have shape ({self.mesh.cells},)")
         diag, sub = self.neglap_bands(mode)
@@ -461,7 +456,7 @@ class ModeOperators:
         iterates every mode at once, one block solve per step, each mode until
         its own convergence, and caches all of them.
         """
-        _check_mode(mode, self.max_mode)
+        mode = _integer("mode", mode, 0, self.max_mode)
         if self._smallest_eigenvalues is None:
             m, nmodes = self.mesh.cells, self.max_mode + 1
             v = np.stack([np.random.default_rng(12345 + k).standard_normal(m)

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .fields import Field, channel_weights
+from .geometry import _integer
 from .operators import ModeOperators
 
 __all__ = [
@@ -139,8 +140,7 @@ def mellin_norm(u: Field, s: int, gamma: float) -> float:
     order-s Sobolev norm of the remainder (1-omega) u, with omega the collar
     cutoff ``_cutoff``.  The two contributions are added (collar + interior).
     """
-    if s not in (0, 1, 2):
-        raise ValueError(f"order s must be one of 0, 1, 2, got {s}")
+    s = _integer("order s", s, 0, 2)
     if not -math.inf < gamma < math.inf:   # written so that a NaN fails
         raise ValueError(f"weight gamma must be finite, got {gamma}")
     mesh = u.mesh

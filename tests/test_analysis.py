@@ -58,15 +58,18 @@ def test_fit_mode_zero_reports_log_slope(graded_cone_ops):
 
 
 def test_fit_rejects_thin_windows_and_absent_modes(graded_cone_ops):
+    # on a uniform 16-cell mesh the window [2 s_min, 0.1 L) holds one cell
+    uniform = build_mesh(build_profile("sphere", radius=1.0), 16, 1.0)
+    with pytest.raises(ValueError, match="cells"):
+        fit_tip_asymptotics(mode_field(uniform, 1, lambda x: x, mode=1), 1)
     mesh = graded_cone_ops.mesh
     c = np.zeros((graded_cone_ops.max_mode + 1, 2, mesh.cells))
     c[1, 0] = mesh.centers
     u = Field(mesh, c)
-    with pytest.raises(ValueError, match="cells"):
-        fit_tip_asymptotics(u, 1, window=(0.5, 0.5001))
     with pytest.raises(ValueError, match="numerically absent"):
         fit_tip_asymptotics(u, 2)
-    with pytest.raises(ValueError, match=f"outside the truncation range 0..{u.max_mode}"):
+    with pytest.raises(ValueError, match=f"mode must be an integer in 0..{u.max_mode}, "
+                                         f"got {u.max_mode + 1}"):
         fit_tip_asymptotics(u, u.max_mode + 1)
 
 
@@ -74,7 +77,7 @@ def test_fit_rejects_negative_modes():
     mesh = build_mesh(build_profile("cone_capped", c=1, length=2.0), 128, 0.8)
     c = np.zeros((3, 2, mesh.cells))
     c[2, 0] = mesh.centers ** 2   # mode K = 2, which a wrapped index -1 would fit
-    with pytest.raises(ValueError, match="mode -1 is outside .* 0..2"):
+    with pytest.raises(ValueError, match="mode must be an integer in 0..2, got -1"):
         fit_tip_asymptotics(Field(mesh, c), -1)
 
 
@@ -200,6 +203,12 @@ def test_smooth_random_field_is_mean_zero_and_scaled(small_sphere_ops, rng):
     # one rescaling cannot meet both requests
     with pytest.raises(ValueError, match="dual_radius or sup_amplitude, not both"):
         smooth_random_field(ops, rng, dual_radius=2.0, sup_amplitude=0.5)
+    # a negative size used to flip the field's sign, and a NaN one to return a NaN field
+    for name in ("dual_radius", "sup_amplitude"):
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite, got {bad}"):
+                smooth_random_field(ops, rng, **{name: bad})
+        assert smooth_random_field(ops, rng, **{name: 0.0}).max_abs() == 0.0
 
 
 def test_smooth_random_field_is_seed_deterministic(small_sphere_ops):

@@ -100,6 +100,7 @@ def test_bad_values_name_the_field():
         ("[norms]\npairs = 1\n", "pairs"),
         ("[experiment]\nic = banana\n", "ic"),
         ("[experiment]\ndrop_last = 0.9\n", "drop_last"),
+        ("[experiment]\namplitude = -0.1\n", r"\[experiment\] amplitude must be >= 0, got -0.1"),
         ("[geometry]\nkind = sphere\nradius = 0\n", r"\[geometry\] radius must"),
         ("[geometry]\nL = -1\n", r"\[geometry\] L must"),
         ("[geometry]\nM = 3\n", r"\[geometry\] M must"),

@@ -119,7 +119,7 @@ def test_mesh_rejects_underflowing_cells():
 
 
 @pytest.mark.parametrize("cells, grading, message", [
-    (3, 1.0, "need at least 4 cells"),
+    (3, 1.0, "cells must be an integer >= 4, got 3"),
     (8, 0.0, r"grading ratio must lie in \(0, 1\], got 0.0"),
     (8, 1.5, r"grading ratio must lie in \(0, 1\], got 1.5"),
 ])

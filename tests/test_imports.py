@@ -1,6 +1,6 @@
-"""Every module-level import, private function and private class in the package is used,
-every function the package exports is used outside the tests, and every name a module
-exports exists.
+"""Every module-level import, private function, private class, private method and private
+attribute in the package is used, every function the package exports is used outside the
+tests, and every name a module exports exists.
 
 Deleting a function tends to leave its imports, helpers and ``__all__`` entry
 behind, and no linter runs on this tree, so this walks the syntax tree of each
@@ -81,6 +81,58 @@ def test_checker_flags_an_unused_private_function():
         "b.py": "import a\nfrom a import _imported\nclass C:\n    def _method(self):\n"
                 "        raise a._RaisedClass(a._attribute)\n",
     }) == ["a.py: _dead", "a.py: _DeadClass"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unused_private_methods(sources: dict) -> list[str]:
+    """``def _name`` in a class body of any module that no module references."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    referenced = referenced_names(trees.values())
+    return [f"{name}: {cls.name}.{node.name}" for name, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(node.name)
+            and node.name not in referenced]
+
+
+def test_no_unused_private_method():
+    assert unused_private_methods({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_checker_flags_an_unused_private_method():
+    assert unused_private_methods({
+        "a.py": "class A:\n    def __init__(self):\n        self._called()\n"
+                "    def _called(self):\n        pass\n    def _dead(self):\n        pass\n"
+                "    @staticmethod\n    def _elsewhere():\n        pass\n",
+        "b.py": "import a\nprint(a.A._elsewhere())\n",
+    }) == ["a.py: A._dead"]
+
+
+def unread_private_attributes(sources: dict) -> list[str]:
+    """``self._name`` that some module stores and no module reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    stored = {(name, node.attr): None for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"
+              and _private(node.attr)}
+    return [f"{name}: self.{attr}" for name, attr in stored if attr not in read]
+
+
+def test_no_unread_private_attribute():
+    assert unread_private_attributes({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_checker_flags_an_unread_private_attribute():
+    assert unread_private_attributes({
+        "a.py": "class A:\n    def __init__(self):\n        self._read = 1\n"
+                "        self._dead = 2\n        self._dead = 3\n        self.public = 4\n"
+                "        self._elsewhere = 5\n    def get(self):\n        return self._read\n",
+        "b.py": "import a\nprint(a.A()._elsewhere)\n",
+    }) == ["a.py: self._dead"]
 
 
 def unreferenced_exports(names, sources: dict) -> list[str]:
