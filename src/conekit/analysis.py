@@ -57,11 +57,13 @@ def fit_tip_asymptotics(u: Field, mode: int) -> TipFit:
     sqrt(cos^2 + sin^2), which does not change when the field is rotated.
     The fit window is [2 * (first cell center), 0.1 * L), which on a
     tip-graded mesh spans several decades.  Raises ValueError when the window
-    holds fewer than 8 cells or the mode amplitude is at roundoff level
-    ("mode numerically absent").
+    holds fewer than 8 cells, the mode amplitude is at roundoff level
+    ("mode numerically absent") or the field is not finite.
     """
     mesh = u.mesh
     mode = _integer("mode", mode, 0, u.max_mode)
+    if not np.isfinite(u.coeffs).all():   # a NaN cell would drop out of the fit unseen
+        raise ValueError("fit_tip_asymptotics needs a finite field")
     profile = u.coeffs[0, 0] if mode == 0 else np.hypot(u.coeffs[mode, 0], u.coeffs[mode, 1])
     lo, hi = 2.0 * mesh.s_min, 0.1 * mesh.length
     mask = (mesh.centers >= lo) & (mesh.centers < hi)
@@ -94,19 +96,22 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
-def tip_probe(ops: ModeOperators, mode: int, source_center_frac: float = 0.75,
-              source_width_frac: float = 0.08) -> tuple[np.ndarray, TipFit]:
+#: The tip probe's source: a Gaussian bump centered at this fraction of L, of this width.
+PROBE_CENTER, PROBE_WIDTH = 0.75, 0.08
+
+
+def tip_probe(ops: ModeOperators, mode: int) -> tuple[np.ndarray, TipFit]:
     """Solve a Poisson problem forced away from the tip and fit the tip exponent.
 
-    The source is a Gaussian bump centered at source_center_frac * L; near the
+    The source is a Gaussian bump centered at PROBE_CENTER * L; near the
     tip the solution is forced onto its regular branch, whose exponent the
     log-log fit recovers.  For mode 0 the source is mean-projected (so the
     flux balance closes) and the fit reports the log-branch amplitude, which
     zero tip flux kills.
     """
     mesh = ops.mesh
-    s0 = source_center_frac * mesh.length
-    width = source_width_frac * mesh.length
+    s0 = PROBE_CENTER * mesh.length
+    width = PROBE_WIDTH * mesh.length
     g = np.exp(-((mesh.centers - s0) / width) ** 2)
     if mode == 0:
         g = g - (mesh.volumes @ g) / mesh.area
@@ -122,6 +127,7 @@ def tip_probe(ops: ModeOperators, mode: int, source_center_frac: float = 0.75,
 # --------------------------------------------------------- decay exponent fit
 
 MIN_LOJASIEWICZ_SAMPLES = 10   # fewer points do not pin a log-log slope
+DROP_LAST_FRACTION = 0.05      # the final samples sit closest to the noise floor
 
 
 @dataclass(frozen=True)
@@ -144,24 +150,26 @@ def fit_lojasiewicz(energy_gaps: np.ndarray, gradient_norms: np.ndarray) -> tupl
     """Regress log(gradient norm) on log(energy gap); returns (theta, slope, r2).
 
     A gradient inequality ||grad E|| >= c |E - E_inf|^(1-theta) shows up as
-    slope = 1 - theta in these coordinates.
+    slope = 1 - theta in these coordinates.  Every gap and every norm must be
+    positive and finite.
     """
-    x = np.log(np.asarray(energy_gaps, dtype=float))
-    y = np.log(np.asarray(gradient_norms, dtype=float))
-    if x.size < 2:
+    gaps = np.asarray(energy_gaps, dtype=float)
+    norms = np.asarray(gradient_norms, dtype=float)
+    if gaps.size < 2:
         raise ValueError("need at least two samples")
-    slope, r2 = _line_fit(x, y)
+    for name, values in (("energy gaps", gaps), ("gradient norms", norms)):
+        if not np.all((values > 0) & (values < math.inf)):   # written so that a NaN fails
+            raise ValueError(f"{name} must be positive and finite")
+    slope, r2 = _line_fit(np.log(gaps), np.log(norms))
     return 1.0 - slope, slope, r2
 
 
-def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
-                      drop_last_fraction: float = 0.05) -> LojasiewiczProbe:
+def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult) -> LojasiewiczProbe:
     """Estimate the decay exponent from a finished relaxation run.
 
     Needs a run with collected snapshots that actually reached equilibrium.
     Samples with energy gap at the roundoff floor (10 eps |E_inf|) are
-    discarded, as is the final drop_last_fraction of the remaining samples
-    (they sit closest to the noise floor).
+    discarded, as is the final DROP_LAST_FRACTION of the remaining samples.
     """
     if not result.equilibrium_reached:
         raise ValueError("trajectory did not reach equilibrium; extend t_max or relax eq_tol")
@@ -178,7 +186,7 @@ def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
             continue
         gaps.append(gap)
         grads.append(gradient_residual(Field(ops.mesh, coeffs.copy()), ops))
-    keep = len(gaps) - int(math.ceil(drop_last_fraction * len(gaps)))
+    keep = len(gaps) - int(math.ceil(DROP_LAST_FRACTION * len(gaps)))
     gaps, grads = gaps[:keep], grads[:keep]
     if len(gaps) < MIN_LOJASIEWICZ_SAMPLES:
         raise ValueError(f"only {len(gaps)} usable samples (< {MIN_LOJASIEWICZ_SAMPLES}); "
@@ -193,11 +201,10 @@ def lojasiewicz_probe(ops: ModeOperators, result: SemiflowResult,
 
 def smooth_random_field(ops: ModeOperators, rng: np.random.Generator,
                         dual_radius: float | None = None,
-                        sup_amplitude: float | None = None,
-                        mode_decay: float = 2.0) -> Field:
+                        sup_amplitude: float | None = None) -> Field:
     """Mean-zero random initial data, smooth enough for the fourth-order flow.
 
-    Gaussian coefficients with (1+k)^(-mode_decay) angular decay are passed
+    Gaussian coefficients with (1+k)^(-2) angular decay are passed
     twice through the inverse Laplacian (radial smoothing), mean-projected,
     and rescaled to the requested dual norm or sup amplitude, at most one of them.
     """
@@ -209,7 +216,7 @@ def smooth_random_field(ops: ModeOperators, rng: np.random.Generator,
     mesh = ops.mesh
     coeffs = rng.standard_normal((ops.max_mode + 1, 2, mesh.cells))
     coeffs[0, 1, :] = 0.0
-    coeffs *= ((1.0 + np.arange(ops.max_mode + 1)) ** (-mode_decay))[:, None, None]
+    coeffs *= ((1.0 + np.arange(ops.max_mode + 1)) ** -2.0)[:, None, None]
     for _ in range(2):
         coeffs = np.ascontiguousarray(ops.solve_neglap_field(coeffs)[1].transpose(0, 2, 1))
     coeffs[0, 0, :] -= (mesh.volumes @ coeffs[0, 0]) / mesh.area
@@ -222,6 +229,8 @@ def smooth_random_field(ops: ModeOperators, rng: np.random.Generator,
 
 
 # ------------------------------------------------------- absorbing experiment
+
+LEVEL_MARGIN = 1.05   # the entry level over the largest final Dirichlet norm
 
 
 @dataclass
@@ -239,21 +248,14 @@ class AbsorbingReport:
     diam_times: np.ndarray
     diameters: dict         # radius -> dual-norm ensemble diameter per record time
 
-    @property
-    def kappa_spread(self) -> float:
-        """Relative disagreement of the absorbing radius across initial radii."""
-        vals = [self.kappa[r] for r in self.radii]
-        return (max(vals) - min(vals)) / max(vals)
-
 
 def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
                              radii=(1.0, 10.0), seeds_per_radius: int = 4,
-                             base_seed: int = 0, level_margin: float = 1.05,
-                             mode_decay: float = 2.0) -> AbsorbingReport:
+                             base_seed: int = 0) -> AbsorbingReport:
     """Evolve ensembles started on dual-norm spheres and locate a common
     absorbing level for the Dirichlet norm.
 
-    The entry level is level_margin (at least 1) times the largest final
+    The entry level is LEVEL_MARGIN times the largest final
     Dirichlet norm over all runs; each run's entry time is the first record
     from which the norm stays below that level, and kappa is the largest
     post-entry sup per starting radius; the tip norms are taken at the
@@ -265,19 +267,16 @@ def absorbing_set_experiment(ops: ModeOperators, cfg: StepperConfig,
         raise ValueError("radii must hold at least one radius")
     if not (all(r > 0 for r in radii) and len(set(radii)) == len(radii)):
         raise ValueError(f"radii must be positive and distinct, got {tuple(radii)}")
-    if not level_margin >= 1:   # below 1, a run may never enter the level
-        raise ValueError(f"level_margin must be >= 1, got {level_margin}")
     seeds_per_radius = _integer("seeds_per_radius", seeds_per_radius, 1)
     jobs = [(radius, base_seed + i) for radius in radii for i in range(seeds_per_radius)]
-    initials = [smooth_random_field(ops, np.random.default_rng(seed),
-                                    dual_radius=radius, mode_decay=mode_decay)
+    initials = [smooth_random_field(ops, np.random.default_rng(seed), dual_radius=radius)
                 for radius, seed in jobs]
     results = _run_sliced(ops, initials, cfg, collect_snapshots=True)
 
     # each member's own records: an equilibrium stop ends a member at its own step
     times = [np.array([rec.t for rec in res.records]) for res in results]
     norms = [np.array([rec.h1_seminorm for rec in res.records]) for res in results]
-    level = level_margin * max(series[-1] for series in norms)
+    level = LEVEL_MARGIN * max(series[-1] for series in norms)
 
     entry_times = {r: [] for r in radii}
     post_sups = {r: [] for r in radii}

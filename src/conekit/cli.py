@@ -94,8 +94,7 @@ def _initial_field(cfg: RunConfig, ops) -> Field:
     if e.ic == "constant":
         return constant_field(mesh, ops.max_mode, e.mean)
     rng = np.random.default_rng(e.seed)
-    u = smooth_random_field(ops, rng, sup_amplitude=e.amplitude,
-                            mode_decay=e.mode_decay)
+    u = smooth_random_field(ops, rng, sup_amplitude=e.amplitude)
     if e.mean != 0.0:
         u = u + constant_field(mesh, ops.max_mode, e.mean)
     return u
@@ -108,8 +107,8 @@ def _cmd_indicial(cfg: RunConfig, outdir: Path):
     profile = cfg.geometry.build_profile()
     spectrum = boundary_spectrum(profile, cfg.geometry.K)
     gamma = cfg.norms.gamma
-    lower, upper, members = asymptotic_space(1, spectrum, gamma)
-    roots = laplacian_indicial_roots(1, spectrum) + bilaplacian_indicial_roots(1, spectrum)
+    lower, upper, members = asymptotic_space(spectrum, gamma)
+    roots = laplacian_indicial_roots(spectrum) + bilaplacian_indicial_roots(spectrum)
     _write_csv(outdir / "roots.csv",
                ("operator", "mode", "root", "root_float", "multiplicity",
                 "log_power_max", "in_asymptotic_window"),
@@ -118,8 +117,8 @@ def _cmd_indicial(cfg: RunConfig, outdir: Path):
                 for root in roots])
 
     lam1 = spectrum[1][1]
-    win4 = ch_gamma_window(1, lam1)
-    win2 = laplacian_gamma_window(1, lam1)
+    win4 = ch_gamma_window(lam1)
+    win2 = laplacian_gamma_window(lam1)
     _write_csv(outdir / "windows.csv",
                ("name", "lower", "upper", "lower_float", "upper_float", "nonempty"),
                [("fourth_order", repr(win4.lower), repr(win4.upper),
@@ -128,12 +127,12 @@ def _cmd_indicial(cfg: RunConfig, outdir: Path):
                  float(win2.lower), float(win2.upper), win2.nonempty),
                 ("branch_window", repr(lower), repr(upper), float(lower), float(upper), True)])
 
-    hits = minimal_domain_check(1, spectrum, gamma)
+    hits = minimal_domain_check(spectrum, gamma)
     _write_csv(outdir / "minimal_domain.csv",
                ("clean", "offending_value", "offending_mode"),
                [(False, repr(v), mode) for v, mode in hits] or [(True, "", "")])
 
-    exclusions = interpolation_exclusions(1, spectrum, gamma)
+    exclusions = interpolation_exclusions(spectrum, gamma)
     _write_csv(outdir / "exclusions.csv", ("value", "value_float"),
                [(repr(v), float(v)) for v in exclusions])
 
@@ -206,9 +205,8 @@ def _cmd_attractor(cfg: RunConfig, outdir: Path):
     ops = cfg.geometry.build_workspace()
     e = cfg.experiment
     stepper = cfg.dynamics.stepper(cfg.norms.gamma)
-    report = absorbing_set_experiment(
-        ops, stepper, radii=e.radii, seeds_per_radius=e.seeds_per_radius,
-        base_seed=e.seed, level_margin=e.level_margin, mode_decay=e.mode_decay)
+    report = absorbing_set_experiment(ops, stepper, radii=e.radii,
+                                      seeds_per_radius=e.seeds_per_radius, base_seed=e.seed)
     rows = []
     for radius in report.radii:
         for i in range(report.seeds_per_radius):
@@ -230,8 +228,7 @@ def _cmd_fit_asymptotics(cfg: RunConfig, outdir: Path):
     e = cfg.experiment
     fits, profiles = [], {}
     for mode in e.modes:
-        sol, fit = tip_probe(ops, mode, source_center_frac=e.source_center,
-                             source_width_frac=e.source_width)
+        sol, fit = tip_probe(ops, mode)
         profiles[mode] = sol
         fits.append((mode,
                      "" if fit.rho_hat is None else fit.rho_hat,
@@ -257,7 +254,7 @@ def _cmd_ls_probe(cfg: RunConfig, outdir: Path):
     e_inf = result.records[-1].energy
     rows = [(rec.t, rec.energy - e_inf, rec.ut_h01dual) for rec in result.records]
     _write_csv(outdir / "trajectory.csv", ("t", "energy_gap", "rate_dual_norm"), rows)
-    probe = lojasiewicz_probe(ops, result, drop_last_fraction=cfg.experiment.drop_last)
+    probe = lojasiewicz_probe(ops, result)
     _write_csv(outdir / "ls_summary.csv",
                ("theta_hat", "slope", "r_squared", "n_samples", "energy_limit", "in_bracket"),
                [(probe.theta_hat, probe.slope, probe.r_squared, probe.n_samples,

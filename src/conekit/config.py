@@ -117,13 +117,8 @@ class ExperimentSection:
     snapshots: bool = True
     radii: tuple[float, ...] = (0.5, 1.0)   # dual radii whose fields the default S = 2 step handles
     seeds_per_radius: int = 4
-    level_margin: float = 1.05
-    mode_decay: float = 2.0
     modes: tuple[int, ...] = (1, 2)
-    source_center: float = 0.75
-    source_width: float = 0.08
     n_eigs: int = 8
-    drop_last: float = 0.05
 
 
 @dataclass
@@ -238,14 +233,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[experiment] radii must not be empty")
     if min(e.radii) <= 0 or len(set(e.radii)) < len(e.radii):
         raise ConfigError(f"[experiment] radii must be positive and distinct, got {e.radii}")
-    if e.level_margin < 1:
-        raise ConfigError(f"[experiment] level_margin must be >= 1, got {e.level_margin:g}")
     if not e.modes:
         raise ConfigError("[experiment] modes must not be empty")
-    if not (0 <= e.drop_last < 0.5):
-        raise ConfigError("[experiment] drop_last must lie in [0, 0.5)")
-    if not (0 < e.source_center < 1) or not (0 < e.source_width < 1):
-        raise ConfigError("[experiment] source_center and source_width are fractions of L in (0, 1)")
 
 
 def validate_gamma(cfg: RunConfig, allow_out_of_window: bool = False):
@@ -258,7 +247,7 @@ def validate_gamma(cfg: RunConfig, allow_out_of_window: bool = False):
     if allow_out_of_window:
         return
     profile = cfg.geometry.build_profile()
-    window = ch_gamma_window(1, boundary_spectrum(profile, 1)[1][1])
+    window = ch_gamma_window(boundary_spectrum(profile, 1)[1][1])
     gammas = [("[norms] gamma", cfg.norms.gamma)]
     gammas += [(f"[norms] pairs entry {i}", gm) for i, (_s, gm) in enumerate(cfg.norms.pairs)]
     for label, gamma in gammas:

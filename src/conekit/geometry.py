@@ -46,11 +46,11 @@ def exact_number(value) -> Fraction:
     """Coerce int/float/str/Fraction to an exact Fraction.
 
     Strings accept both "1/3" and decimal forms; floats convert exactly
-    (every binary float is rational).
+    (every binary float is rational).  A bool is not a number here.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return Fraction(int(value))
     if isinstance(value, str):
         return Fraction(value.strip())

@@ -1,14 +1,14 @@
-"""Exact tip-exponent arithmetic for cone Laplacians and their squares.
+"""Exact tip-exponent arithmetic for cone Laplacians and their squares on a surface.
 
-Separating variables at a conical point of cross-section spectrum
-{lambda_j <= 0} turns the Laplacian on mode j into an Euler operator whose
-characteristic ("indicial") polynomial is
+Separating variables at a conical point of a surface, whose cross-section
+circle has spectrum {lambda_j <= 0}, turns the Laplacian on mode j into an
+Euler operator whose characteristic ("indicial") polynomial is
 
-    p_j(z) = z^2 + (n - 1) z + lambda_j ,    n = surface dimension,
+    p_j(z) = z^2 + lambda_j ,
 
-so solutions behave like x^q (times powers of log x at multiple roots) with
+so solutions behave like x^q (times log x at the double root q = 0) with
 
-    q_j(+-) = -(n-1)/2 +- sqrt( ((n-1)/2)^2 - lambda_j ).
+    q_j(+-) = +- sqrt(-lambda_j).
 
 A spectrum is a sequence of (mode j, lambda_j) pairs, as
 ``geometry.boundary_spectrum`` returns them; lambda_j is any exact number.
@@ -19,12 +19,12 @@ p_j(z) * p_j(z - 2), i.e. exactly those Laplacian roots and their shifts by
 +2, with multiplicities added where values coincide.  Roots are stored as the
 exponents q of the solution branches x^q.
 
-Every quantity here is exact: for rational inputs all radicands
-((n-1)/2)^2 - lambda_j are rational, so values live in the set
-{a + b*sqrt(r) : a, b, r rational} which the ``Surd`` type models.  A Surd
-folds perfect-square radicands on construction, so for b != 0 the root
-sqrt(r) is irrational and the key (a, b^2 r, b > 0) determines the value:
-equality and hashing use that key, and no floating point enters any decision.
+Every quantity here is exact: for rational inputs all radicands -lambda_j are
+rational, so values live in the set {a + b*sqrt(r) : a, b, r rational} which
+the ``Surd`` type models.  A Surd folds perfect-square radicands on
+construction, so for b != 0 the root sqrt(r) is irrational and the key
+(a, b^2 r, b > 0) determines the value: equality and hashing use that key,
+and no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import _integer, exact_number
+from .geometry import exact_number
 
 __all__ = [
     "Surd",
@@ -155,10 +155,6 @@ class Surd:
         return f"{self.a} {sign} {tail}"
 
 
-def _radicand(n: int, lam) -> Fraction:
-    return Fraction(n - 1, 2) ** 2 - exact_number(lam)
-
-
 @dataclass(frozen=True)
 class IndicialRoot:
     """One exponent q of a solution branch x^q (times log^p x for p < log_power_max + 1).
@@ -177,40 +173,36 @@ class IndicialRoot:
         return self.multiplicity - 1
 
 
-def _mode_roots(n: int, spectrum) -> list[tuple[int, list[tuple[Surd, int]]]]:
+def _mode_roots(spectrum) -> list[tuple[int, list[tuple[Surd, int]]]]:
     """Per spectrum entry, its mode and the roots of p_j with their multiplicities."""
-    n = _integer("surface dimension n", n, 1)
-    shift = Surd(-Fraction(n - 1, 2))
     out = []
     for mode, lam in spectrum:
-        rad = _radicand(n, lam)
-        root = Surd.sqrt(rad)
-        out.append((mode, [(shift, 2)] if rad == 0 else [(shift - root, 1), (shift + root, 1)]))
+        root = Surd.sqrt(-exact_number(lam))
+        out.append((mode, [(root, 2)] if root == 0 else [(-root, 1), (root, 1)]))
     return out
 
 
-def laplacian_indicial_roots(n: int, spectrum) -> list[IndicialRoot]:
+def laplacian_indicial_roots(spectrum) -> list[IndicialRoot]:
     """Exponents q with Laplacian-harmonic branches x^q per angular mode.
 
-    Roots come in pairs -(n-1)/2 +- sqrt(((n-1)/2)^2 - lambda_j); the pair
-    collapses to one double root (with a log branch) exactly when the
-    radicand vanishes, e.g. the mode-0 pair {1, log x} on a surface.
+    Roots come in pairs +- sqrt(-lambda_j); the pair collapses to one double
+    root (with a log branch) exactly when lambda_j = 0, the mode-0 pair {1, log x}.
     """
     return [IndicialRoot("laplacian", mode, q, mult)
-            for mode, roots in _mode_roots(n, spectrum) for q, mult in roots]
+            for mode, roots in _mode_roots(spectrum) for q, mult in roots]
 
 
-def bilaplacian_indicial_roots(n: int, spectrum) -> list[IndicialRoot]:
+def bilaplacian_indicial_roots(spectrum) -> list[IndicialRoot]:
     """Exponent set of the squared Laplacian per mode: roots of p(z) p(z-2).
 
     These are the Laplacian roots q and their shifts q + 2, with
-    multiplicities added where values coincide: radicand 0 gives double roots
-    at q and q + 2, radicand 1 makes q- + 2 collide with q+ (one double
+    multiplicities added where values coincide: lambda_j = 0 gives double
+    roots at 0 and 2, lambda_j = -1 makes q- + 2 collide with q+ (one double
     root), and no other coincidences are possible.  Log powers stay below
     LOG_POWER_BOUND structurally.  Per mode the roots are sorted by value.
     """
     out: list[IndicialRoot] = []
-    for mode, roots in _mode_roots(n, spectrum):
+    for mode, roots in _mode_roots(spectrum):
         merged: dict[Surd, int] = {}  # keeps the first representation of a value
         for q, mult in roots + [(q + 2, mult) for q, mult in roots]:
             merged[q] = merged.get(q, 0) + mult
@@ -245,78 +237,71 @@ class GammaWindow:
         return f"({float(self.lower):g}, {float(self.upper):g})"
 
 
-def _gamma_window(n: int, lambda_1, cap) -> GammaWindow:
-    """gamma in ( (n-3)/2 , min{ -1 + sqrt(((n-1)/2)^2 - lambda_1), cap(n) } ), lambda_1 < 0."""
-    n = _integer("surface dimension n", n, 1)
+def _gamma_window(lambda_1, cap) -> GammaWindow:
+    """gamma in ( -1 , min{ -1 + sqrt(-lambda_1), cap } ), lambda_1 < 0."""
     lam1 = exact_number(lambda_1)
     if lam1 >= 0:
         raise ValueError(f"lambda_1 must be negative, got {lam1}")
-    return GammaWindow(lower=Surd(Fraction(n - 3, 2)),
-                       upper=min(Surd(-1) + Surd.sqrt(_radicand(n, lam1)), Surd(cap(n))))
+    return GammaWindow(lower=Surd(-1), upper=min(Surd(-1) + Surd.sqrt(-lam1), Surd(cap)))
 
 
-def ch_gamma_window(n: int, lambda_1) -> GammaWindow:
-    """Weight window for the fourth-order flow on an (n+1)-dimensional cone.
-
-    With d = n + 1:  gamma in ( (d-4)/2 , min{ -1 + sqrt(((d-2)/2)^2 - lambda_1),
-    (d-4)/4 } ), lambda_1 < 0 the first nonzero cross-section eigenvalue.
+def ch_gamma_window(lambda_1) -> GammaWindow:
+    """Weight window for the fourth-order flow on the surface:
+    gamma in ( -1 , min{ -1 + sqrt(-lambda_1), -1/2 } ), lambda_1 < 0 the first
+    nonzero cross-section eigenvalue.
     """
-    return _gamma_window(n, lambda_1, lambda n: Fraction(n - 3, 4))
+    return _gamma_window(lambda_1, Fraction(-1, 2))
 
 
-def laplacian_gamma_window(n: int, lambda_1) -> GammaWindow:
-    """Weight window for the second-order problem on the n-dimensional surface:
-    gamma in ( (n-3)/2 , min{ -1 + sqrt(((n-1)/2)^2 - lambda_1), (n+1)/2 } ).
+def laplacian_gamma_window(lambda_1) -> GammaWindow:
+    """Weight window for the second-order problem on the surface:
+    gamma in ( -1 , min{ -1 + sqrt(-lambda_1), 1 } ).
     """
-    return _gamma_window(n, lambda_1, lambda n: Fraction(n + 1, 2))
+    return _gamma_window(lambda_1, 1)
 
 
-def asymptotic_space(n: int, spectrum, gamma) -> tuple[Surd, Surd, tuple[IndicialRoot, ...]]:
+def asymptotic_space(spectrum, gamma) -> tuple[Surd, Surd, tuple[IndicialRoot, ...]]:
     """Tip branches attached to a weight gamma: (lower, upper, members).
 
     ``members`` lists the squared-Laplacian exponents q in the half-open
-    window [lower, upper) = [(n-7)/2 - gamma, (n-3)/2 - gamma); solutions in
-    the maximal domain split into these branches plus a remainder that is
-    two orders flatter.
+    window [lower, upper) = [-3 - gamma, -1 - gamma); solutions in the
+    maximal domain split into these branches plus a remainder that is two
+    orders flatter.
     """
-    n = _integer("surface dimension n", n, 1)
     g = exact_number(gamma)
-    lo = Surd(Fraction(n - 7, 2) - g)
-    hi = Surd(Fraction(n - 3, 2) - g)
-    members = tuple(root for root in bilaplacian_indicial_roots(n, spectrum)
+    lo, hi = Surd(-3 - g), Surd(-1 - g)
+    members = tuple(root for root in bilaplacian_indicial_roots(spectrum)
                     if lo <= root.value and root.value < hi)
     return lo, hi, members
 
 
-def minimal_domain_check(n: int, spectrum, gamma) -> tuple[tuple[Surd, int], ...]:
-    """Exact hits of gamma + 1 or gamma + 3 by an exponent offset +-sqrt(((n-1)/2)^2 - lambda_j).
+def minimal_domain_check(spectrum, gamma) -> tuple[tuple[Surd, int], ...]:
+    """Exact hits of gamma + 1 or gamma + 3 by an exponent offset +-sqrt(-lambda_j).
 
     Returns the hits as (offset, mode) pairs in spectrum order; no hit means the
     maximal domain collapses to the clean weighted space.
     """
-    n = _integer("surface dimension n", n, 1)
     g = exact_number(gamma)
     targets = (Surd(g + 1), Surd(g + 3))
     hits = []
     for mode, lam in spectrum:
-        root = Surd.sqrt(_radicand(n, lam))
+        root = Surd.sqrt(-exact_number(lam))
         for offset in dict.fromkeys((root, -root)):  # one offset at a double root
             if offset in targets:
                 hits.append((offset, mode))
     return tuple(hits)
 
 
-def interpolation_exclusions(n: int, spectrum, gamma) -> list[Surd]:
+def interpolation_exclusions(spectrum, gamma) -> list[Surd]:
     """Interpolation parameters in (0, 1) that must be avoided for this gamma.
 
-    These are the values (1 - gamma)/2 +- sqrt(((n-1)/2)^2 - lambda_j)/2
-    that land strictly inside (0, 1), deduplicated exactly and sorted.
+    These are the values (1 - gamma)/2 +- sqrt(-lambda_j)/2 that land
+    strictly inside (0, 1), deduplicated exactly and sorted.
     """
-    n = _integer("surface dimension n", n, 1)
     g = exact_number(gamma)
     center = Surd((1 - g) / 2)
     cands: list[Surd] = []
     for _, lam in spectrum:
-        half_root = Surd(0, Fraction(1, 2), _radicand(n, lam))
+        half_root = Surd(0, Fraction(1, 2), -exact_number(lam))
         cands += [center + half_root, center - half_root]
     return sorted(dict.fromkeys(c for c in cands if 0 < c < 1), key=float)

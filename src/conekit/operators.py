@@ -201,12 +201,6 @@ class ModeOperators:
         self._check_field(u)
         return Field(self.mesh, self.apply_laplacian_coeffs(u.coeffs))
 
-    def gauss_defect(self, u: Field) -> float:
-        """|integral of Lap(u) dmu|: exact-zero up to roundoff by construction."""
-        self._check_field(u)
-        # mode 0 has no angular term, so its Laplacian is the flux divergence
-        return abs(float(self.volumes @ self._flux_divergence(u.coeffs[0, 0])))
-
     # ----------------------------------------------------------------- solves
 
     @cached_property

@@ -70,6 +70,17 @@ def mode_field(mesh, max_mode, radial, mode=0, part="cos"):
     return Field(mesh, coeffs)
 
 
+def gauss_defect(ops, u):
+    """|integral of Lap(u) dmu|: zero up to roundoff, since the fluxes telescope."""
+    return abs(float(ops.volumes @ ops.apply_laplacian_coeffs(u.coeffs)[0, 0]))
+
+
+def kappa_spread(report):
+    """Relative disagreement of an absorbing report's radius across its initial radii."""
+    vals = [report.kappa[r] for r in report.radii]
+    return (max(vals) - min(vals)) / max(vals)
+
+
 def leftover_children() -> list[str]:
     """The child processes of this process, running or ended; an ended one is reaped, so it
     is reported once."""

@@ -26,6 +26,7 @@ from conekit.indicial import (bilaplacian_indicial_roots, ch_gamma_window,
 from conekit.operators import ModeOperators
 from conekit.spaces import (h01_dual_norm, h1_seminorm, l2_norm, mean, mellin_norm,
                             poincare_constant)
+from conftest import gauss_defect, kappa_spread
 
 
 def random_field(mesh, max_mode, rng, amplitude=1.0):
@@ -54,7 +55,7 @@ def test_criterion_01_indicial_roots_exact_with_polynomial_cross_check():
         c = Fraction(c_str)
         spectrum = boundary_spectrum(build_profile("cone_capped", c=c_str, length=2.0),
                                      max_mode)
-        roots = bilaplacian_indicial_roots(1, spectrum)
+        roots = bilaplacian_indicial_roots(spectrum)
         for k in range(max_mode + 1):
             mode_roots = [r for r in roots if r.mode == k]
 
@@ -84,17 +85,17 @@ def test_criterion_01_indicial_roots_exact_with_polynomial_cross_check():
 
 
 def test_criterion_02_gamma_window_arithmetic_and_inclusion():
-    w4 = ch_gamma_window(1, -1)
+    w4 = ch_gamma_window(-1)
     assert (w4.lower, w4.upper) == (Fraction(-1), Fraction(-1, 2))
-    w2 = laplacian_gamma_window(1, -1)
+    w2 = laplacian_gamma_window(-1)
     assert (w2.lower, w2.upper) == (Fraction(-1), Fraction(0))
 
     rng = np.random.default_rng(12345)
     for _ in range(1000):
         lam = -Fraction(int(rng.integers(1, 25_000_001)), 1_000_000)
-        fourth = ch_gamma_window(1, lam)
-        second = laplacian_gamma_window(1, lam)
-        assert fourth.lower == second.lower       # both floors are (n-3)/2
+        fourth = ch_gamma_window(lam)
+        second = laplacian_gamma_window(lam)
+        assert fourth.lower == second.lower       # both floors are -1
         assert fourth.upper <= second.upper       # exact comparison
         if fourth.nonempty:
             mid = (float(fourth.lower) + float(fourth.upper)) / 2.0
@@ -134,7 +135,7 @@ def test_criterion_04_gauss_defect_and_mass_conservation(sphere_ops,
         for _ in range(50):
             u = random_field(ops.mesh, ops.max_mode, rng)
             bound = 1e-12 * u.max_abs() * ops.mesh.area / ops.mesh.widths.min() ** 2
-            assert ops.gauss_defect(u) <= bound
+            assert gauss_defect(ops, u) <= bound
 
     ops = small_sphere_ops
     u0 = mean_zero(random_field(ops.mesh, ops.max_mode, rng, 0.3)) \
@@ -237,7 +238,7 @@ def test_criterion_08_absorbing_level_independent_of_initial_radius(small_sphere
                         snapshot_stride=200)
     report = absorbing_set_experiment(small_sphere_ops, cfg, radii=(1.0, 10.0),
                                       seeds_per_radius=4, base_seed=0)
-    assert report.kappa_spread <= 0.10
+    assert kappa_spread(report) <= 0.10
     for radius in report.radii:
         entry = max(report.entry_times[radius])
         series = report.diameters[radius][report.diam_times >= entry]
@@ -343,7 +344,7 @@ def cone_equilibria():
 def assert_regular_tip_exponents(profile, result, modes):
     # modes k >= 1 follow the Laplacian's regular branch x^(k/c), the positive root;
     # ``modes`` holds (mode, absolute tolerance) pairs of modes the equilibrium carries
-    roots = laplacian_indicial_roots(1, boundary_spectrum(profile, max(k for k, _ in modes)))
+    roots = laplacian_indicial_roots(boundary_spectrum(profile, max(k for k, _ in modes)))
     assert result.equilibrium_reached
     for mode, tol in modes:
         exact = float(next(r.value for r in roots if r.mode == mode and r.value > 0))

@@ -209,7 +209,6 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("experiment", "radii", "0.5,0.5"),
     ("experiment", "radii", "0"),
     ("experiment", "radii", "-0.5"),
-    ("experiment", "level_margin", "0"),
     ("experiment", "modes", ""),
     ("experiment", "modes", "-1"),
     ("experiment", "n_eigs", "-3"),
@@ -231,6 +230,8 @@ def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(tmp_path, capsy
     pytest.param("dynamics", "conserve_mean", id="conserve_mean"),
     pytest.param("dynamics", "linear_only", id="linear_only"),
     pytest.param("geometry", "c2", id="c2"),
+    *(pytest.param("experiment", key, id=key) for key in
+      ("level_margin", "mode_decay", "source_center", "source_width", "drop_last")),
 ])
 def test_removed_key_exits_2_naming_it(tmp_path, capsys, section, key):
     rc, rundir = run_cli(tmp_path, "simulate", f"[{section}]\n{key} = false\n")
@@ -326,7 +327,7 @@ def test_indicial_marks_exactly_the_branch_space_members(tmp_path):
     assert {row[-1] for row in rows} == {"true", "false"}
     marked = [tuple(row[:3]) + (row[4],) for row in rows if row[-1] == "true"]
     cfg = parse_config(ini)
-    _, _, members = asymptotic_space(1, boundary_spectrum(cfg.geometry.build_profile(), 3), 0)
+    _, _, members = asymptotic_space(boundary_spectrum(cfg.geometry.build_profile(), 3), 0)
     assert marked == [("bilaplacian", str(root.mode), repr(root.value), str(root.multiplicity))
                       for root in members]
 

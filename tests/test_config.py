@@ -47,9 +47,8 @@ DEFAULT_TEXT = (
     "[dynamics]\ndt = 0.001\nS = 2\nT_max = 1000\neq_tol = 1e-08\nsnapshot_stride = 100\n\n"
     "[norms]\ngamma = -0.75\npairs = 0,-0.75;1,-0.75\n\n"
     "[experiment]\nseed = 0\nic = random_mean_zero\namplitude = 0.10000000000000001\n"
-    "mean = 0\nsnapshots = true\nradii = 0.5,1\nseeds_per_radius = 4\nlevel_margin = 1.05\n"
-    "mode_decay = 2\nmodes = 1,2\nsource_center = 0.75\nsource_width = 0.080000000000000002\n"
-    "n_eigs = 8\ndrop_last = 0.050000000000000003\n\n")
+    "mean = 0\nsnapshots = true\nradii = 0.5,1\nseeds_per_radius = 4\nmodes = 1,2\n"
+    "n_eigs = 8\n\n")
 
 
 def test_default_config_text_is_pinned():
@@ -75,6 +74,10 @@ def test_gamma_outside_window_is_rejected_with_window_text():
 def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="'grading'"):
         parse_config("[geometry]\ngrading = 0.5\n")
+    # keys that held one value in use are constants now
+    for key in ("level_margin", "mode_decay", "source_center", "source_width", "drop_last"):
+        with pytest.raises(ConfigError, match=rf"^unknown key '{key}' in section \[experiment\]$"):
+            parse_config(f"[experiment]\n{key} = 0.5\n")
 
 
 def test_unknown_section_is_named():
@@ -99,7 +102,6 @@ def test_bad_values_name_the_field():
         ("[norms]\npairs = 3,-0.75\n", "s"),
         ("[norms]\npairs = 1\n", "pairs"),
         ("[experiment]\nic = banana\n", "ic"),
-        ("[experiment]\ndrop_last = 0.9\n", "drop_last"),
         ("[experiment]\namplitude = -0.1\n", r"\[experiment\] amplitude must be >= 0, got -0.1"),
         ("[geometry]\nkind = sphere\nradius = 0\n", r"\[geometry\] radius must"),
         ("[geometry]\nL = -1\n", r"\[geometry\] L must"),
@@ -109,8 +111,6 @@ def test_bad_values_name_the_field():
         ("[dynamics]\neq_tol = -1e-9\n", r"\[dynamics\] eq_tol must"),
         ("[experiment]\nseeds_per_radius = 0\n", r"\[experiment\] seeds_per_radius must"),
         ("[experiment]\nradii =\n", r"\[experiment\] radii must not be empty"),
-        ("[experiment]\nsource_center = 1\n", r"\[experiment\] source_center"),
-        ("[experiment]\nsource_width = 0\n", r"\[experiment\] source_center and source_width"),
         ("[experiment]\nsnapshots = maybe\n", r"\[experiment\] snapshots = 'maybe'"),
         ("[geometry]\nM = 64\nM = 128\n", r"cannot parse configuration: .*'M'"),
     )

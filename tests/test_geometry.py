@@ -84,6 +84,12 @@ def test_exact_number_parsing():
     assert exact_number(2) == Fraction(2)
     assert exact_number(0.5) == Fraction(1, 2)
     assert exact_number(Fraction(7, 5)) == Fraction(7, 5)
+    # a bool is an int to Python: c = True used to build a smooth disk
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(TypeError, match="exact number"):
+            exact_number(bad)
+        with pytest.raises(TypeError, match="exact number"):
+            build_profile("cone_capped", c=bad, length=2.0)
 
 
 # --------------------------------------------------------------------- meshes

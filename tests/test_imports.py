@@ -1,6 +1,7 @@
 """Every module-level import, private function, private class, private method and private
-attribute in the package is used, every function the package exports is used outside the
-tests, and every name a module exports exists.
+attribute in the package is used, every function the package exports and every public method
+and property of a class it exports is used outside the tests, and every name a module exports
+exists.
 
 Deleting a function tends to leave its imports, helpers and ``__all__`` entry
 behind, and no linter runs on this tree, so this walks the syntax tree of each
@@ -10,6 +11,7 @@ import check: its imports are the package's re-exports.
 
 import ast
 import inspect
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -136,25 +138,62 @@ def test_checker_flags_an_unread_private_attribute():
 
 
 def unreferenced_exports(names, sources: dict) -> list[str]:
-    """The names that no source references."""
+    """The names that no source references; ``Class.member`` counts as its member's name."""
     referenced = referenced_names(ast.parse(text) for text in sources.values())
-    return [name for name in names if name not in referenced]
+    return [name for name in names if name.rsplit(".", 1)[-1] not in referenced]
+
+
+def public_members(cls) -> list[str]:
+    """The public methods and properties that a class defines itself, as ``Class.member``."""
+    kinds = (property, cached_property, classmethod, staticmethod)
+    return [f"{cls.__name__}.{name}" for name, value in vars(cls).items()
+            if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))]
 
 
 def test_every_exported_function_is_used_outside_the_tests():
     # public API that only the tests call is deleted; the benchmark smoke tests count as tests
-    functions = [name for name in conekit.__all__ if inspect.isfunction(getattr(conekit, name))]
+    exported = [getattr(conekit, name) for name in conekit.__all__]
+    names = [value.__name__ for value in exported if inspect.isfunction(value)]
+    names += [member for value in exported if inspect.isclass(value)
+              for member in public_members(value)]
     sources = {p.name: p.read_text() for p in MODULES}
     sources.update({f"benchmarks/{p.name}": p.read_text() for p in BENCHMARKS
                     if p.name != "test_smoke.py"})
-    assert unreferenced_exports(functions, sources) == []
+    assert unreferenced_exports(names, sources) == []
 
 
 def test_checker_flags_an_unreferenced_export():
-    assert unreferenced_exports(["called", "imported", "attribute", "listed", "defined"], {
+    assert unreferenced_exports(["called", "imported", "attribute", "listed", "defined",
+                                 "A.method", "A.dead"], {
         "a.py": "def defined():\n    return called()\n",
-        "b.py": "import a\nfrom a import imported\n__all__ = ['listed']\nprint(a.attribute)\n",
-    }) == ["listed", "defined"]
+        "b.py": "import a\nfrom a import imported\n__all__ = ['listed']\nprint(a.attribute)\n"
+                "a.A().method()\n",
+    }) == ["listed", "defined", "A.dead"]
+
+
+def test_public_members_lists_methods_and_properties():
+    class A:
+        LIMIT = 3
+
+        def method(self):
+            pass
+
+        @property
+        def prop(self):
+            pass
+
+        @cached_property
+        def cached(self):
+            pass
+
+        @classmethod
+        def build(cls):
+            pass
+
+        def _private(self):
+            pass
+
+    assert public_members(A) == ["A.method", "A.prop", "A.cached", "A.build"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

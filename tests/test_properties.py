@@ -278,10 +278,6 @@ def reference_laplacian(ops, coeffs):
     return reference_flux_divergence(ops, coeffs) - ksq * ops.inv_f_sq * coeffs
 
 
-def reference_gauss_defect(ops, coeffs):
-    return abs(float(ops.volumes @ reference_flux_divergence(ops, coeffs[0, 0])))
-
-
 def reference_coeffs_to_values(coeffs):
     kmax, m = coeffs.shape[-3] - 1, coeffs.shape[-1]
     n = 4 * (kmax + 1)
@@ -356,8 +352,6 @@ def test_laplacian_and_transforms_keep_the_reference_bits_and_strides(data):
     cases = (
         (lambda: ops.apply_laplacian_coeffs(x), lambda: reference_laplacian(ops, x)),
         (lambda: ops.apply_laplacian_coeffs(x[-1]), lambda: reference_laplacian(ops, x[-1])),
-        (lambda: ops.gauss_defect(Field(ops.mesh, x[-1])),
-         lambda: reference_gauss_defect(ops, x[-1])),
         (lambda: coeffs_to_values(x), lambda: reference_coeffs_to_values(x)),
         (lambda: coeffs_to_values(x[-1]), lambda: reference_coeffs_to_values(x[-1])),
         (lambda: values_to_coeffs(vals, k), lambda: reference_values_to_coeffs(vals, k)),

@@ -16,7 +16,6 @@ from conekit.analysis import absorbing_set_experiment, fit_tip_asymptotics, tip_
 from conekit.dynamics import DiagnosticsRecord, SemiflowResult, SemiflowState, StepperConfig
 from conekit.fields import constant_field
 from conekit.geometry import boundary_spectrum, build_mesh, build_profile
-from conekit.indicial import ch_gamma_window
 from conekit.operators import ModeOperators
 from conekit.spaces import mellin_norm
 
@@ -42,7 +41,7 @@ def test_package_exports():
 def test_mode_operators_public_methods():
     assert sorted(name for name in vars(ModeOperators) if not name.startswith("_")) == [
         "apply_laplacian", "apply_laplacian_coeffs", "ch_factorization",
-        "eigenvalues", "gauss_defect", "neglap_bands", "smallest_eigenvalue",
+        "eigenvalues", "neglap_bands", "smallest_eigenvalue",
         "solve_ch_system", "solve_neglap", "solve_neglap_field", "solve_neglap_pivoted",
     ]
 
@@ -77,7 +76,6 @@ INTEGER_ARGUMENTS = {
     "build_mesh": ("cells", lambda m: build_mesh(PROFILE, m), 8),
     "constant_field": ("max_mode", lambda k: constant_field(OPS.mesh, k, 0.5), 1),
     "boundary_spectrum": ("max_mode", lambda k: boundary_spectrum(PROFILE, k), 1),
-    "ch_gamma_window": ("surface dimension n", lambda n: ch_gamma_window(n, -4), 1),
     "snapshot_stride": ("snapshot_stride", lambda k: StepperConfig(snapshot_stride=k), 1),
     "absorbing_set_experiment": ("seeds_per_radius", lambda k: absorbing_set_experiment(
         OPS, StepperConfig(t_max=1e-3), seeds_per_radius=k), None),   # None: too long to run
